@@ -55,6 +55,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -87,9 +88,7 @@ func main() {
 		stats     = flag.Bool("stats", false, "print a post-run telemetry summary to stderr")
 		serve     = flag.String("serve", "", "serve HTTP on this address (e.g. :8080) instead of batch-classifying")
 
-		batchWindow = flag.Duration("batch-window", 0, "with -serve: coalesce concurrent /classify rows for up to this long and answer them in one batch pass (0 disables coalescing; try 500us-2ms under concurrent load)")
-		batchMax    = flag.Int("batch-max", server.DefaultBatchMaxRows, "with -serve: flush a coalescing batch once it holds this many rows")
-		traceSlow   = flag.Duration("trace-slow", 0, "record per-query flight traces (GET /debug/queries, -stats summary) and log queries at least this slow (0 traces without slow-logging)")
+		traceSlow = flag.Duration("trace-slow", 0, "record per-query flight traces (GET /debug/queries, -stats summary) and log queries at least this slow (0 traces without slow-logging)")
 
 		streamMode   = flag.Bool("stream", false, "with -serve: accept POST /ingest and retrain in the background")
 		retrainEvery = flag.Int64("retrain-every", 0, "with -stream: retrain after this many newly ingested rows (0 disables)")
@@ -112,15 +111,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tkdc:", err)
 		os.Exit(2)
 	}
-	if err := validateBatch(*batchWindow, *batchMax); err != nil {
-		fmt.Fprintln(os.Stderr, "tkdc:", err)
-		os.Exit(2)
-	}
 	if err := validateShards(*ingestShards); err != nil {
 		fmt.Fprintln(os.Stderr, "tkdc:", err)
 		os.Exit(2)
 	}
-	batchOpts := server.BatchOptions{Window: *batchWindow, MaxRows: *batchMax}
 
 	// The slow-log threshold of 0 is meaningful (trace everything, log
 	// nothing), so flag presence — not value — turns the recorder on.
@@ -152,7 +146,7 @@ func main() {
 			staleAfter: *staleAfter,
 			workers:    *workers,
 			seed:       *seed,
-		}, reg, flight, batchOpts)
+		}, reg, flight)
 		return
 	}
 
@@ -240,7 +234,7 @@ func main() {
 			pub = fleet.NewPublisher(svc.Model())
 			svc.Start() // after pub: the hook must see the assignment
 		}
-		runServer(clf, reg, flight, *serve, svc, pub, batchOpts)
+		runServer(clf, reg, flight, *serve, svc, pub)
 		if svc != nil {
 			if err := svc.Close(); err != nil {
 				fail(err)
@@ -286,9 +280,9 @@ func main() {
 // runServer blocks serving HTTP until SIGINT/SIGTERM, then shuts down
 // gracefully. With a non-nil streaming service, the handlers serve its
 // live model and accept ingest; the caller owns the service lifecycle.
-func runServer(clf *tkdc.Classifier, reg *telemetry.Registry, flight *telemetry.FlightRecorder, addr string, svc *tkdc.StreamService, pub *fleet.Publisher, batch server.BatchOptions) {
+func runServer(clf *tkdc.Classifier, reg *telemetry.Registry, flight *telemetry.FlightRecorder, addr string, svc *tkdc.StreamService, pub *fleet.Publisher) {
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
-	serveLoop(addr, logger, server.Options{Registry: reg, Logger: logger, Stream: svc, Flight: flight, Publisher: pub, Batch: batch}, clf,
+	serveLoop(addr, logger, server.Options{Registry: reg, Logger: logger, Stream: svc, Flight: flight, Publisher: pub}, clf,
 		slog.Bool("stream", svc != nil))
 }
 
@@ -304,7 +298,7 @@ type fleetOptions struct {
 // the leader (retrying until the first snapshot lands or the process is
 // interrupted), then serve it while the background poll loop hot-swaps
 // generations underneath the handlers.
-func runFollower(leaderURL, addr string, fo fleetOptions, reg *telemetry.Registry, flight *telemetry.FlightRecorder, batch server.BatchOptions) {
+func runFollower(leaderURL, addr string, fo fleetOptions, reg *telemetry.Registry, flight *telemetry.FlightRecorder) {
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	cfg := fleet.FollowerConfig{
 		URL:        leaderURL,
@@ -332,24 +326,25 @@ func runFollower(leaderURL, addr string, fo fleetOptions, reg *telemetry.Registr
 	defer f.Close()
 
 	clf := f.Model().Current()
-	serveLoop(addr, logger, server.Options{Registry: reg, Logger: logger, Flight: flight, Follower: f, Batch: batch}, clf,
+	serveLoop(addr, logger, server.Options{Registry: reg, Logger: logger, Flight: flight, Follower: f}, clf,
 		slog.String("role", "follower"), slog.String("leader", leaderURL))
 }
+
+// shutdownDrain bounds how long a shutting-down server waits for
+// in-flight requests to finish.
+const shutdownDrain = 5 * time.Second
 
 // serveLoop is the shared HTTP serving loop behind -serve and -follow:
 // build the handler, listen, and shut down gracefully on SIGINT/SIGTERM.
 func serveLoop(addr string, logger *slog.Logger, opts server.Options, clf *tkdc.Classifier, extra ...slog.Attr) {
-	handler := server.New(clf, opts)
-	srv := newHTTPServer(addr, handler)
+	srv := newHTTPServer(addr, server.New(clf, opts))
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		fail(err)
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	go func() {
-		<-ctx.Done()
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		srv.Shutdown(shutdownCtx)
-	}()
 
 	fields := []any{
 		slog.String("addr", addr),
@@ -361,13 +356,33 @@ func serveLoop(addr string, logger *slog.Logger, opts server.Options, clf *tkdc.
 		fields = append(fields, a)
 	}
 	logger.Info("serving", fields...)
-	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+	if err := serveUntil(ctx, srv, ln, shutdownDrain); errors.Is(err, context.DeadlineExceeded) {
+		logger.Error("shutdown drain timed out; in-flight requests were cut off", slog.Duration("drain", shutdownDrain))
+	} else if err != nil {
 		fail(err)
 	}
-	// Shutdown has drained in-flight requests; flush any batch still
-	// coalescing so its waiters get answers before the process exits.
-	handler.Close()
 	logger.Info("shut down")
+}
+
+// serveUntil serves srv on ln until ctx is done, then shuts srv down,
+// giving in-flight requests up to drain to finish. It returns only once
+// Shutdown has: Serve returns the moment Shutdown starts, so returning
+// on Serve alone lets the process exit mid-response. The error is
+// Serve's if it failed before ctx was done, else Shutdown's
+// (context.DeadlineExceeded when the drain ran out of time).
+func serveUntil(ctx context.Context, srv *http.Server, ln net.Listener, drain time.Duration) error {
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
+	}
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), drain)
+	defer cancel()
+	err := srv.Shutdown(shutdownCtx)
+	<-served // http.ErrServerClosed, already sent when Shutdown began
+	return err
 }
 
 // newHTTPServer wraps the handler in an http.Server with serving
@@ -446,23 +461,6 @@ func resolveShards(shards int) int {
 		return tkdc.DefaultIngestShards()
 	}
 	return shards
-}
-
-// validateBatch bounds the batch-engine tuning: the coalescing window
-// is pure added latency for the first row of every batch, so values
-// past 100ms are almost certainly a units mistake (-batch-window 2
-// means 2ns, not 2ms; write 2ms).
-func validateBatch(window time.Duration, maxRows int) error {
-	if window < 0 {
-		return fmt.Errorf("-batch-window must be >= 0 (got %v)", window)
-	}
-	if window > 100*time.Millisecond {
-		return fmt.Errorf("-batch-window %v is past the 100ms sanity cap (every /classify pays it as queueing latency; typical values are 0-2ms)", window)
-	}
-	if maxRows < 1 {
-		return fmt.Errorf("-batch-max must be >= 1 (got %d)", maxRows)
-	}
-	return nil
 }
 
 // validateBackend fails fast on an unknown -backend value, before any

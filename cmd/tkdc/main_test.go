@@ -1,13 +1,15 @@
 package main
 
 import (
+	"context"
+	"io"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
 
 	"tkdc"
-	"tkdc/internal/server"
 )
 
 // TestHTTPServerTimeouts pins the serving-mode hardening: every tkdc
@@ -30,6 +32,68 @@ func TestHTTPServerTimeouts(t *testing.T) {
 	}
 	if srv.Addr != ":0" || srv.Handler == nil {
 		t.Fatal("newHTTPServer dropped the address or handler")
+	}
+}
+
+// TestServeUntilDrainsInFlight pins graceful shutdown: cancelling the
+// context while a request is running must not return before that
+// request has finished, and its client must get the full response.
+func TestServeUntilDrainsInFlight(t *testing.T) {
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	srv := newHTTPServer("", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		close(entered)
+		<-release
+		io.WriteString(w, "done")
+	}))
+	shuttingDown := make(chan struct{})
+	srv.RegisterOnShutdown(func() { close(shuttingDown) })
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	returned := make(chan error, 1)
+	go func() { returned <- serveUntil(ctx, srv, ln, time.Minute) }()
+
+	type reply struct {
+		status int
+		body   string
+		err    error
+	}
+	replied := make(chan reply, 1)
+	go func() {
+		resp, err := http.Get("http://" + ln.Addr().String())
+		if err != nil {
+			replied <- reply{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		replied <- reply{status: resp.StatusCode, body: string(body), err: err}
+	}()
+
+	<-entered
+	cancel()
+	<-shuttingDown
+	// Serve has returned (or is about to) by now; serveUntil must still
+	// be waiting on the blocked request.
+	select {
+	case err := <-returned:
+		close(release)
+		t.Fatalf("serveUntil returned %v while a request was in flight", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+
+	r := <-replied
+	if r.err != nil || r.status != http.StatusOK || r.body != "done" {
+		t.Fatalf("in-flight request: status %d body %q err %v, want 200 \"done\"", r.status, r.body, r.err)
+	}
+	if err := <-returned; err != nil {
+		t.Fatalf("serveUntil = %v after a clean drain, want nil", err)
 	}
 }
 
@@ -101,32 +165,6 @@ func TestValidateBackend(t *testing.T) {
 	// real default, so the CLI treats empty as a user mistake.
 	if validateBackend("") == nil {
 		t.Error("empty -backend accepted")
-	}
-}
-
-// TestValidateBatch pins the batch-flag guardrails: negative windows
-// and non-positive row caps are rejected, and windows past 100ms are
-// treated as a units mistake (the duration flag parses bare numbers as
-// nanoseconds, so "-batch-window 2" silently means 2ns).
-func TestValidateBatch(t *testing.T) {
-	for _, w := range []time.Duration{0, 500 * time.Microsecond, 2 * time.Millisecond, 100 * time.Millisecond} {
-		if err := validateBatch(w, server.DefaultBatchMaxRows); err != nil {
-			t.Errorf("validateBatch(%v) = %v, want nil", w, err)
-		}
-	}
-	if validateBatch(-time.Millisecond, 64) == nil {
-		t.Error("negative window accepted")
-	}
-	if err := validateBatch(101*time.Millisecond, 64); err == nil {
-		t.Error("window past the sanity cap accepted")
-	} else if !strings.Contains(err.Error(), "100ms") {
-		t.Errorf("cap error %q does not name the cap", err)
-	}
-	if validateBatch(0, 0) == nil {
-		t.Error("zero -batch-max accepted")
-	}
-	if validateBatch(0, -1) == nil {
-		t.Error("negative -batch-max accepted")
 	}
 }
 

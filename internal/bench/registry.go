@@ -33,7 +33,7 @@ func Experiments() []Experiment {
 		{"stream", "Streaming lifecycle: query latency under concurrent ingest + retrain churn", StreamLifecycle},
 		{"trace", "Telemetry overhead: per-query cost of counters and flight tracing", TraceOverhead},
 		{"fleet", "Replication fleet: aggregate throughput at 1/2/4 replicas under leader churn", Fleet},
-		{"serve", "Batched query engine: /classify throughput vs coalescing window and concurrency", Serve},
+		{"serve", "Serving path: /classify throughput and latency vs client concurrency", Serve},
 	}
 	sort.Slice(exps, func(i, j int) bool { return exps[i].ID < exps[j].ID })
 	return exps

@@ -18,25 +18,17 @@ import (
 )
 
 // serveRowsPerRequest is how many rows each benchmark /classify request
-// carries. At 32 rows, eight concurrent requests coalescing in one
-// window cross core.DualTreeMinBatch (256), so the coalesced legs
-// exercise the regime the engine exists for: one dual-tree pass
-// answering many requests' rows at once.
+// carries: an interactive-client batch, well below
+// core.DualTreeMinBatch, so every request runs the per-query sweep.
 const serveRowsPerRequest = 32
 
 // serveMeasureTime is the sustained-load window per table row: long
-// enough that hundreds of coalescing windows open and close
-// mid-measurement.
+// enough for thousands of requests at every concurrency.
 const serveMeasureTime = 700 * time.Millisecond
 
-// Serve measures the batched query engine under concurrent /classify
-// traffic over real HTTP: sustained row throughput and request latency
-// across batch configurations (coalescing disabled, window=0 inline,
-// and two coalescing windows) at rising client concurrency. The
-// acceptance shape: at concurrency >= 8 the coalescing legs beat
-// disabled on rows/s (window batches cross the dual-tree threshold),
-// while at concurrency 1 a window only adds latency — the table shows
-// both so the default (window=0) is justified.
+// Serve measures /classify under concurrent traffic over real HTTP:
+// sustained row throughput and request latency at rising client
+// concurrency, each request answered inline on its own goroutine.
 func Serve(opts Options) ([]Table, error) {
 	opts = opts.normalized()
 	n := opts.scaled(100_000, 2000)
@@ -47,9 +39,8 @@ func Serve(opts Options) ([]Table, error) {
 		return nil, err
 	}
 
-	// Request bodies cycle through clustered query batches drawn from the
-	// data distribution — the workload where group certification can
-	// amortize tree walks across a flush.
+	// Request bodies cycle through query batches drawn from the data
+	// distribution.
 	queries := dataset.Gauss(4096, 2, opts.Seed+1)
 	bodies := make([][]byte, 0, len(queries)/serveRowsPerRequest)
 	for i := 0; i+serveRowsPerRequest <= len(queries); i += serveRowsPerRequest {
@@ -60,49 +51,25 @@ func Serve(opts Options) ([]Table, error) {
 		bodies = append(bodies, []byte(b.String()))
 	}
 
-	configs := []struct {
-		name  string
-		batch server.BatchOptions
-	}{
-		{"disabled", server.BatchOptions{Disable: true}},
-		{"window=0", server.BatchOptions{}},
-		{"window=500us", server.BatchOptions{Window: 500 * time.Microsecond}},
-		{"window=2ms", server.BatchOptions{Window: 2 * time.Millisecond}},
-	}
-
 	t := Table{
-		Title:   "Batched query engine: sustained /classify throughput (CSV rows over HTTP)",
-		Columns: []string{"Config", "Conc", "Rows/s", "Req/s", "p50 us", "p99 us", "Flushes", "Coalesced rows"},
+		Title:   "Serving path: sustained /classify throughput (CSV rows over HTTP)",
+		Columns: []string{"Conc", "Rows/s", "Req/s", "p50 us", "p99 us"},
 	}
 
 	for _, conc := range []int{1, 8, 32} {
-		for _, cfg := range configs {
-			reg := telemetry.NewRegistry()
-			srv := server.New(clf, server.Options{Registry: reg, Batch: cfg.batch})
-			ts := httptest.NewServer(srv)
-
-			rows, reqs, lat, err := measureServe(ts.URL, conc, bodies)
-			srv.Close()
-			ts.Close()
-			if err != nil {
-				return nil, fmt.Errorf("bench: serve %s conc=%d: %w", cfg.name, conc, err)
-			}
-
-			snap := reg.Snapshot()
-			t.AddRow(cfg.name, fmt.Sprintf("%d", conc),
-				fmtRate(rows), fmtRate(reqs),
-				fmtMicros(lat.p50), fmtMicros(lat.p99),
-				fmtCount(float64(snap.Batches)), fmtCount(float64(snap.CoalescedQueries)))
+		ts := httptest.NewServer(server.New(clf, server.Options{Registry: telemetry.NewRegistry()}))
+		rows, reqs, lat, err := measureServe(ts.URL, conc, bodies)
+		ts.Close()
+		if err != nil {
+			return nil, fmt.Errorf("bench: serve conc=%d: %w", conc, err)
 		}
+		t.AddRow(fmt.Sprintf("%d", conc),
+			fmtRate(rows), fmtRate(reqs),
+			fmtMicros(lat.p50), fmtMicros(lat.p99))
 	}
 
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("each request posts %d CSV rows; coalesced flushes at conc>=8 cross the dual-tree threshold (%d rows)",
-			serveRowsPerRequest, core.DualTreeMinBatch),
-		"'Flushes' counts batch executions, 'Coalesced rows' the rows that shared a flush with another request;",
-		"  disabled and window=0 legs never coalesce, so their flush column counts per-request executions",
-		"p50/p99 are request latencies: a coalescing window trades per-request latency for aggregate rows/s,",
-		"  which is why the window legs only win once concurrent requests actually share windows")
+		fmt.Sprintf("each request posts %d CSV rows; p50/p99 are request latencies", serveRowsPerRequest))
 	t.Fprint(opts.Out)
 	return []Table{t}, nil
 }

@@ -10,7 +10,8 @@ import (
 // machinery (query boxes, group heap resets, recursive splits) costs
 // more than the tree-walk overhead it amortizes; at and above it the
 // batch carries enough spatial redundancy for group certification to
-// win on the workloads BENCH_serve.json measures.
+// win. The perfbench bulk-tmy3 workload (4096-row requests) is the one
+// that runs the dual-tree pass.
 const DualTreeMinBatch = 256
 
 // ValidateFlat checks a flat row-major batch of n queries: the buffer
@@ -33,9 +34,10 @@ func (c *Classifier) ValidateFlat(flat []float64, n int) error {
 }
 
 // forEachRowChunk runs body over [0, n) in index chunks, fanning out
-// across the classifier's effective worker budget under the same policy
-// as ClassifyAll: single-threaded below two workers or when the batch is
-// too small to amortize goroutine startup.
+// across the classifier's effective worker budget: single-threaded below
+// two workers or when the batch is too small to amortize goroutine
+// startup. Every batch entry point (ClassifyAll, ClassifyFlat,
+// ScoreFlat) shares this policy.
 func (c *Classifier) forEachRowChunk(n int, body func(lo, hi int)) {
 	workers := c.effectiveWorkers()
 	if workers < 2 || n < 2*workers {
@@ -107,8 +109,8 @@ func (c *Classifier) ScoreFlat(flat []float64, n int) ([]Result, error) {
 // the Problem 1 ε-contract, and deterministic for a given row set);
 // smaller batches, and every batch on the sampling backend, run the
 // bit-identical per-query parallel sweep. The selection depends only on
-// the batch itself, so a coalesced flush and a direct large POST of the
-// same rows execute identically.
+// the batch itself, so the same rows execute identically whichever
+// caller submits them.
 func (c *Classifier) ClassifyFlatAuto(flat []float64, n int) ([]Label, error) {
 	if err := c.ValidateFlat(flat, n); err != nil {
 		return nil, err
@@ -117,15 +119,4 @@ func (c *Classifier) ClassifyFlatAuto(flat []float64, n int) ([]Label, error) {
 		return c.classifyDualTreeFlat(flat, n), nil
 	}
 	return c.classifyFlatChecked(flat, n), nil
-}
-
-// ClassifyFlatDualTree runs the dual-tree group pass over a flat
-// row-major batch — the flat-storage twin of ClassifyAllDualTree. On
-// the sampling backend (which has no box-to-box bounds) the batch falls
-// back to the per-query sweep.
-func (c *Classifier) ClassifyFlatDualTree(flat []float64, n int) ([]Label, error) {
-	if err := c.ValidateFlat(flat, n); err != nil {
-		return nil, err
-	}
-	return c.classifyDualTreeFlat(flat, n), nil
 }

@@ -592,33 +592,11 @@ func (c *Classifier) ClassifyAll(queries [][]float64) ([]Label, error) {
 		}
 	}
 	out := make([]Label, len(queries))
-	workers := c.effectiveWorkers()
-	if workers < 2 || len(queries) < 2*workers {
-		for i, x := range queries {
-			out[i] = c.scoreChecked(x).Label
+	c.forEachRowChunk(len(queries), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i] = c.scoreChecked(queries[i]).Label
 		}
-		return out, nil
-	}
-	var wg sync.WaitGroup
-	chunk := (len(queries) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= len(queries) {
-			break
-		}
-		hi := lo + chunk
-		if hi > len(queries) {
-			hi = len(queries)
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				out[i] = c.scoreChecked(queries[i]).Label
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+	})
 	return out, nil
 }
 

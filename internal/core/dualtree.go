@@ -32,8 +32,8 @@ func (c *Classifier) ClassifyAllDualTree(points [][]float64) ([]Label, error) {
 			return nil, fmt.Errorf("core: query %d: %w", i, err)
 		}
 	}
-	// The group pass works on flat row-major storage (the coalescer's
-	// native format); slice-of-rows callers pay one copy here.
+	// The group pass works on flat row-major storage (the format
+	// ClassifyFlatAuto receives); slice-of-rows callers pay one copy here.
 	flat := make([]float64, 0, len(points)*c.dim)
 	for _, x := range points {
 		flat = append(flat, x...)

@@ -1,0 +1,307 @@
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"strings"
+	"sync"
+	"testing"
+
+	"tkdc/internal/core"
+	"tkdc/internal/stream"
+	"tkdc/internal/telemetry"
+)
+
+// trainClf trains a small 2-d classifier, honoring the CI backend
+// matrix (TKDC_TEST_BACKEND).
+func trainClf(t *testing.T, seed int64) *core.Classifier {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	data := make([][]float64, 1200)
+	for i := range data {
+		data[i] = []float64{rng.NormFloat64(), rng.NormFloat64()}
+	}
+	cfg := core.DefaultConfig()
+	cfg.S0 = 2000
+	if b := os.Getenv("TKDC_TEST_BACKEND"); b != "" {
+		cfg.Backend = b
+	}
+	clf, err := core.Train(data, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return clf
+}
+
+// probeRows builds n 2-d probes spanning the dense core and the tails,
+// returned both as rows and in flat row-major form.
+func probeRows(n int, seed int64) ([][]float64, []float64) {
+	rng := rand.New(rand.NewSource(seed))
+	rows := make([][]float64, n)
+	flat := make([]float64, 0, 2*n)
+	for i := range rows {
+		x := []float64{rng.NormFloat64() * 2, rng.NormFloat64() * 2}
+		rows[i] = x
+		flat = append(flat, x...)
+	}
+	return rows, flat
+}
+
+// postRows POSTs rows as a JSON body (encoding/json writes each float in
+// its shortest exact form, so the server parses the very same values)
+// and decodes the 200 response into out. It returns an error rather
+// than failing t so that concurrent requests can use it.
+func postRows(url string, rows [][]float64, out any) error {
+	body, err := json.Marshal(map[string]any{"points": rows})
+	if err != nil {
+		return err
+	}
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("POST %s: status %d", url, resp.StatusCode)
+	}
+	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// scoredResponse is a /classify response in either mode.
+type scoredResponse struct {
+	Labels     []string         `json:"labels"`
+	Results    []classifyResult `json:"results"`
+	Generation *uint64          `json:"generation"`
+}
+
+// checkMatchesScore fails unless resp answers rows exactly as per-row
+// Score does: the labels, or under density each row's label, bounds
+// and estimate, bit-identical.
+func checkMatchesScore(t *testing.T, clf *core.Classifier, rows [][]float64, density bool, resp scoredResponse) {
+	t.Helper()
+	if density && len(resp.Results) != len(rows) || !density && len(resp.Labels) != len(rows) {
+		t.Fatalf("%d labels and %d results for %d rows (density=%v)", len(resp.Labels), len(resp.Results), len(rows), density)
+	}
+	for i, x := range rows {
+		want, err := clf.Score(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !density {
+			if resp.Labels[i] != want.Label.String() {
+				t.Fatalf("row %d: label %s, want %v", i, resp.Labels[i], want.Label)
+			}
+			continue
+		}
+		wantUpper := want.Upper
+		if math.IsInf(wantUpper, 1) {
+			wantUpper = 0 // omitted from the response
+		}
+		got := resp.Results[i]
+		if got.Label != want.Label.String() || got.Lower != want.Lower || got.Upper != wantUpper || got.Estimate != want.Estimate() {
+			t.Fatalf("row %d: density result %+v, want %+v", i, got, want)
+		}
+	}
+}
+
+// TestBatchWindowZeroInline pins the inline contract of /classify (the
+// name dates from the coalescing window, whose 0 setting was this same
+// path and is now the only one): one request is answered by the
+// serving model's current generation, which the response echoes, and
+// its labels are bit-identical to per-row Score. Runs under both
+// density backends via TKDC_TEST_BACKEND.
+func TestBatchWindowZeroInline(t *testing.T) {
+	clf := trainClf(t, 31)
+	srv := New(clf, Options{Registry: telemetry.NewRegistry()})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	rows, _ := probeRows(16, 32)
+	var resp scoredResponse
+	if err := postRows(ts.URL+"/classify", rows, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Generation == nil {
+		t.Fatal("response missing generation")
+	}
+	if *resp.Generation != srv.model.Generation() {
+		t.Fatalf("generation = %d, want %d", *resp.Generation, srv.model.Generation())
+	}
+	checkMatchesScore(t, clf, rows, false, resp)
+}
+
+// TestBatchCoalescedBitIdentical pins concurrent /classify requests,
+// mixed label and density mode, against per-row Score: every row of
+// every response is bit-identical. The requests once coalesced into
+// one flush; now each runs inline on pooled parse buffers, so this
+// also guards against requests sharing state. Runs under both density
+// backends via TKDC_TEST_BACKEND.
+func TestBatchCoalescedBitIdentical(t *testing.T) {
+	clf := trainClf(t, 33)
+	ts := httptest.NewServer(New(clf, Options{Registry: telemetry.NewRegistry()}))
+	defer ts.Close()
+
+	const calls, perCall = 6, 40
+	rows := make([][][]float64, calls)
+	for i := range rows {
+		rows[i], _ = probeRows(perCall, int64(100+i))
+	}
+
+	got := make([]scoredResponse, calls)
+	errs := make([]error, calls)
+	var wg sync.WaitGroup
+	for i := 0; i < calls; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			url := ts.URL + "/classify"
+			if i%2 == 1 {
+				url += "?density=1"
+			}
+			errs[i] = postRows(url, rows[i], &got[i])
+		}(i)
+	}
+	wg.Wait()
+
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("request %d: %v", i, errs[i])
+		}
+		checkMatchesScore(t, clf, rows[i], i%2 == 1, got[i])
+	}
+}
+
+// TestClassifyDualTreeMatchesModel pins the dual-tree regime: a POST of
+// DualTreeMinBatch rows on the tree backend is answered exactly as
+// stream.Model.ClassifyFlat answers the same rows (both select the
+// dual-tree pass from the row count alone).
+func TestClassifyDualTreeMatchesModel(t *testing.T) {
+	clf := trainClf(t, 35)
+	if clf.Backend() != core.BackendTree {
+		t.Skip("dual-tree regime: only the tree backend runs the group pass")
+	}
+	ts := httptest.NewServer(New(clf, Options{Registry: telemetry.NewRegistry()}))
+	defer ts.Close()
+
+	rows, flat := probeRows(core.DualTreeMinBatch, 36)
+	want, _, err := stream.NewModel(clf).ClassifyFlat(flat, len(rows))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got struct {
+		Labels []string `json:"labels"`
+	}
+	if err := postRows(ts.URL+"/classify", rows, &got); err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Labels) != len(want) {
+		t.Fatalf("%d labels, want %d", len(got.Labels), len(want))
+	}
+	for i, l := range want {
+		if got.Labels[i] != l.String() {
+			t.Fatalf("row %d: /classify %s != ClassifyFlat %v", i, got.Labels[i], l)
+		}
+	}
+}
+
+// TestClassifyGenerationCoherenceUnderRetrain is the -race hammer:
+// concurrent /classify requests (each repeating one probe row several
+// times) race against retrain hot-swaps. Every response must be
+// internally coherent — one pinned generation answered all of its
+// rows, so identical rows in one request always agree — even though
+// different responses may land on different generations.
+func TestClassifyGenerationCoherenceUnderRetrain(t *testing.T) {
+	ts, svc := streamServer(t, Options{})
+
+	const workers, repeats, perWorker = 4, 6, 10
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	errs := make(chan string, workers)
+	fail := func(msg string) {
+		select {
+		case errs <- msg:
+		default:
+		}
+	}
+
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(700 + w)))
+			for i := 0; i < perWorker; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				x, y := rng.NormFloat64()*2, rng.NormFloat64()*2
+				row := fmt.Sprintf("[%v,%v]", x, y)
+				body := "[" + strings.Repeat(row+",", repeats-1) + row + "]"
+				resp, err := http.Post(ts.URL+"/classify", "application/json", strings.NewReader(body))
+				if err != nil {
+					fail("post: " + err.Error())
+					return
+				}
+				var out struct {
+					Labels     []string `json:"labels"`
+					Generation *uint64  `json:"generation"`
+				}
+				err = json.NewDecoder(resp.Body).Decode(&out)
+				resp.Body.Close()
+				if err != nil {
+					fail("decode: " + err.Error())
+					return
+				}
+				if resp.StatusCode != http.StatusOK {
+					fail(fmt.Sprintf("status %d", resp.StatusCode))
+					return
+				}
+				if len(out.Labels) != repeats {
+					fail(fmt.Sprintf("%d labels, want %d", len(out.Labels), repeats))
+					return
+				}
+				if out.Generation == nil {
+					fail("response missing generation")
+					return
+				}
+				for _, l := range out.Labels[1:] {
+					if l != out.Labels[0] {
+						fail(fmt.Sprintf("mixed generations in one response: %v (gen %d)", out.Labels, *out.Generation))
+						return
+					}
+				}
+			}
+		}(w)
+	}
+
+	// Drive a few hot-swaps while the hammer runs.
+	rng := rand.New(rand.NewSource(900))
+	for i := 0; i < 3; i++ {
+		rows := make([][]float64, 50)
+		for j := range rows {
+			rows[j] = []float64{rng.NormFloat64(), rng.NormFloat64()}
+		}
+		if _, err := svc.Ingest(rows); err != nil {
+			t.Error(err)
+			break
+		}
+		if err := svc.Retrain(); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+	select {
+	case msg := <-errs:
+		t.Fatal(msg)
+	default:
+	}
+}

@@ -158,13 +158,9 @@ func TestMetricsExpositionGolden(t *testing.T) {
 		"tkdc_sampling_points_total counter",
 		"tkdc_kernels_near_total counter",
 		"tkdc_kernels_far_total counter",
-		"tkdc_batch_total counter",
-		"tkdc_coalesced_queries_total counter",
-		"tkdc_direct_queries_total counter",
 		"tkdc_query_latency_ns histogram",
 		"tkdc_query_kernels histogram",
 		"tkdc_query_nodes histogram",
-		"tkdc_batch_size histogram",
 		"tkdc_model_points gauge",
 		"tkdc_model_dim gauge",
 		"tkdc_model_threshold gauge",

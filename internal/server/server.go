@@ -75,10 +75,6 @@ type Options struct {
 	// every server is a valid replication leader (including a follower,
 	// which makes fan-out chains possible).
 	Publisher *fleet.Publisher
-	// Batch configures the batched query engine behind /classify:
-	// coalescing window, flush threshold, or full bypass. The zero value
-	// enables the engine with no coalescing (window 0).
-	Batch BatchOptions
 }
 
 // Server serves classification and observability endpoints over one
@@ -94,7 +90,6 @@ type Server struct {
 	log      *slog.Logger
 	max      int64
 	mux      *http.ServeMux
-	engine   *batchEngine // nil when BatchOptions.Disable bypasses it
 
 	started  time.Time
 	requests atomic.Int64
@@ -148,9 +143,6 @@ func New(clf *core.Classifier, opts Options) *Server {
 	if s.max <= 0 {
 		s.max = DefaultMaxBodyBytes
 	}
-	if !opts.Batch.Disable {
-		s.engine = newBatchEngine(s.model, s.reg, opts.Batch)
-	}
 
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/classify", s.handleClassify)
@@ -180,15 +172,10 @@ func New(clf *core.Classifier, opts Options) *Server {
 	return s
 }
 
-// Close flushes the batch engine's forming batch (no request waits out
-// a window that will never fill) and directs later classify traffic to
-// inline execution. Call it after the HTTP server has stopped accepting
-// connections; safe to call more than once.
-func (s *Server) Close() {
-	if s.engine != nil {
-		s.engine.Close()
-	}
-}
+// Close is a no-op: every request is answered on its own goroutine, so
+// there is nothing left to flush once the HTTP server has drained. It
+// is kept for callers that pair New with Close.
+func (s *Server) Close() {}
 
 // ServeHTTP dispatches through the logging middleware.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -297,122 +284,58 @@ type classifyResult struct {
 	Estimate float64 `json:"estimate"`
 }
 
-// readRows reads and parses a CSV/JSON row body, writing the error
-// response (413 oversized, 400 malformed or empty) itself. The nil, false
-// return means the response is already written.
-func (s *Server) readRows(w http.ResponseWriter, r *http.Request) ([][]float64, bool) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.max+1))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "read body: "+err.Error())
-		return nil, false
-	}
-	if int64(len(body)) > s.max {
-		writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("body exceeds %d bytes", s.max))
-		return nil, false
-	}
-	points, err := parsePoints(r.Header.Get("Content-Type"), body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return nil, false
-	}
-	if len(points) == 0 {
-		writeError(w, http.StatusBadRequest, "no rows in body")
-		return nil, false
-	}
-	return points, true
-}
-
+// handleClassify answers POST /classify inline: parse the body into a
+// flat buffer, answer every row from one pinned model generation (a
+// retrain swapping mid-request cannot split it), and echo that
+// generation. Large label-only batches on the tree backend take the
+// dual-tree pass; core.ClassifyFlatAuto selects it from the row count.
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		writeError(w, http.StatusMethodNotAllowed, "POST a CSV or JSON body of query rows")
 		return
 	}
-	if s.engine == nil {
-		s.classifyLegacy(w, r)
-		return
-	}
-	flat, n, dim, ok := s.readRowsFlat(w, r)
+	flat, n, _, ok := s.readRowsFlat(w, r)
 	if !ok {
 		return
 	}
-	// The engine answers the whole request against one pinned model
-	// generation; with a coalescing window, against the generation its
-	// batch pinned. The flat buffer belongs to the engine until done.
-	call := s.engine.do(r.Context(), flat, n, dim, wantDensity(r))
-	if call.err != nil {
-		putFlatBuf(flat)
-		writeError(w, http.StatusBadRequest, call.err.Error())
-		return
-	}
-
-	if call.results != nil {
-		results := make([]classifyResult, n)
-		for i, res := range call.results {
-			cr := classifyResult{Label: res.Label.String(), Lower: res.Lower, Estimate: res.Estimate()}
-			if !math.IsInf(res.Upper, 1) {
-				cr.Upper = res.Upper
-			}
-			results[i] = cr
-		}
-		putFlatBuf(flat)
-		writeJSON(w, http.StatusOK, map[string]any{"results": results, "generation": call.gen})
-		return
-	}
-
-	out := make([]string, n)
-	for i, l := range call.labels {
-		out[i] = l.String()
-	}
-	putFlatBuf(flat)
-	writeJSON(w, http.StatusOK, map[string]any{"labels": out, "generation": call.gen})
-}
-
-// classifyLegacy is the pre-batching handler path, kept verbatim behind
-// BatchOptions.Disable as the baseline for latency comparisons.
-func (s *Server) classifyLegacy(w http.ResponseWriter, r *http.Request) {
-	points, ok := s.readRows(w, r)
-	if !ok {
-		return
-	}
-	// One coherent generation serves the whole request, even if a retrain
-	// swaps mid-flight.
-	clf := s.model.Current()
 
 	if wantDensity(r) {
-		results := make([]classifyResult, len(points))
-		for i, x := range points {
-			res, err := clf.Score(x)
-			if err != nil {
-				writeError(w, http.StatusBadRequest, fmt.Sprintf("row %d: %v", i, err))
-				return
-			}
+		scored, gen, err := s.model.ScoreFlat(flat, n)
+		putFlatBuf(flat)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		results := make([]classifyResult, n)
+		for i, res := range scored {
 			cr := classifyResult{Label: res.Label.String(), Lower: res.Lower, Estimate: res.Estimate()}
 			if !math.IsInf(res.Upper, 1) {
 				cr.Upper = res.Upper
 			}
 			results[i] = cr
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"results": results})
+		writeJSON(w, http.StatusOK, map[string]any{"results": results, "generation": gen})
 		return
 	}
 
-	labels, err := clf.ClassifyAll(points)
+	labels, gen, err := s.model.ClassifyFlat(flat, n)
+	putFlatBuf(flat)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	out := make([]string, len(labels))
+	out := make([]string, n)
 	for i, l := range labels {
 		out[i] = l.String()
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"labels": out})
+	writeJSON(w, http.StatusOK, map[string]any{"labels": out, "generation": gen})
 }
 
 // readRowsFlat reads and parses a CSV/JSON row body into a pooled flat
 // row-major buffer, writing the error response itself (nil, false means
 // the response is written). On success the caller owns the buffer and
-// must release it with putFlatBuf once the engine is done with it.
+// must release it with putFlatBuf once it is done with the rows.
 func (s *Server) readRowsFlat(w http.ResponseWriter, r *http.Request) (flat []float64, n, dim int, ok bool) {
 	body := getBodyBuf()
 	defer putBodyBuf(body)

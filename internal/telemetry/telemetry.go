@@ -127,16 +127,6 @@ type Registry struct {
 	nearKernels    Counter
 	farKernels     Counter
 
-	// Batch-engine counters: batches counts flushes of the server's
-	// coalescer (and direct large-body batch executions), and every query
-	// routed through it lands in exactly one of coalescedQueries (flush
-	// merged rows from >1 request) or directQueries (single-request
-	// batch). batchSize observes rows per flush.
-	batches          Counter
-	coalescedQueries Counter
-	directQueries    Counter
-	batchSize        Histogram
-
 	latencyNS Histogram
 	kernels   Histogram
 	nodes     Histogram
@@ -231,23 +221,6 @@ func (r *Registry) RecordQuery(s QuerySample) {
 	r.nodes.Observe(s.Nodes)
 }
 
-// RecordBatch folds one batch-engine flush into the batch counters:
-// rows is the number of query rows the flush executed, coalesced
-// reports whether they were merged from more than one request. Like
-// RecordQuery it is lock-free and safe on the serving hot path.
-func (r *Registry) RecordBatch(rows int64, coalesced bool) {
-	if !r.enabled.Load() {
-		return
-	}
-	r.batches.Inc()
-	r.batchSize.Observe(rows)
-	if coalesced {
-		r.coalescedQueries.Add(rows)
-	} else {
-		r.directQueries.Add(rows)
-	}
-}
-
 // RecordSpan appends one phase span to the trace, keeping at most
 // maxSpans.
 func (r *Registry) RecordSpan(s Span) {
@@ -276,11 +249,6 @@ func (r *Registry) Snapshot() Snapshot {
 		NearKernels:    r.nearKernels.Load(),
 		FarKernels:     r.farKernels.Load(),
 
-		Batches:          r.batches.Load(),
-		CoalescedQueries: r.coalescedQueries.Load(),
-		DirectQueries:    r.directQueries.Load(),
-		BatchSize:        r.batchSize.Snapshot(),
-
 		LatencyNS: r.latencyNS.Snapshot(),
 		Kernels:   r.kernels.Snapshot(),
 		Nodes:     r.nodes.Snapshot(),
@@ -301,10 +269,6 @@ func (r *Registry) Reset() {
 	r.samplingPoints.v.Store(0)
 	r.nearKernels.v.Store(0)
 	r.farKernels.v.Store(0)
-	r.batches.v.Store(0)
-	r.coalescedQueries.v.Store(0)
-	r.directQueries.v.Store(0)
-	r.batchSize.reset()
 	r.latencyNS.reset()
 	r.kernels.reset()
 	r.nodes.reset()
@@ -330,15 +294,6 @@ type Snapshot struct {
 	NearKernels    int64
 	FarKernels     int64
 
-	// Batches counts batch-engine flushes; CoalescedQueries and
-	// DirectQueries split the rows those flushes executed by whether the
-	// flush merged rows from more than one request. BatchSize observes
-	// rows per flush.
-	Batches          int64
-	CoalescedQueries int64
-	DirectQueries    int64
-	BatchSize        HistogramSnapshot
-
 	// LatencyNS holds query latencies in nanoseconds; Kernels and Nodes
 	// hold kernel evaluations and tree nodes expanded per query.
 	LatencyNS HistogramSnapshot
@@ -358,10 +313,6 @@ func (s *Snapshot) Merge(o Snapshot) {
 	s.SampledPoints += o.SampledPoints
 	s.NearKernels += o.NearKernels
 	s.FarKernels += o.FarKernels
-	s.Batches += o.Batches
-	s.CoalescedQueries += o.CoalescedQueries
-	s.DirectQueries += o.DirectQueries
-	s.BatchSize.Merge(o.BatchSize)
 	s.LatencyNS.Merge(o.LatencyNS)
 	s.Kernels.Merge(o.Kernels)
 	s.Nodes.Merge(o.Nodes)
@@ -377,10 +328,6 @@ func (s Snapshot) String() string {
 	if s.SamplingRounds > 0 || s.FarKernels > 0 {
 		fmt.Fprintf(&b, "sampling: %d rounds, %d sampled points (near/far kernel split %d/%d)\n",
 			s.SamplingRounds, s.SampledPoints, s.NearKernels, s.FarKernels)
-	}
-	if s.Batches > 0 {
-		fmt.Fprintf(&b, "batches: %d flushes, %d coalesced / %d direct queries\n",
-			s.Batches, s.CoalescedQueries, s.DirectQueries)
 	}
 	dur := func(v float64) string { return time.Duration(v).Round(10 * time.Nanosecond).String() }
 	cnt := func(v float64) string { return fmt.Sprintf("%.0f", v) }
@@ -410,11 +357,7 @@ func (s Snapshot) WriteMetrics(b *strings.Builder) {
 	fmt.Fprintf(b, "# TYPE tkdc_sampling_points_total counter\ntkdc_sampling_points_total %d\n", s.SampledPoints)
 	fmt.Fprintf(b, "# TYPE tkdc_kernels_near_total counter\ntkdc_kernels_near_total %d\n", s.NearKernels)
 	fmt.Fprintf(b, "# TYPE tkdc_kernels_far_total counter\ntkdc_kernels_far_total %d\n", s.FarKernels)
-	fmt.Fprintf(b, "# TYPE tkdc_batch_total counter\ntkdc_batch_total %d\n", s.Batches)
-	fmt.Fprintf(b, "# TYPE tkdc_coalesced_queries_total counter\ntkdc_coalesced_queries_total %d\n", s.CoalescedQueries)
-	fmt.Fprintf(b, "# TYPE tkdc_direct_queries_total counter\ntkdc_direct_queries_total %d\n", s.DirectQueries)
 	s.LatencyNS.writeExposition(b, "tkdc_query_latency_ns")
 	s.Kernels.writeExposition(b, "tkdc_query_kernels")
 	s.Nodes.writeExposition(b, "tkdc_query_nodes")
-	s.BatchSize.writeExposition(b, "tkdc_batch_size")
 }
