@@ -18,8 +18,7 @@ import (
 )
 
 // serveRowsPerRequest is how many rows each benchmark /classify request
-// carries: an interactive-client batch, well below
-// core.DualTreeMinBatch, so every request runs the per-query sweep.
+// carries: an interactive-client batch.
 const serveRowsPerRequest = 32
 
 // serveMeasureTime is the sustained-load window per table row: long

@@ -362,7 +362,7 @@ func assemble(data *points.Store, cfg Config) (*Classifier, error) {
 	}
 	c.sink, _ = rec.(telemetry.TraceSink)
 	c.estPool.New = func() any {
-		return newQueryBackend(c.tree, c.kern, cfg)
+		return &pooledBackend{DensityBackend: newQueryBackend(c.tree, c.kern, cfg)}
 	}
 	if !cfg.DisableGrid && c.dim <= cfg.MaxGridDim {
 		g, err := grid.NewWorkers(data, h, cfg.Workers)
@@ -388,56 +388,55 @@ func effectiveWorkers(w int) int {
 	return w
 }
 
-// effectiveWorkers is the classifier-side view of the package function,
-// reading the trained configuration.
-func (c *Classifier) effectiveWorkers() int {
-	return effectiveWorkers(c.cfg.Workers)
+// forEachChunk runs body over [0, n) in contiguous index chunks, one
+// goroutine per chunk across the effective worker budget, and waits for
+// them; below two workers, or when n is too small to amortize goroutine
+// start-up, it runs one chunk on the calling goroutine. Every fan-out in
+// the package goes through here: the batch sweeps, the refinement pass
+// and the threshold bootstrap. Each chunk counts its work into its own
+// QueryStats and forEachChunk returns their sum; the counters are plain
+// sums, so the total is the same at any worker count.
+func forEachChunk(workers, n int, body func(lo, hi int, qs *QueryStats)) QueryStats {
+	workers = effectiveWorkers(workers)
+	if workers < 2 || n < 2*workers {
+		var qs QueryStats
+		body(0, n, &qs)
+		return qs
+	}
+	chunk := (n + workers - 1) / workers
+	stats := make([]QueryStats, (n+chunk-1)/chunk)
+	var wg sync.WaitGroup
+	for w := range stats {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// A local per goroutine: adjacent slots of stats would share
+			// a cache line, and the tree traversal bumps its counters
+			// once per node.
+			var qs QueryStats
+			body(w*chunk, min((w+1)*chunk, n), &qs)
+			stats[w] = qs
+		}()
+	}
+	wg.Wait()
+	var total QueryStats
+	for _, qs := range stats {
+		total.add(qs)
+	}
+	return total
 }
 
 // trainingDensities scores every training point against threshold bounds
 // (tl, tu), returning self-contribution-corrected density estimates.
 func (c *Classifier) trainingDensities(tl, tu float64) ([]float64, QueryStats) {
-	n := c.data.Len()
-	densities := make([]float64, n)
-	workers := c.effectiveWorkers()
-	if workers < 2 {
+	densities := make([]float64, c.data.Len())
+	total := forEachChunk(c.cfg.Workers, len(densities), func(lo, hi int, qs *QueryStats) {
 		est := c.getEstimator()
 		defer c.putEstimator(est)
-		var qs QueryStats
-		for i := 0; i < n; i++ {
-			densities[i] = c.trainingDensityOne(est, c.data.Row(i), tl, tu, &qs)
+		for i := lo; i < hi; i++ {
+			densities[i] = c.trainingDensityOne(est.DensityBackend, c.data.Row(i), tl, tu, qs)
 		}
-		return densities, qs
-	}
-
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var total QueryStats
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= n {
-			break
-		}
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			est := c.getEstimator()
-			defer c.putEstimator(est)
-			var qs QueryStats
-			for i := lo; i < hi; i++ {
-				densities[i] = c.trainingDensityOne(est, c.data.Row(i), tl, tu, &qs)
-			}
-			mu.Lock()
-			total.add(qs)
-			mu.Unlock()
-		}(lo, hi)
-	}
-	wg.Wait()
+	})
 	return densities, total
 }
 
@@ -539,10 +538,10 @@ func (c *Classifier) scoreChecked(x []float64) Result {
 	}
 
 	est := c.getEstimator()
-	var qs QueryStats
-	qs.Trace = tr
-	fl, fu, f := est.BoundDensity(x, c.threshold, c.threshold, c.cfg.Epsilon*c.threshold, &qs)
+	est.qs.Trace = tr
+	fl, fu, f := est.BoundDensity(x, c.threshold, c.threshold, c.cfg.Epsilon*c.threshold, &est.qs)
 	backendName, certified := est.Name(), est.Certified()
+	qs := est.qs
 	c.putEstimator(est)
 	qs.Trace = nil
 	c.counters.add(1, 0, qs)
@@ -592,7 +591,7 @@ func (c *Classifier) ClassifyAll(queries [][]float64) ([]Label, error) {
 		}
 	}
 	out := make([]Label, len(queries))
-	c.forEachRowChunk(len(queries), func(lo, hi int) {
+	forEachChunk(c.cfg.Workers, len(queries), func(lo, hi int, _ *QueryStats) {
 		for i := lo; i < hi; i++ {
 			out[i] = c.scoreChecked(queries[i]).Label
 		}
@@ -623,11 +622,11 @@ func (c *Classifier) DensityBounds(x []float64, rel float64) (fl, fu float64, er
 		}
 	}
 	est := c.getEstimator()
-	var qs QueryStats
-	qs.Trace = tr
+	est.qs.Trace = tr
 	var f float64
-	fl, fu, f = est.EstimateDensity(x, rel, &qs)
+	fl, fu, f = est.EstimateDensity(x, rel, &est.qs)
 	backendName, certified := est.Name(), est.Certified()
+	qs := est.qs
 	c.putEstimator(est)
 	qs.Trace = nil
 	c.counters.add(1, 0, qs)
@@ -730,7 +729,7 @@ func (c *Classifier) SetRecorder(r telemetry.Recorder) {
 }
 
 // SetWorkers replaces the classifier's worker budget (Config.Workers):
-// the fan-out of ClassifyAll and of any retrain that inherits this
+// the fan-out of the batch APIs and of any retrain that inherits this
 // model's configuration. A Load-ed snapshot carries the training
 // machine's Workers, so serving hosts call this to adopt their own
 // parallelism. Like SetRecorder it is serving wiring, not model state,
@@ -765,16 +764,27 @@ func (c *Classifier) checkQuery(x []float64) error {
 	return nil
 }
 
-func (c *Classifier) getEstimator() DensityBackend {
-	return c.estPool.Get().(DensityBackend)
+// pooledBackend is what estPool holds: a density backend together with
+// the QueryStats that one query at a time fills through it. The stats
+// reach the backend by pointer through an interface call, so a local
+// would be moved to the heap on every query; kept beside the pooled
+// backend they cost nothing.
+type pooledBackend struct {
+	DensityBackend
+	qs QueryStats
+}
+
+func (c *Classifier) getEstimator() *pooledBackend {
+	return c.estPool.Get().(*pooledBackend)
 }
 
 // maxPooledHeapItems caps the refine-heap capacity a tree backend may
 // carry back into the pool (see densityEstimator.Recycle).
 const maxPooledHeapItems = 4096
 
-func (c *Classifier) putEstimator(e DensityBackend) {
+func (c *Classifier) putEstimator(e *pooledBackend) {
 	e.Recycle()
+	e.qs = QueryStats{}
 	c.estPool.Put(e)
 }
 

@@ -92,7 +92,8 @@ type Config struct {
 	Seed int64
 
 	// Workers sets the goroutine budget for every fan-out in the stack:
-	// ClassifyAll batches on the serving side, and the whole training
+	// the batch APIs on the serving side (ClassifyAll, ClassifyFlat and
+	// ScoreFlat, which answer /classify), and the whole training
 	// pipeline — k-d tree construction, bootstrap scoring (Algorithm 3),
 	// the hypergrid fill, and the threshold-refinement density pass.
 	// Trained models are bit-identical at any worker count. Values below

@@ -25,28 +25,28 @@ import (
 // grouping removes ~25–35% of kernel evaluations; queries near the
 // decision contour still require individual traversals, which bounds the
 // achievable gain (and is why the paper lists dual-tree integration as
-// future work rather than a core optimization).
+// future work rather than a core optimization). On scattered queries
+// few groups certify, which is why /classify uses ClassifyFlat instead.
+//
+// The pass runs on one goroutine and records one dualtree/batch span
+// instead of per-query samples. Sampling-backend classifiers have no
+// box-to-box bounds and serve the batch through the per-query sweep.
 func (c *Classifier) ClassifyAllDualTree(points [][]float64) ([]Label, error) {
+	if c.backend != BackendTree {
+		return c.ClassifyAll(points)
+	}
+	// The group pass works on flat row-major storage; slice-of-rows
+	// callers pay one copy here.
+	n := len(points)
+	flat := make([]float64, 0, n*c.dim)
 	for i, x := range points {
 		if err := c.checkQuery(x); err != nil {
 			return nil, fmt.Errorf("core: query %d: %w", i, err)
 		}
-	}
-	// The group pass works on flat row-major storage (the format
-	// ClassifyFlatAuto receives); slice-of-rows callers pay one copy here.
-	flat := make([]float64, 0, len(points)*c.dim)
-	for _, x := range points {
 		flat = append(flat, x...)
 	}
-	return c.classifyDualTreeFlat(flat, len(points)), nil
-}
-
-// classifyDualTreeFlat is the dual-tree pass over a validated flat
-// batch. Sampling-backend classifiers have no box-to-box bounds and
-// serve the batch through the per-query sweep instead.
-func (c *Classifier) classifyDualTreeFlat(flat []float64, n int) []Label {
 	if n == 0 {
-		return []Label{}
+		return []Label{}, nil
 	}
 	traced := c.rec.Enabled()
 	var start time.Time
@@ -54,15 +54,8 @@ func (c *Classifier) classifyDualTreeFlat(flat []float64, n int) []Label {
 		start = time.Now()
 	}
 	be := c.getEstimator()
-	est, ok := be.(*densityEstimator)
-	if !ok {
-		// Group certification is built on box-to-box distance bounds,
-		// which only the tree backend provides; other backends serve the
-		// batch through the per-query path.
-		c.putEstimator(be)
-		return c.classifyFlatChecked(flat, n)
-	}
-	defer c.putEstimator(est)
+	defer c.putEstimator(be)
+	est := be.DensityBackend.(*densityEstimator)
 	out := make([]Label, n)
 	idx := make([]int, n)
 	for i := range idx {
@@ -110,7 +103,7 @@ func (c *Classifier) classifyDualTreeFlat(flat []float64, n int) []Label {
 			Items:    int64(n),
 		})
 	}
-	return out
+	return out, nil
 }
 
 // groupClassifier carries the shared state of one dual-tree pass.

@@ -19,17 +19,19 @@ func TestEstimatorPoolCapsRetainedHeap(t *testing.T) {
 	// A modest heap must survive pooling untouched (the reuse the pool
 	// exists for). d=2 resolves to the tree backend, so the pooled
 	// backends are densityEstimators.
-	small := clf.getEstimator().(*densityEstimator)
+	pb := clf.getEstimator()
+	small := pb.DensityBackend.(*densityEstimator)
 	small.heap.items = make([]heapItem, 0, maxPooledHeapItems/2)
-	clf.putEstimator(small)
+	clf.putEstimator(pb)
 	if cap(small.heap.items) != maxPooledHeapItems/2 {
 		t.Fatalf("pool dropped a modest heap (cap %d)", cap(small.heap.items))
 	}
 
 	// An oversized heap must be released on Put.
-	big := clf.getEstimator().(*densityEstimator)
+	pb = clf.getEstimator()
+	big := pb.DensityBackend.(*densityEstimator)
 	big.heap.items = make([]heapItem, 0, 4*maxPooledHeapItems)
-	clf.putEstimator(big)
+	clf.putEstimator(pb)
 	if cap(big.heap.items) != 0 {
 		t.Fatalf("pool retained a pathological heap (cap %d, limit %d)",
 			cap(big.heap.items), maxPooledHeapItems)
@@ -48,14 +50,15 @@ func TestEstimatorPoolNotMonotone(t *testing.T) {
 		t.Fatal(err)
 	}
 	for round := 0; round < 50; round++ {
-		e := clf.getEstimator().(*densityEstimator)
+		pb := clf.getEstimator()
+		e := pb.DensityBackend.(*densityEstimator)
 		if cap(e.heap.items) > maxPooledHeapItems {
 			t.Fatalf("round %d: pool handed out a heap of cap %d (limit %d)",
 				round, cap(e.heap.items), maxPooledHeapItems)
 		}
 		// Simulate a pathological traversal growing the heap.
 		e.heap.items = append(e.heap.items[:0], make([]heapItem, 2*maxPooledHeapItems)...)
-		clf.putEstimator(e)
+		clf.putEstimator(pb)
 		// Interleave real queries so the pool keeps cycling.
 		if _, err := clf.Score(data[round%len(data)]); err != nil {
 			t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
 	"time"
 
 	"tkdc/internal/kdtree"
@@ -33,20 +32,14 @@ type thresholdBound struct {
 // rules of Algorithm 2 can fire. Bounds that turn out invalid for the
 // larger sample are multiplicatively backed off and the round retried.
 //
-// Each round's score loop fans the sample rows out across
-// cfg.Workers goroutines with one private density backend per worker.
-// Sampling (the only RNG consumer) stays sequential and each worker
-// writes disjoint density slots, so the bounds are bit-identical to a
-// single-threaded run; per-worker QueryStats are summed afterwards,
-// which is order-independent because the counters are plain sums.
+// Each round's score loop fans the sample rows out with forEachChunk,
+// one private density backend per chunk. Sampling (the only RNG
+// consumer) stays sequential and each chunk writes disjoint density
+// slots, so the bounds are bit-identical to a single-threaded run.
 func boundThreshold(data *points.Store, cfg Config, rng *rand.Rand) (thresholdBound, error) {
 	n := data.Len()
 	res := thresholdBound{lo: 0, hi: math.Inf(1)}
-	workers := effectiveWorkers(cfg.Workers)
-	spanWorkers := workers
-	if spanWorkers < 1 {
-		spanWorkers = 1
-	}
+	spanWorkers := max(effectiveWorkers(cfg.Workers), 1)
 
 	r := cfg.R0
 	if r > n {
@@ -94,42 +87,13 @@ func boundThreshold(data *points.Store, cfg Config, rng *rand.Rand) (thresholdBo
 			densities = make([]float64, sEff)
 		}
 		densities = densities[:sEff]
-		newEst := func() DensityBackend {
-			return newQueryBackend(tree, kern, cfg)
-		}
-		scoreRange := func(est DensityBackend, lo, hi int, qs *QueryStats) {
+		res.queries.add(forEachChunk(cfg.Workers, sEff, func(lo, hi int, qs *QueryStats) {
+			est := newQueryBackend(tree, kern, cfg)
 			for i := lo; i < hi; i++ {
 				_, _, f := est.BoundDensity(xs.Row(i), res.lo+selfContrib, res.hi+selfContrib, tolCut, qs)
 				densities[i] = f - selfContrib
 			}
-		}
-		if workers < 2 || sEff < 2*workers {
-			scoreRange(newEst(), 0, sEff, &res.queries)
-		} else {
-			var wg sync.WaitGroup
-			var mu sync.Mutex
-			chunk := (sEff + workers - 1) / workers
-			for w := 0; w < workers; w++ {
-				lo := w * chunk
-				if lo >= sEff {
-					break
-				}
-				hi := lo + chunk
-				if hi > sEff {
-					hi = sEff
-				}
-				wg.Add(1)
-				go func(lo, hi int) {
-					defer wg.Done()
-					var qs QueryStats
-					scoreRange(newEst(), lo, hi, &qs)
-					mu.Lock()
-					res.queries.add(qs)
-					mu.Unlock()
-				}(lo, hi)
-			}
-			wg.Wait()
-		}
+		}))
 		sort.Float64s(densities)
 
 		res.spans = append(res.spans, telemetry.Span{

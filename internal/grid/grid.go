@@ -135,9 +135,17 @@ func (g *Grid) key(x []float64, buf []byte) []byte {
 	return buf
 }
 
-// Count returns the number of dataset points sharing x's grid cell.
+// Count returns the number of dataset points sharing x's grid cell. The
+// key is built in a stack buffer, so a lookup allocates nothing up to
+// d = 8; the grid is meant for low dimensions (the paper uses d ≤ 4).
 func (g *Grid) Count(x []float64) int {
-	buf := make([]byte, 8*len(g.inv))
+	var stack [64]byte
+	buf := stack[:]
+	if n := 8 * len(g.inv); n <= len(stack) {
+		buf = stack[:n]
+	} else {
+		buf = make([]byte, n)
+	}
 	return g.counts[string(g.key(x, buf))]
 }
 

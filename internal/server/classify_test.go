@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"tkdc/internal/core"
-	"tkdc/internal/stream"
 	"tkdc/internal/telemetry"
 )
 
@@ -177,36 +176,35 @@ func TestBatchCoalescedBitIdentical(t *testing.T) {
 	}
 }
 
-// TestClassifyDualTreeMatchesModel pins the dual-tree regime: a POST of
-// DualTreeMinBatch rows on the tree backend is answered exactly as
-// stream.Model.ClassifyFlat answers the same rows (both select the
-// dual-tree pass from the row count alone).
-func TestClassifyDualTreeMatchesModel(t *testing.T) {
-	clf := trainClf(t, 35)
-	if clf.Backend() != core.BackendTree {
-		t.Skip("dual-tree regime: only the tree backend runs the group pass")
-	}
-	ts := httptest.NewServer(New(clf, Options{Registry: telemetry.NewRegistry()}))
-	defer ts.Close()
+// TestClassifyBulkMatchesScore pins the bulk label path under both
+// density backends: a 512-row POST, answered by the parallel sweep, is
+// bit-identical to per-row Score, and every row counts as one query in
+// tkdc_queries_total and tkdc_query_latency_ns.
+func TestClassifyBulkMatchesScore(t *testing.T) {
+	for _, backend := range []string{core.BackendTree, core.BackendSampling} {
+		t.Run(backend, func(t *testing.T) {
+			t.Setenv("TKDC_TEST_BACKEND", backend)
+			clf := trainClf(t, 35)
+			clf.SetWorkers(4)
+			reg := telemetry.NewRegistry()
+			clf.SetRecorder(reg)
+			ts := httptest.NewServer(New(clf, Options{Registry: reg}))
+			defer ts.Close()
 
-	rows, flat := probeRows(core.DualTreeMinBatch, 36)
-	want, _, err := stream.NewModel(clf).ClassifyFlat(flat, len(rows))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got struct {
-		Labels []string `json:"labels"`
-	}
-	if err := postRows(ts.URL+"/classify", rows, &got); err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Labels) != len(want) {
-		t.Fatalf("%d labels, want %d", len(got.Labels), len(want))
-	}
-	for i, l := range want {
-		if got.Labels[i] != l.String() {
-			t.Fatalf("row %d: /classify %s != ClassifyFlat %v", i, got.Labels[i], l)
-		}
+			before := getMetrics(t, ts.URL)
+			rows, _ := probeRows(512, 36)
+			var resp scoredResponse
+			if err := postRows(ts.URL+"/classify", rows, &resp); err != nil {
+				t.Fatal(err)
+			}
+			after := getMetrics(t, ts.URL)
+			for _, name := range []string{"tkdc_queries_total", "tkdc_query_latency_ns_count"} {
+				if got := metricValue(t, after, name) - metricValue(t, before, name); got != int64(len(rows)) {
+					t.Fatalf("%s rose by %d, want %d", name, got, len(rows))
+				}
+			}
+			checkMatchesScore(t, clf, rows, false, resp)
+		})
 	}
 }
 

@@ -287,8 +287,8 @@ type classifyResult struct {
 // handleClassify answers POST /classify inline: parse the body into a
 // flat buffer, answer every row from one pinned model generation (a
 // retrain swapping mid-request cannot split it), and echo that
-// generation. Large label-only batches on the tree backend take the
-// dual-tree pass; core.ClassifyFlatAuto selects it from the row count.
+// generation. Both modes run the per-query sweep across the model's
+// worker budget, so every row is answered exactly as Score answers it.
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)

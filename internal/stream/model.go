@@ -97,14 +97,14 @@ func (m *Model) DensityBounds(x []float64, rel float64) (fl, fu float64, err err
 }
 
 // ClassifyFlat labels a flat row-major batch against one pinned
-// generation, auto-selecting dual-tree or per-query execution by batch
-// size (core.ClassifyFlatAuto). The returned generation number
+// generation with the parallel per-query sweep (core.ClassifyFlat), so
+// every label equals a per-row Score. The returned generation number
 // identifies the classifier that answered every row — a swap landing
 // mid-batch cannot split the batch across generations, because the
 // classifier pointer is loaded exactly once.
 func (m *Model) ClassifyFlat(flat []float64, n int) ([]core.Label, uint64, error) {
 	g := m.cur.Load()
-	out, err := g.clf.ClassifyFlatAuto(flat, n)
+	out, err := g.clf.ClassifyFlat(flat, n)
 	return out, g.gen, err
 }
 
