@@ -512,39 +512,6 @@ func BenchmarkHarnessSmoke(b *testing.B) {
 	}
 }
 
-// BenchmarkDualTreeVsPerQuery is the ablation for the dual-tree batch
-// extension on a dense evaluation-grid workload (the Figure 1/2
-// rendering use case).
-func BenchmarkDualTreeVsPerQuery(b *testing.B) {
-	data := benchData(b, "gauss", 20000, 2)
-	clf := benchClassifier(b, "dual", data, func(c *tkdc.Config) { c.DisableGrid = true })
-	// Rendering-resolution grid: several queries per kernel bandwidth,
-	// the regime group certification amortizes over.
-	grid := cached(b, "dual/grid", func() ([][]float64, error) {
-		var qs [][]float64
-		for x := -4.0; x <= 4; x += 0.04 {
-			for y := -4.0; y <= 4; y += 0.04 {
-				qs = append(qs, []float64{x, y})
-			}
-		}
-		return qs, nil
-	})
-	b.Run("per-query", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := clf.ClassifyAll(grid); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("dual-tree", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := clf.ClassifyAllDualTree(grid); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkKernelFamilies is the kernel ablation: the finite-support
 // Epanechnikov kernel lets the threshold rule prune subtrees to an exact
 // zero contribution.

@@ -30,8 +30,8 @@ func main() {
 		fmt.Printf("density level t(%.2f) = %.4g\n", p, ladder.Thresholds()[i])
 	}
 
-	// Rasterize each level with the dual-tree batch path and stack the
-	// masks: a point's band is the number of level sets containing it.
+	// Rasterize each level with the batch sweep and stack the masks: a
+	// point's band is the number of level sets containing it.
 	window := levelset.Window{
 		XMin: 1.8, XMax: 4.6, // sepal width
 		YMin: 4.0, YMax: 8.2, // sepal length

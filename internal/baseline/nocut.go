@@ -21,7 +21,7 @@ type NoCut struct {
 }
 
 type nodeBound struct {
-	node     *kdtree.Node
+	id       int32 // arena node id
 	wlo, whi float64
 }
 
@@ -51,25 +51,23 @@ func (nc *NoCut) Density(x []float64) float64 {
 	return 0.5 * (fl + fu)
 }
 
-// Bounds returns certified density bounds with fu − fl ≤ ε·fl. It
-// traverses the pointer view of the index (Tree.Root), exercising the
-// compatibility surface the arena-based hot path no longer uses.
+// Bounds returns certified density bounds with fu − fl ≤ ε·fl.
 func (nc *NoCut) Bounds(x []float64) (fl, fu float64) {
 	nc.heap = nc.heap[:0]
 	n := float64(nc.tree.Size)
 
-	weights := func(nd *kdtree.Node) (wlo, whi float64) {
-		frac := float64(nd.Count()) / n
-		wlo = frac * nc.kern.FromScaledSqDist(nd.MaxSqDist(x, nc.invH2))
-		whi = frac * nc.kern.FromScaledSqDist(nd.MinSqDist(x, nc.invH2))
+	weights := func(id int32) (wlo, whi float64) {
+		frac := float64(nc.tree.Count(id)) / n
+		dmin, dmax := nc.tree.BoundsSqDist(id, x, nc.invH2)
+		wlo = frac * nc.kern.FromScaledSqDist(dmax)
+		whi = frac * nc.kern.FromScaledSqDist(dmin)
 		nc.kernels += 2
 		return wlo, whi
 	}
 
-	root := nc.tree.Root()
-	wlo, whi := weights(root)
+	wlo, whi := weights(0)
 	fl, fu = wlo, whi
-	nc.push(nodeBound{root, wlo, whi})
+	nc.push(nodeBound{0, wlo, whi})
 
 	for len(nc.heap) > 0 {
 		if nc.eps > 0 && fu-fl <= nc.eps*fl {
@@ -78,15 +76,16 @@ func (nc *NoCut) Bounds(x []float64) (fl, fu float64) {
 		cur := nc.pop()
 		fl -= cur.wlo
 		fu -= cur.whi
-		if cur.node.IsLeaf() {
-			sum := kernel.Sum(nc.kern, x, nc.tree.Leaf(cur.node))
-			nc.kernels += int64(cur.node.Count())
+		if nc.tree.IsLeaf(cur.id) {
+			sum := kernel.Sum(nc.kern, x, nc.tree.LeafFlat(cur.id))
+			nc.kernels += int64(nc.tree.Count(cur.id))
 			sum /= n
 			fl += sum
 			fu += sum
 			continue
 		}
-		for _, child := range []*kdtree.Node{cur.node.Left, cur.node.Right} {
+		left, right := nc.tree.Children(cur.id)
+		for _, child := range [2]int32{left, right} {
 			cwlo, cwhi := weights(child)
 			if cwhi == 0 {
 				continue

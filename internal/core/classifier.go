@@ -93,20 +93,21 @@ type counterShard struct {
 // work (or torn totals). Commits are spread round-robin over sharded
 // locks by a wait-free ticket counter, so many concurrent Classify
 // callers on many cores contend on a single atomic add rather than
-// serializing through one process-wide mutex; batch paths (dual-tree)
-// commit once per batch.
+// serializing through one process-wide mutex.
 type workCounters struct {
 	seq    atomic.Uint32
 	shards [counterShards]counterShard
 }
 
-// add commits one or more queries' worth of counters atomically with
-// respect to snapshot.
-func (w *workCounters) add(queries, gridHits int64, qs QueryStats) {
+// add commits one query's counters atomically with respect to
+// snapshot; qs.GridHit marks a query the grid cache answered.
+func (w *workCounters) add(qs QueryStats) {
 	s := &w.shards[w.seq.Add(1)&(counterShards-1)]
 	s.mu.Lock()
-	s.c.Queries += queries
-	s.c.GridHits += gridHits
+	s.c.Queries++
+	if qs.GridHit {
+		s.c.GridHits++
+	}
 	s.c.PointKernels += qs.PointKernels
 	s.c.BoundKernels += qs.BoundKernels
 	s.c.NodesVisited += qs.NodesVisited
@@ -501,7 +502,7 @@ func (c *Classifier) scoreChecked(x []float64) Result {
 	gridChecked := c.grid != nil
 	if gridChecked {
 		if lb := c.grid.LowerBoundDensity(x, c.gridKDiag); lb > c.threshold {
-			c.counters.add(1, 1, QueryStats{})
+			c.counters.add(QueryStats{GridHit: true})
 			if traced {
 				c.grid.Observe(true)
 				lat := time.Since(start)
@@ -515,7 +516,6 @@ func (c *Classifier) scoreChecked(x []float64) Result {
 					tr.Margin = lb - c.threshold
 					tr.Certified = true
 					tr.GridHit = true
-					tr.Items = 1
 					c.sink.FinishTrace(tr)
 				}
 				c.rec.RecordQuery(telemetry.QuerySample{
@@ -544,7 +544,7 @@ func (c *Classifier) scoreChecked(x []float64) Result {
 	qs := est.qs
 	c.putEstimator(est)
 	qs.Trace = nil
-	c.counters.add(1, 0, qs)
+	c.counters.add(qs)
 
 	label := Low
 	if f > c.threshold {
@@ -565,7 +565,6 @@ func (c *Classifier) scoreChecked(x []float64) Result {
 			tr.PointKernels = qs.PointKernels
 			tr.BoundKernels = qs.BoundKernels
 			tr.Nodes = qs.NodesVisited
-			tr.Items = 1
 			c.sink.FinishTrace(tr)
 		}
 		c.rec.RecordQuery(telemetry.QuerySample{
@@ -629,7 +628,7 @@ func (c *Classifier) DensityBounds(x []float64, rel float64) (fl, fu float64, er
 	qs := est.qs
 	c.putEstimator(est)
 	qs.Trace = nil
-	c.counters.add(1, 0, qs)
+	c.counters.add(qs)
 	if traced {
 		lat := time.Since(start)
 		if tr != nil {
@@ -642,7 +641,6 @@ func (c *Classifier) DensityBounds(x []float64, rel float64) (fl, fu float64, er
 			tr.PointKernels = qs.PointKernels
 			tr.BoundKernels = qs.BoundKernels
 			tr.Nodes = qs.NodesVisited
-			tr.Items = 1
 			c.sink.FinishTrace(tr)
 		}
 		c.rec.RecordQuery(telemetry.QuerySample{

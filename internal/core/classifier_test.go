@@ -48,10 +48,10 @@ func testConfig() Config {
 }
 
 // skipUnlessTreeEfficiency skips tests that pin efficiency properties of
-// the certified tree traversal (dual-tree savings, bootstrap
-// prunability) when CI forces the sampling backend: at the low
-// dimensions these fixtures use, sampling is the off-policy backend and
-// its flat per-query cost makes the assertions meaningless.
+// the certified tree traversal (bootstrap prunability) when CI forces
+// the sampling backend: at the low dimensions these fixtures use,
+// sampling is the off-policy backend and its flat per-query cost makes
+// the assertions meaningless.
 func skipUnlessTreeEfficiency(t *testing.T) {
 	t.Helper()
 	if os.Getenv("TKDC_TEST_BACKEND") == BackendSampling {
@@ -114,6 +114,7 @@ func TestTrainValidation(t *testing.T) {
 		func(c *Config) { c.Delta = 0 },
 		func(c *Config) { c.Delta = 1 },
 		func(c *Config) { c.BandwidthFactor = -1 },
+		func(c *Config) { c.BandwidthFactor = 1e-160 }, // 1/h² overflows
 		func(c *Config) { c.R0 = -1 },
 		func(c *Config) { c.S0 = -1 },
 		func(c *Config) { c.HBackoff = 0.5 },
@@ -352,18 +353,65 @@ func TestClassifyAllMatchesSequentialAndParallel(t *testing.T) {
 	if seq.Threshold() != par.Threshold() {
 		t.Fatalf("thresholds differ: %g vs %g (training must be deterministic)", seq.Threshold(), par.Threshold())
 	}
-	a, err := seq.ClassifyAll(queries)
-	if err != nil {
-		t.Fatal(err)
+	scattered := make([][]float64, 2000)
+	for i := range scattered {
+		scattered[i] = []float64{rng.NormFloat64() * 3, rng.NormFloat64() * 3}
 	}
-	b, err := par.ClassifyAll(queries)
-	if err != nil {
-		t.Fatal(err)
+	same := make([][]float64, 100)
+	for i := range same {
+		same[i] = []float64{30, 30}
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("query %d: sequential %v vs parallel %v", i, a[i], b[i])
-		}
+	batches := []struct {
+		name    string
+		queries [][]float64
+	}{
+		{"mixture", queries},
+		{"scattered", scattered},
+		{"empty", nil},
+		{"single", [][]float64{{0, 0}}},
+		{"identical_far_rows", same},
+	}
+
+	// Labels must also match the exact KDE outside the ε band (Problem 1).
+	pts := mustStore(data)
+	h, _ := kernel.ScottBandwidths(pts, 1)
+	kern, _ := kernel.NewGaussian(h)
+	band := 2 * cfg.Epsilon * seq.Threshold()
+	for _, bt := range batches {
+		t.Run(bt.name, func(t *testing.T) {
+			before := seq.Stats().Queries
+			a, err := seq.ClassifyAll(bt.queries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := seq.Stats().Queries - before; got != int64(len(bt.queries)) {
+				t.Fatalf("counted %d queries for %d rows", got, len(bt.queries))
+			}
+			b, err := par.ClassifyAll(bt.queries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(a) != len(bt.queries) || len(b) != len(bt.queries) {
+				t.Fatalf("%d and %d labels for %d rows", len(a), len(b), len(bt.queries))
+			}
+			for i, q := range bt.queries {
+				if a[i] != b[i] {
+					t.Fatalf("query %d: sequential %v vs parallel %v", i, a[i], b[i])
+				}
+				f := exactDensity(pts, kern, q)
+				if math.Abs(f-seq.Threshold()) <= band {
+					continue
+				}
+				want := Low
+				if f > seq.Threshold() {
+					want = High
+				}
+				if a[i] != want {
+					t.Fatalf("query %d (%v, density %g): %v, want %v (threshold %g)",
+						i, q, f, a[i], want, seq.Threshold())
+				}
+			}
+		})
 	}
 }
 
@@ -376,6 +424,9 @@ func TestClassifyAllValidatesQueries(t *testing.T) {
 	}
 	if _, err := c.ClassifyAll([][]float64{{1, 2}, {3}}); err == nil {
 		t.Fatal("dimension mismatch in batch should error")
+	}
+	if _, err := c.ClassifyAll([][]float64{{1, 2}, {math.NaN(), 0}}); err == nil {
+		t.Fatal("NaN row in batch should error")
 	}
 	if _, err := c.Classify([]float64{math.NaN(), 0}); err == nil {
 		t.Fatal("NaN query should error")

@@ -224,8 +224,8 @@ func Load(r io.Reader) (*Classifier, error) {
 	default:
 		return nil, fmt.Errorf("core: unsupported model version %d (want 1 to %d)", snap.Version, modelVersion)
 	}
-	if math.IsNaN(snap.Threshold) {
-		return nil, errors.New("core: model threshold is NaN")
+	if math.IsNaN(snap.Threshold) || math.IsInf(snap.Threshold, 0) {
+		return nil, fmt.Errorf("core: model threshold %v is not finite", snap.Threshold)
 	}
 	cfg := snap.Config.normalized()
 	if snap.Backend != "" {

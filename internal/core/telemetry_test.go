@@ -226,38 +226,6 @@ func TestSnapshotWithoutRecorder(t *testing.T) {
 	}
 }
 
-// TestDualTreeBatchSpan checks the batch path records one span per
-// dual-tree pass (per-query latency being meaningless there) while the
-// work still lands in the coherent counters.
-func TestDualTreeBatchSpan(t *testing.T) {
-	skipUnlessTreeEfficiency(t)
-	rng := rand.New(rand.NewSource(51))
-	data := gauss2D(rng, 1200)
-	reg := telemetry.NewRegistry()
-	cfg := testConfig()
-	cfg.Recorder = reg
-	c, err := Train(data, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg.Reset()
-
-	batch := data[:64]
-	if _, err := c.ClassifyAllDualTree(batch); err != nil {
-		t.Fatal(err)
-	}
-	snap := reg.Snapshot()
-	if len(snap.Spans) != 1 || snap.Spans[0].Name != "dualtree/batch" {
-		t.Fatalf("spans = %+v, want exactly one dualtree/batch span", snap.Spans)
-	}
-	if snap.Spans[0].Items != int64(len(batch)) {
-		t.Fatalf("span items = %d, want %d", snap.Spans[0].Items, len(batch))
-	}
-	if got := c.Stats().Queries; got != int64(len(batch)) {
-		t.Fatalf("Stats().Queries = %d, want %d", got, len(batch))
-	}
-}
-
 // TestStatsCoherentUnderConcurrency is the torn-snapshot regression test
 // (run with -race): queries hammer the classifier while a reader
 // continuously snapshots Stats. With the grid disabled every committed

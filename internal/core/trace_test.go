@@ -228,34 +228,6 @@ func TestDensityBoundsTrace(t *testing.T) {
 	}
 }
 
-// TestDualTreeBatchTrace checks the batch path files one flight record
-// attributing queries to the certified-group and fallback regimes.
-func TestDualTreeBatchTrace(t *testing.T) {
-	skipUnlessTreeEfficiency(t)
-	rng := rand.New(rand.NewSource(89))
-	data := gauss2D(rng, 1200)
-	c, _, flight := tracedClassifier(t, data, nil)
-
-	batch := data[:128]
-	if _, err := c.ClassifyAllDualTree(batch); err != nil {
-		t.Fatal(err)
-	}
-	snap := flight.Snapshot()
-	if snap.Traced != 1 {
-		t.Fatalf("Traced = %d, want 1 (one record per batch)", snap.Traced)
-	}
-	tr := snap.Recent[0]
-	if tr.Kind != "dualtree" || tr.Items != int64(len(batch)) {
-		t.Fatalf("batch trace kind=%q items=%d, want dualtree/%d", tr.Kind, tr.Items, len(batch))
-	}
-	if len(tr.Stages) != 2 || tr.Stages[0].Name != "groups/certified" || tr.Stages[1].Name != "groups/fallback" {
-		t.Fatalf("batch stages = %+v, want groups/certified + groups/fallback", tr.Stages)
-	}
-	if got := tr.Stages[0].Queries + tr.Stages[1].Queries; got != int64(len(batch)) {
-		t.Fatalf("stage query attribution sums to %d, want %d", got, len(batch))
-	}
-}
-
 // TestTraceDisabledLeavesNoTraces pins the gating: with the flight
 // recorder switched off (or absent) queries classify identically and the
 // recorder stays empty.

@@ -18,10 +18,6 @@
 // Traversals address nodes by int32 id; BoundsSqDist computes the
 // min and max scaled distances to a node's box in one fused sweep.
 //
-// A pointer-based Node view (Tree.Root) is materialized on demand for
-// callers that prefer recursive traversal over index arithmetic; its
-// Min/Max slices alias the arena's box slab.
-//
 // Construction is level-synchronized BFS: the nodes of one depth occupy
 // a contiguous id range, and expanding a node — computing its bounding
 // box and partitioning its rows — touches only that node's own row
@@ -130,26 +126,7 @@ type Tree struct {
 	levels []int32
 
 	stats Stats
-
-	rootOnce sync.Once
-	root     *Node
 }
-
-// Node is the pointer view of one region of the index, materialized on
-// demand by Tree.Root for callers that prefer recursive traversal.
-// Min/Max alias the tree's box slab; Lo/Hi is the node's row range.
-type Node struct {
-	Min, Max []float64
-	Lo, Hi   int
-	Left     *Node
-	Right    *Node
-}
-
-// Count returns the number of points under the node.
-func (n *Node) Count() int { return n.Hi - n.Lo }
-
-// IsLeaf reports whether the node's range is scanned directly.
-func (n *Node) IsLeaf() bool { return n.Left == nil }
 
 // Stats describes the shape of a built tree — the structural context
 // behind per-query node-visit telemetry (a query visiting close to
@@ -198,17 +175,12 @@ func (t *Tree) LeafFlat(id int32) []float64 {
 	return t.Pts.Slab(int(m.Lo), int(m.Hi))
 }
 
-// Leaf returns the contiguous flat view of the pointer-view node's
-// points.
-func (t *Tree) Leaf(n *Node) []float64 { return t.Pts.Slab(n.Lo, n.Hi) }
-
 // BoundsSqDist returns the minimum and maximum bandwidth-scaled squared
 // distances from x to arena node id's bounding box in one fused sweep:
 // dmin = Σ_j clamp_j²·invH2_j (clamp_j the distance from x_j to
 // [Min_j, Max_j], 0 inside) and dmax = Σ_j far_j²·invH2_j (far_j the
 // distance to the farther face). One pass over the box slab produces
-// both, where the pointer-era MinSqDist/MaxSqDist pair walked two
-// slices twice; d=1 and d=2 (the paper's common low-dimensional case,
+// both; d=1 and d=2 (the paper's common low-dimensional case,
 // Figures 7–9) are hand-unrolled.
 func (t *Tree) BoundsSqDist(id int32, x, invH2 []float64) (dmin, dmax float64) {
 	d := t.Dim
@@ -254,62 +226,6 @@ func boundsDim(x, lo, hi, inv float64) (near, far float64) {
 		f = g
 	}
 	return n * n * inv, f * f * inv
-}
-
-// MinSqDist returns the minimum bandwidth-scaled squared distance from x
-// to the node's bounding box: Σ_j clamp_j²·invH2_j where clamp_j is the
-// distance from x_j to the interval [Min_j, Max_j] (0 inside).
-func (n *Node) MinSqDist(x, invH2 []float64) float64 {
-	s := 0.0
-	for j, xj := range x {
-		var d float64
-		switch {
-		case xj < n.Min[j]:
-			d = n.Min[j] - xj
-		case xj > n.Max[j]:
-			d = xj - n.Max[j]
-		default:
-			continue
-		}
-		s += d * d * invH2[j]
-	}
-	return s
-}
-
-// MaxSqDist returns the maximum bandwidth-scaled squared distance from x
-// to any point of the node's bounding box (the farthest corner).
-func (n *Node) MaxSqDist(x, invH2 []float64) float64 {
-	s := 0.0
-	for j, xj := range x {
-		d := math.Max(math.Abs(xj-n.Min[j]), math.Abs(xj-n.Max[j]))
-		s += d * d * invH2[j]
-	}
-	return s
-}
-
-// Root materializes (once) and returns the pointer view of the arena:
-// a conventional linked Node tree whose Min/Max slices alias the box
-// slab. External consumers and baselines traverse this view; the hot
-// paths in internal/core address the arena directly by id.
-func (t *Tree) Root() *Node {
-	t.rootOnce.Do(func() {
-		nodes := make([]Node, len(t.Meta))
-		d := t.Dim
-		for id := range t.Meta {
-			m := &t.Meta[id]
-			off := id * 2 * d
-			n := &nodes[id]
-			n.Min = t.Boxes[off : off+d : off+d]
-			n.Max = t.Boxes[off+d : off+2*d : off+2*d]
-			n.Lo, n.Hi = int(m.Lo), int(m.Hi)
-			if m.Left >= 0 {
-				n.Left = &nodes[m.Left]
-				n.Right = &nodes[m.Right]
-			}
-		}
-		t.root = &nodes[0]
-	})
-	return t.root
 }
 
 // Build constructs a k-d tree over the given store. The store is copied

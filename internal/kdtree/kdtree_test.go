@@ -60,7 +60,7 @@ func TestSingleLeafTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tr.Root().IsLeaf() || tr.Root().Count() != 2 {
+	if !tr.IsLeaf(0) || tr.Count(0) != 2 {
 		t.Fatal("two points with LeafSize 10 should be a single leaf")
 	}
 	if tr.Height() != 1 || tr.NodeCount() != 1 {
@@ -77,14 +77,15 @@ func TestAllIdenticalPoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tr.Root().IsLeaf() {
+	if !tr.IsLeaf(0) {
 		t.Fatal("identical points cannot be split; root must be a leaf")
 	}
-	if tr.Root().Count() != 100 {
-		t.Fatalf("count = %d, want 100", tr.Root().Count())
+	if tr.Count(0) != 100 {
+		t.Fatalf("count = %d, want 100", tr.Count(0))
 	}
+	bmin, bmax := tr.Box(0)
 	for j := 0; j < 3; j++ {
-		if tr.Root().Min[j] != 7 || tr.Root().Max[j] != 7 {
+		if bmin[j] != 7 || bmax[j] != 7 {
 			t.Fatal("degenerate bounding box expected")
 		}
 	}
@@ -114,41 +115,45 @@ func TestHeavyDuplicates(t *testing.T) {
 func checkInvariants(t *testing.T, tr *Tree) {
 	t.Helper()
 	total := 0
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		if n.Lo < 0 || n.Hi > tr.Size || n.Lo >= n.Hi {
+	var walk func(id int32)
+	walk = func(id int32) {
+		n := tr.Meta[id]
+		if n.Lo < 0 || int(n.Hi) > tr.Size || n.Lo >= n.Hi {
 			t.Fatalf("node range [%d, %d) out of bounds", n.Lo, n.Hi)
 		}
-		if n.IsLeaf() {
-			total += n.Count()
-			for i := n.Lo; i < n.Hi; i++ {
+		bmin, bmax := tr.Box(id)
+		if tr.IsLeaf(id) {
+			total += tr.Count(id)
+			for i := int(n.Lo); i < int(n.Hi); i++ {
 				p := tr.Pts.Row(i)
 				for j, v := range p {
-					if v < n.Min[j] || v > n.Max[j] {
-						t.Fatalf("point %v outside box [%v, %v] dim %d", p, n.Min, n.Max, j)
+					if v < bmin[j] || v > bmax[j] {
+						t.Fatalf("point %v outside box [%v, %v] dim %d", p, bmin, bmax, j)
 					}
 				}
 			}
 			return
 		}
-		if n.Left.Lo != n.Lo || n.Right.Hi != n.Hi || n.Left.Hi != n.Right.Lo {
+		l, r := tr.Meta[n.Left], tr.Meta[n.Right]
+		if l.Lo != n.Lo || r.Hi != n.Hi || l.Hi != r.Lo {
 			t.Fatalf("children [%d,%d)+[%d,%d) do not partition [%d,%d)",
-				n.Left.Lo, n.Left.Hi, n.Right.Lo, n.Right.Hi, n.Lo, n.Hi)
+				l.Lo, l.Hi, r.Lo, r.Hi, n.Lo, n.Hi)
 		}
-		if n.Left.Count()+n.Right.Count() != n.Count() {
-			t.Fatalf("child counts %d+%d != %d", n.Left.Count(), n.Right.Count(), n.Count())
+		if tr.Count(n.Left)+tr.Count(n.Right) != tr.Count(id) {
+			t.Fatalf("child counts %d+%d != %d", tr.Count(n.Left), tr.Count(n.Right), tr.Count(id))
 		}
-		for _, c := range []*Node{n.Left, n.Right} {
-			for j := range n.Min {
-				if c.Min[j] < n.Min[j] || c.Max[j] > n.Max[j] {
-					t.Fatalf("child box [%v, %v] escapes parent [%v, %v]", c.Min, c.Max, n.Min, n.Max)
+		for _, c := range [2]int32{n.Left, n.Right} {
+			cmin, cmax := tr.Box(c)
+			for j := range bmin {
+				if cmin[j] < bmin[j] || cmax[j] > bmax[j] {
+					t.Fatalf("child box [%v, %v] escapes parent [%v, %v]", cmin, cmax, bmin, bmax)
 				}
 			}
 		}
 		walk(n.Left)
 		walk(n.Right)
 	}
-	walk(tr.Root())
+	walk(0)
 	if total != tr.Size {
 		t.Fatalf("tree preserved %d of %d points", total, tr.Size)
 	}
@@ -171,30 +176,33 @@ func TestTreeInvariantsProperty(t *testing.T) {
 			// minimal checks inline to return bool.
 			ok := true
 			total := 0
-			var walk func(nd *Node)
-			walk = func(nd *Node) {
+			var walk func(id int32)
+			walk = func(id int32) {
 				if !ok {
 					return
 				}
-				if nd.IsLeaf() {
-					total += nd.Count()
-					for i := nd.Lo; i < nd.Hi; i++ {
+				if tr.IsLeaf(id) {
+					total += tr.Count(id)
+					bmin, bmax := tr.Box(id)
+					lo, hi := int(tr.Meta[id].Lo), int(tr.Meta[id].Hi)
+					for i := lo; i < hi; i++ {
 						for j, v := range tr.Pts.Row(i) {
-							if v < nd.Min[j] || v > nd.Max[j] {
+							if v < bmin[j] || v > bmax[j] {
 								ok = false
 							}
 						}
 					}
 					return
 				}
-				if nd.Left.Count()+nd.Right.Count() != nd.Count() {
+				l, r := tr.Children(id)
+				if tr.Count(l)+tr.Count(r) != tr.Count(id) {
 					ok = false
 					return
 				}
-				walk(nd.Left)
-				walk(nd.Right)
+				walk(l)
+				walk(r)
 			}
-			walk(tr.Root())
+			walk(0)
 			return ok && total == n
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -203,8 +211,8 @@ func TestTreeInvariantsProperty(t *testing.T) {
 	}
 }
 
-// Property: MinSqDist ≤ actual scaled distance ≤ MaxSqDist for every point
-// under a node.
+// Property: BoundsSqDist's dmin ≤ actual scaled distance ≤ dmax for
+// every point under a node.
 func TestDistanceBoundsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -216,18 +224,18 @@ func TestDistanceBoundsProperty(t *testing.T) {
 		invH2 := []float64{1, 0.25, 4}
 		q := []float64{rng.NormFloat64() * 20, rng.NormFloat64() * 20, rng.NormFloat64() * 20}
 		ok := true
-		var walk func(n *Node)
-		walk = func(n *Node) {
+		var walk func(id int32)
+		walk = func(id int32) {
 			if !ok {
 				return
 			}
-			lo, hi := n.MinSqDist(q, invH2), n.MaxSqDist(q, invH2)
+			lo, hi := tr.BoundsSqDist(id, q, invH2)
 			if lo > hi {
 				ok = false
 				return
 			}
-			if n.IsLeaf() {
-				for i := n.Lo; i < n.Hi; i++ {
+			if tr.IsLeaf(id) {
+				for i := int(tr.Meta[id].Lo); i < int(tr.Meta[id].Hi); i++ {
 					s := sqDist(q, tr.Pts.Row(i), invH2)
 					if s < lo-1e-9 || s > hi+1e-9 {
 						ok = false
@@ -236,10 +244,11 @@ func TestDistanceBoundsProperty(t *testing.T) {
 				}
 				return
 			}
-			walk(n.Left)
-			walk(n.Right)
+			l, r := tr.Children(id)
+			walk(l)
+			walk(r)
 		}
-		walk(tr.Root())
+		walk(0)
 		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -251,14 +260,14 @@ func TestMinSqDistInsideBoxIsZero(t *testing.T) {
 	pts := storeOf([][]float64{{0, 0}, {10, 10}})
 	tr, _ := Build(pts, Options{})
 	invH2 := []float64{1, 1}
-	if got := tr.Root().MinSqDist([]float64{5, 5}, invH2); got != 0 {
-		t.Fatalf("inside-box MinSqDist = %v, want 0", got)
+	if got, _ := tr.BoundsSqDist(0, []float64{5, 5}, invH2); got != 0 {
+		t.Fatalf("inside-box dmin = %v, want 0", got)
 	}
-	if got := tr.Root().MinSqDist([]float64{-3, 0}, invH2); got != 9 {
-		t.Fatalf("MinSqDist = %v, want 9", got)
+	if got, _ := tr.BoundsSqDist(0, []float64{-3, 0}, invH2); got != 9 {
+		t.Fatalf("dmin = %v, want 9", got)
 	}
-	if got := tr.Root().MaxSqDist([]float64{0, 0}, invH2); got != 200 {
-		t.Fatalf("MaxSqDist = %v, want 200", got)
+	if _, got := tr.BoundsSqDist(0, []float64{0, 0}, invH2); got != 200 {
+		t.Fatalf("dmax = %v, want 200", got)
 	}
 }
 
@@ -397,25 +406,27 @@ func TestEquiWidthSplitsAtTrimmedMidpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Root().IsLeaf() {
+	if tr.IsLeaf(0) {
 		t.Fatal("root should split")
 	}
 	// The children should separate the clusters: one child entirely
 	// below 50, the other entirely above.
-	l, r := tr.Root().Left, tr.Root().Right
-	if l.Max[0] > 50 || r.Min[0] < 50 {
-		t.Fatalf("equi-width split failed to separate clusters: left max %v, right min %v", l.Max[0], r.Min[0])
+	l, r := tr.Children(0)
+	_, lmax := tr.Box(l)
+	rmin, _ := tr.Box(r)
+	if lmax[0] > 50 || rmin[0] < 50 {
+		t.Fatalf("equi-width split failed to separate clusters: left max %v, right min %v", lmax[0], rmin[0])
 	}
-	if l.Count() != 80 || r.Count() != 20 {
-		t.Fatalf("cluster counts %d/%d, want 80/20", l.Count(), r.Count())
+	if tr.Count(l) != 80 || tr.Count(r) != 20 {
+		t.Fatalf("cluster counts %d/%d, want 80/20", tr.Count(l), tr.Count(r))
 	}
 
 	med, err := Build(pts, Options{LeafSize: 16, Split: SplitMedian})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if med.Root().Left.Count() != 50 && med.Root().Right.Count() != 50 {
-		t.Fatalf("median split should balance: %d/%d", med.Root().Left.Count(), med.Root().Right.Count())
+	if ml, mr := med.Children(0); med.Count(ml) != 50 && med.Count(mr) != 50 {
+		t.Fatalf("median split should balance: %d/%d", med.Count(ml), med.Count(mr))
 	}
 }
 
@@ -444,16 +455,17 @@ func TestTreeStats(t *testing.T) {
 		}
 		// Count points by walking leaves.
 		var total int
-		var walk func(node *Node)
-		walk = func(node *Node) {
-			if node.IsLeaf() {
-				total += node.Count()
+		var walk func(id int32)
+		walk = func(id int32) {
+			if tr.IsLeaf(id) {
+				total += tr.Count(id)
 				return
 			}
-			walk(node.Left)
-			walk(node.Right)
+			l, r := tr.Children(id)
+			walk(l)
+			walk(r)
 		}
-		walk(tr.Root())
+		walk(0)
 		if total != n {
 			t.Fatalf("n=%d: leaves hold %d points", n, total)
 		}

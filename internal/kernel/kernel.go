@@ -99,6 +99,11 @@ func validateBandwidths(h []float64) error {
 		if math.IsNaN(hi) || math.IsInf(hi, 0) || hi <= 0 {
 			return fmt.Errorf("kernel: bandwidth h[%d] = %v must be a positive finite number", i, hi)
 		}
+		// Every distance is scaled by 1/h²; an infinite scale turns a
+		// zero gap into 0·Inf = NaN in the box bounds.
+		if math.IsInf(1/(hi*hi), 0) {
+			return fmt.Errorf("kernel: bandwidth h[%d] = %v is too small: 1/h² overflows", i, hi)
+		}
 	}
 	return nil
 }

@@ -10,13 +10,17 @@ import (
 )
 
 func TestNewGaussianValidation(t *testing.T) {
-	for _, h := range [][]float64{nil, {}, {0}, {-1}, {1, math.NaN()}, {math.Inf(1)}} {
+	// 1e-160 and 1e-300 are positive but 1/h² overflows to +Inf.
+	for _, h := range [][]float64{nil, {}, {0}, {-1}, {1, math.NaN()}, {math.Inf(1)}, {1, 1e-160}, {1e-300}} {
 		if _, err := NewGaussian(h); err == nil {
 			t.Errorf("NewGaussian(%v) should error", h)
 		}
 	}
 	if _, err := NewEpanechnikov([]float64{0, 1}); err == nil {
 		t.Error("NewEpanechnikov with zero bandwidth should error")
+	}
+	if _, err := NewEpanechnikov([]float64{1e-160}); err == nil {
+		t.Error("NewEpanechnikov with an overflowing 1/h² should error")
 	}
 }
 

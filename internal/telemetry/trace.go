@@ -24,9 +24,7 @@ import (
 //     adaptive doubling with the running sample count and
 //     empirical-Bernstein band (Lower, Upper, Band);
 //   - the grid cache answers queries outright with a stage-free trace
-//     (Backend "grid", GridHit set);
-//   - the dual-tree batch path emits "groups/certified" and
-//     "groups/fallback" stages attributing queries to the two regimes.
+//     (Backend "grid", GridHit set).
 type TraceStage struct {
 	Name     string        `json:"name"`
 	Duration time.Duration `json:"duration_ns"`
@@ -45,9 +43,9 @@ type TraceStage struct {
 	Budget int `json:"budget_used,omitempty"`
 	// Samples is the cumulative far-field sample count at stage end.
 	Samples int64 `json:"samples,omitempty"`
-	// Groups and Queries attribute batch work: query groups processed
-	// and queries answered in the stage (dual-tree batch traces).
-	Groups  int64 `json:"groups,omitempty"`
+	// Queries counts queries answered in the stage. No stage sets it
+	// now that every trace covers one query; the layered benchmark
+	// (perfbench) still reads it.
 	Queries int64 `json:"queries,omitempty"`
 	// Lower and Upper are the running density bounds at stage end; Band
 	// is the confidence band width (fu−fl before envelope clamping is
@@ -69,16 +67,16 @@ type QueryTrace struct {
 	// Latency is the query's wall-clock duration, set just before the
 	// trace is handed back to the sink.
 	Latency time.Duration `json:"latency_ns"`
-	// Kind is the query type: "score" (threshold classification),
-	// "density" (DensityBounds), or "dualtree" (one batch pass).
+	// Kind is the query type: "score" (threshold classification) or
+	// "density" (DensityBounds).
 	Kind string `json:"kind"`
 	// Backend names the engine that answered: "tree", "sampling", or
 	// "grid" when the hypergrid cache short-circuited the query.
 	Backend string `json:"backend"`
 	// Label is the classification outcome ("HIGH"/"LOW"), empty for
-	// density-only queries and batch traces.
+	// density-only queries.
 	Label string `json:"label,omitempty"`
-	// Query is a copy of the query point (empty for batch traces).
+	// Query is a copy of the query point.
 	Query []float64 `json:"query,omitempty"`
 	// Threshold, bounds, and the point estimate behind the decision.
 	Threshold float64 `json:"threshold,omitempty"`
@@ -102,9 +100,6 @@ type QueryTrace struct {
 	PointKernels int64 `json:"point_kernels"`
 	BoundKernels int64 `json:"bound_kernels"`
 	Nodes        int64 `json:"nodes"`
-	// Items counts the queries a batch trace covered (1 for per-query
-	// traces).
-	Items int64 `json:"items,omitempty"`
 
 	Stages []TraceStage `json:"stages"`
 }

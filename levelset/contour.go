@@ -37,9 +37,10 @@ func (w Window) Y(j int) float64 {
 }
 
 // ClassifyWindow rasterizes HIGH/LOW classifications over the window
-// using the classifier's dual-tree batch path (the grid workload it is
-// built for). mask[j][i] is true where the density exceeds the
-// classifier's threshold. The classifier must be 2-dimensional.
+// with Classifier.ClassifyAll, the per-query sweep across
+// Config.Workers goroutines, so every cell carries exactly the label
+// Score gives its point. mask[j][i] is true where the density exceeds
+// the classifier's threshold. The classifier must be 2-dimensional.
 func ClassifyWindow(clf *tkdc.Classifier, w Window) ([][]bool, error) {
 	if err := w.validate(); err != nil {
 		return nil, err
@@ -53,7 +54,7 @@ func ClassifyWindow(clf *tkdc.Classifier, w Window) ([][]bool, error) {
 			queries = append(queries, []float64{w.X(i), w.Y(j)})
 		}
 	}
-	labels, err := clf.ClassifyAllDualTree(queries)
+	labels, err := clf.ClassifyAll(queries)
 	if err != nil {
 		return nil, err
 	}

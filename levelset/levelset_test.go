@@ -139,18 +139,33 @@ func TestClassifyWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := Window{XMin: -5, XMax: 5, YMin: -5, YMax: 5, W: 41, H: 41}
-	mask, err := ClassifyWindow(clf, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(mask) != 41 || len(mask[0]) != 41 {
-		t.Fatalf("mask shape %dx%d", len(mask), len(mask[0]))
-	}
-	if !mask[20][20] {
-		t.Fatal("window center (the mode) should be HIGH")
-	}
-	if mask[0][0] || mask[40][40] {
-		t.Fatal("window corners (radius ~7σ) should be LOW")
+	for _, workers := range []int{0, 2} {
+		clf.SetWorkers(workers)
+		mask, err := ClassifyWindow(clf, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(mask) != 41 || len(mask[0]) != 41 {
+			t.Fatalf("mask shape %dx%d", len(mask), len(mask[0]))
+		}
+		if !mask[20][20] {
+			t.Fatal("window center (the mode) should be HIGH")
+		}
+		if mask[0][0] || mask[40][40] {
+			t.Fatal("window corners (radius ~7σ) should be LOW")
+		}
+		// Every cell carries exactly Score's label, the ε band included.
+		for j := range mask {
+			for i := range mask[j] {
+				r, err := clf.Score([]float64{w.X(i), w.Y(j)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if mask[j][i] != (r.Label == tkdc.High) {
+					t.Fatalf("workers=%d cell (%d,%d): mask %v, Score %v", workers, i, j, mask[j][i], r.Label)
+				}
+			}
+		}
 	}
 }
 

@@ -133,22 +133,3 @@ func TestSaveLoadThroughFacade(t *testing.T) {
 		t.Fatal("loaded model classifies differently")
 	}
 }
-
-func TestDualTreeThroughFacade(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	data := mixture(rng, 1000)
-	cfg := tkdc.DefaultConfig()
-	cfg.S0 = 1000
-	clf, err := tkdc.Train(data, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := [][]float64{{0, 0}, {30, 30}, {6, 6}}
-	labels, err := clf.ClassifyAllDualTree(queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if labels[0] != tkdc.High || labels[1] != tkdc.Low {
-		t.Fatalf("dual-tree labels = %v", labels)
-	}
-}
