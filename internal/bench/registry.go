@@ -33,7 +33,6 @@ func Experiments() []Experiment {
 		{"stream", "Streaming lifecycle: query latency under concurrent ingest + retrain churn", StreamLifecycle},
 		{"trace", "Telemetry overhead: per-query cost of counters and flight tracing", TraceOverhead},
 		{"fleet", "Replication fleet: aggregate throughput at 1/2/4 replicas under leader churn", Fleet},
-		{"serve", "Serving path: /classify throughput and latency vs client concurrency", Serve},
 	}
 	sort.Slice(exps, func(i, j int) bool { return exps[i].ID < exps[j].ID })
 	return exps
@@ -63,7 +62,7 @@ func Run(id string, opts Options) ([]Table, error) {
 			return tables, nil
 		}
 	}
-	return nil, fmt.Errorf("bench: unknown experiment %q (try: tab2, tab3, fig7..fig16, stream, trace, fleet, serve, all)", id)
+	return nil, fmt.Errorf("bench: unknown experiment %q (try: tab2, tab3, fig7..fig16, stream, trace, fleet, all)", id)
 }
 
 // Table2 renders the algorithm roster.

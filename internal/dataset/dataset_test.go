@@ -1,7 +1,9 @@
 package dataset
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -294,6 +296,49 @@ func TestReadCSVHeaderAndErrors(t *testing.T) {
 	got, err = ReadCSV(strings.NewReader("1,2\n\n3,4\n"))
 	if err != nil || len(got) != 2 {
 		t.Errorf("blank lines: got %v, %v", got, err)
+	}
+}
+
+// TestParseCSVContract pins what ParseCSV promises its callers: rows
+// append after whatever dst already holds, an error hands dst back at
+// its input length, and line numbers count blank lines.
+func TestParseCSVContract(t *testing.T) {
+	dst := []float64{-1, -2}
+	flat, n, dim, err := ParseCSV([]byte("x,y\n1,2\n\n3,4\n"), dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 2 || dim != 2 || len(flat) != 6 {
+		t.Fatalf("n=%d dim=%d len=%d, want 2, 2, 6", n, dim, len(flat))
+	}
+	for i, want := range []float64{-1, -2, 1, 2, 3, 4} {
+		if flat[i] != want {
+			t.Fatalf("flat = %v, want the prefix then the rows", flat)
+		}
+	}
+
+	for _, tc := range []struct{ body, err string }{
+		{"1,2\n\n\nfoo,4\n", "dataset: line 4 is not numeric"},
+		{"\nx,y\n1,2\n", "dataset: line 2 is not numeric"},
+		{"1,2\r\n\r\n3,4,5\r\n", "dataset: line 3 has 3 columns, want 2"},
+		{"x,y\n\n", "dataset: no data rows"},
+	} {
+		flat, n, dim, err := ParseCSV([]byte(tc.body), dst)
+		if err == nil || err.Error() != tc.err {
+			t.Errorf("%q: err = %v, want %q", tc.body, err, tc.err)
+		}
+		if len(flat) != len(dst) || n != 0 || dim != 0 {
+			t.Errorf("%q: error returned len=%d n=%d dim=%d, want the %d-value dst back", tc.body, len(flat), n, dim, len(dst))
+		}
+	}
+
+	long := bytes.Repeat([]byte{' '}, csvLineLimit)
+	long[0] = '7'
+	if _, n, _, err := ParseCSV(long[:csvLineLimit-1], nil); err != nil || n != 1 {
+		t.Errorf("line one byte under the limit: n=%d err=%v, want one row", n, err)
+	}
+	if _, _, _, err := ParseCSV(long, nil); !errors.Is(err, bufio.ErrTooLong) {
+		t.Errorf("line at the limit: err = %v, want bufio.ErrTooLong", err)
 	}
 }
 

@@ -2,10 +2,10 @@ package dataset
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 )
 
 // WriteCSV emits rows as comma-separated values with full float64
@@ -32,47 +32,82 @@ func WriteCSV(w io.Writer, rows [][]float64) error {
 	return bw.Flush()
 }
 
-// ReadCSV parses comma-separated numeric rows. Blank lines are skipped; a
-// non-numeric first line is treated as a header and skipped. All data
-// rows must have the same number of columns.
+// csvLineLimit bounds a CSV line, any '\r' included: a line this long
+// or longer fails with bufio.ErrTooLong, as it does from a
+// bufio.Scanner whose buffer is capped at the same size.
+const csvLineLimit = 1 << 24
+
+// ReadCSV reads r to the end and parses it with ParseCSV. The rows are
+// views into one flat buffer, capped so that appending to one cannot
+// overwrite the next.
 func ReadCSV(r io.Reader) ([][]float64, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	var rows [][]float64
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		fields := strings.Split(line, ",")
-		row := make([]float64, len(fields))
-		ok := true
-		for j, f := range fields {
-			v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-			if err != nil {
-				ok = false
-				break
-			}
-			row[j] = v
-		}
-		if !ok {
-			if len(rows) == 0 && lineNo == 1 {
-				continue // header
-			}
-			return nil, fmt.Errorf("dataset: line %d is not numeric", lineNo)
-		}
-		if len(rows) > 0 && len(row) != len(rows[0]) {
-			return nil, fmt.Errorf("dataset: line %d has %d columns, want %d", lineNo, len(row), len(rows[0]))
-		}
-		rows = append(rows, row)
-	}
-	if err := sc.Err(); err != nil {
+	b, err := io.ReadAll(r)
+	if err != nil {
 		return nil, err
 	}
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("dataset: no data rows")
+	flat, n, dim, err := ParseCSV(b, nil)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = flat[i*dim : (i+1)*dim : (i+1)*dim]
 	}
 	return rows, nil
+}
+
+// ParseCSV parses comma-separated numeric rows from b into flat
+// row-major form, appending them to dst, and returns the grown buffer
+// with the row count and width. Lines split on '\n'. Each line and each
+// field is trimmed of Unicode white space, so CRLF line ends are fine,
+// and every field must parse with strconv.ParseFloat. Blank lines are
+// skipped but counted in the line numbers that errors report. A
+// non-numeric first line is a header and is skipped. All data rows must
+// have the same number of columns, and a line of csvLineLimit bytes or
+// more fails with bufio.ErrTooLong. Clean input allocates nothing
+// beyond dst's growth. On error dst comes back at its input length.
+func ParseCSV(b []byte, dst []float64) (flat []float64, n, dim int, err error) {
+	mark := len(dst)
+	for lineNo := 1; len(b) > 0; lineNo++ {
+		var line []byte
+		line, b, _ = bytes.Cut(b, []byte{'\n'})
+		if len(line) >= csvLineLimit {
+			return dst[:mark], 0, 0, bufio.ErrTooLong
+		}
+		line = bytes.TrimSpace(line)
+		if len(line) == 0 {
+			continue
+		}
+		rowStart := len(dst)
+		numeric := true
+		// A trailing comma leaves an empty last field, which is not
+		// numeric.
+		for rest, more := line, true; more; {
+			var field []byte
+			field, rest, more = bytes.Cut(rest, []byte{','})
+			v, perr := strconv.ParseFloat(string(bytes.TrimSpace(field)), 64)
+			if perr != nil {
+				numeric = false
+				break
+			}
+			dst = append(dst, v)
+		}
+		if !numeric {
+			if lineNo == 1 {
+				dst = dst[:rowStart] // header
+				continue
+			}
+			return dst[:mark], 0, 0, fmt.Errorf("dataset: line %d is not numeric", lineNo)
+		}
+		cols := len(dst) - rowStart
+		if n > 0 && cols != dim {
+			return dst[:mark], 0, 0, fmt.Errorf("dataset: line %d has %d columns, want %d", lineNo, cols, dim)
+		}
+		dim = cols
+		n++
+	}
+	if n == 0 {
+		return dst[:mark], 0, 0, fmt.Errorf("dataset: no data rows")
+	}
+	return dst, n, dim, nil
 }

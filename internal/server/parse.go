@@ -1,24 +1,20 @@
-// Flat request parsing: the serving hot path decodes CSV/JSON bodies
-// straight into a pooled flat row-major buffer instead of allocating a
-// []float64 per row. The fast scanners are deliberately conservative —
-// anything outside plain machine-generated bodies (unicode whitespace,
-// unusual JSON shapes, malformed numbers) falls back to the original
-// parsePoints path, which keeps acceptance and error text identical to
-// the pre-batching handler while the common case allocates almost
-// nothing.
+// Request parsing: /classify and /ingest decode a CSV or JSON row body
+// straight into a pooled flat row-major buffer. CSV bodies use
+// dataset.ParseCSV, the grammar the CLI's -train and -query files use,
+// which allocates nothing on clean input. JSON bodies go through
+// encoding/json.
 package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
-	"strconv"
+	"fmt"
 	"strings"
 	"sync"
-)
 
-// errFallback routes a body the fast scanners will not vouch for to the
-// slow, exact-compatibility parser.
-var errFallback = errors.New("server: fall back to slow parse")
+	"tkdc/internal/dataset"
+)
 
 // Pooled scratch: request-body bytes and the flat coordinate buffer.
 // Buffers past the retention caps are dropped rather than pooled so one
@@ -56,352 +52,65 @@ func putFlatBuf(f []float64) {
 	}
 }
 
-// parseRowsFlat decodes a CSV/JSON row body into flat row-major form,
-// appending to dst (typically a pooled buffer) and returning the grown
-// buffer plus the row count and width. It accepts exactly the bodies
-// parsePoints accepts: the fast scanners cover clean numeric CSV and
-// the two supported JSON shapes, and everything else — including every
-// error case — is delegated to parsePoints so callers observe identical
-// errors. Ragged JSON rows, which flat storage cannot represent, error
-// here with the row index.
+// classifyRequest is the JSON object body: {"points": [[x, y], ...]}.
+// Coordinates decode through pointers so that a JSON null is rejected
+// rather than read as 0.
+type classifyRequest struct {
+	Points [][]*float64 `json:"points"`
+}
+
+// parseRowsFlat decodes a row body into flat row-major form, appending
+// to dst (typically a pooled buffer) and returning the grown buffer
+// plus the row count and width. The body is JSON when the content type
+// says so or it starts with '{' or '[' — a {"points": [[...]]} object
+// or a bare [[...]] array — and CSV otherwise. On error dst comes back
+// at its input length.
 func parseRowsFlat(contentType string, body []byte, dst []float64) (flat []float64, n, dim int, err error) {
 	trimmed := bytes.TrimSpace(body)
 	if len(trimmed) == 0 {
 		return dst, 0, 0, errors.New("empty request body")
 	}
-	isJSON := strings.Contains(contentType, "json") || trimmed[0] == '{' || trimmed[0] == '['
-	if isJSON {
-		flat, n, dim, err = parseJSONFlat(trimmed, dst)
-	} else {
-		flat, n, dim, err = parseCSVFlat(body, dst)
+	if strings.Contains(contentType, "json") || trimmed[0] == '{' || trimmed[0] == '[' {
+		return parseJSONRows(trimmed, dst)
 	}
-	if err == errFallback {
-		rows, perr := parsePoints(contentType, body)
-		if perr != nil {
-			return dst, 0, 0, perr
-		}
-		return packRows(rows, dst)
+	flat, n, dim, err = dataset.ParseCSV(body, dst)
+	if err != nil {
+		return flat, 0, 0, fmt.Errorf("parse CSV body: %w", err)
 	}
-	return flat, n, dim, err
+	return flat, n, dim, nil
 }
 
-// packRows flattens slice-of-rows output from the compatibility parser,
-// enforcing the rectangularity flat storage needs.
-func packRows(rows [][]float64, dst []float64) (flat []float64, n, dim int, err error) {
+// parseJSONRows decodes either JSON body shape and flattens it. A flat
+// buffer cannot hold ragged rows, so they are rejected here with the
+// row index, as are null coordinates.
+func parseJSONRows(trimmed []byte, dst []float64) (flat []float64, n, dim int, err error) {
+	var rows [][]*float64
+	if trimmed[0] == '[' {
+		if err := json.Unmarshal(trimmed, &rows); err != nil {
+			return dst, 0, 0, fmt.Errorf("parse JSON rows: %w", err)
+		}
+	} else {
+		var req classifyRequest
+		if err := json.Unmarshal(trimmed, &req); err != nil {
+			return dst, 0, 0, fmt.Errorf("parse JSON body: %w", err)
+		}
+		rows = req.Points
+	}
 	if len(rows) == 0 {
 		return dst, 0, 0, nil
 	}
+	mark := len(dst)
 	dim = len(rows[0])
 	for i, row := range rows {
 		if len(row) != dim {
-			return dst, 0, 0, errRowWidth(i, len(row), dim)
+			return dst[:mark], 0, 0, fmt.Errorf("row %d has %d values, want %d", i, len(row), dim)
 		}
-		dst = append(dst, row...)
+		for j, v := range row {
+			if v == nil {
+				return dst[:mark], 0, 0, fmt.Errorf("row %d coordinate %d is null", i, j)
+			}
+			dst = append(dst, *v)
+		}
 	}
 	return dst, len(rows), dim, nil
-}
-
-func errRowWidth(i, got, want int) error {
-	return errors.New("row " + strconv.Itoa(i) + " has " + strconv.Itoa(got) + " values, want " + strconv.Itoa(want))
-}
-
-// asciiTrim trims the ASCII whitespace bytes strings.TrimSpace would;
-// fields containing other (unicode) whitespace fail ParseFloat and punt
-// to the fallback parser.
-func asciiTrim(b []byte) []byte {
-	lo, hi := 0, len(b)
-	for lo < hi && isASCIISpace(b[lo]) {
-		lo++
-	}
-	for hi > lo && isASCIISpace(b[hi-1]) {
-		hi--
-	}
-	return b[lo:hi]
-}
-
-func isASCIISpace(c byte) bool {
-	switch c {
-	case ' ', '\t', '\n', '\r', '\v', '\f':
-		return true
-	}
-	return false
-}
-
-// parseCSVFlat scans clean numeric CSV straight into dst: blank lines
-// skipped, consistent column counts, every field a plain decimal
-// float. Anything else — a header line, unicode whitespace, a
-// column-count mismatch, a line past dataset.ReadCSV's scanner limit —
-// returns errFallback so the slow path rules on it with its exact
-// acceptance and error text.
-func parseCSVFlat(body []byte, dst []float64) (flat []float64, n, dim int, err error) {
-	for len(body) > 0 {
-		var line []byte
-		if i := bytes.IndexByte(body, '\n'); i >= 0 {
-			line, body = body[:i], body[i+1:]
-		} else {
-			line, body = body, nil
-		}
-		if len(line) > 1<<24 {
-			// dataset.ReadCSV's scanner would reject this line.
-			return dst, 0, 0, errFallback
-		}
-		line = asciiTrim(line)
-		if len(line) == 0 {
-			// Blank line (ReadCSV skips it too). Lines of pure unicode
-			// whitespace survive asciiTrim, fail the field parse below,
-			// and fall back to the exact-compatibility path.
-			continue
-		}
-		cols := 0
-		rowStart := len(dst)
-		ok := true
-		// Field split mirrors strings.Split: a trailing comma yields a
-		// final empty field, which fails to parse just as it does there.
-		rest := line
-		for {
-			var field []byte
-			last := false
-			if i := bytes.IndexByte(rest, ','); i >= 0 {
-				field, rest = rest[:i], rest[i+1:]
-			} else {
-				field, last = rest, true
-			}
-			field = asciiTrim(field)
-			if !plainNumber(field) {
-				ok = false
-				break
-			}
-			v, perr := strconv.ParseFloat(string(field), 64)
-			if perr != nil {
-				ok = false
-				break
-			}
-			dst = append(dst, v)
-			cols++
-			if last {
-				break
-			}
-		}
-		if !ok {
-			// Could be a header (ReadCSV skips a non-numeric physical
-			// first line), could be garbage; the fast path can't always
-			// tell them apart the way ReadCSV's more liberal ParseFloat
-			// would, so it never guesses and defers the whole body.
-			dst = dst[:rowStart]
-			return dst, 0, 0, errFallback
-		}
-		if n == 0 {
-			dim = cols
-		} else if cols != dim {
-			return dst, 0, 0, errFallback
-		}
-		n++
-	}
-	if n == 0 {
-		return dst, 0, 0, errFallback // "no data rows" via the slow path
-	}
-	return dst, n, dim, nil
-}
-
-// plainNumber reports whether the field uses only the characters a CSV
-// float may contain. ParseFloat is more liberal than the original
-// parser in a few spots (hex floats, "Inf", "NaN"); restricting the
-// alphabet keeps the fast path's acceptance a subset of the slow
-// path's.
-func plainNumber(b []byte) bool {
-	for _, c := range b {
-		switch {
-		case c >= '0' && c <= '9':
-		case c == '+' || c == '-' || c == '.' || c == 'e' || c == 'E':
-		default:
-			return false
-		}
-	}
-	return len(b) > 0
-}
-
-// jsonFlatScanner walks the two supported JSON body shapes with zero
-// allocation. Anything unexpected aborts with errFallback.
-type jsonFlatScanner struct {
-	b   []byte
-	pos int
-}
-
-func (s *jsonFlatScanner) skipWS() {
-	for s.pos < len(s.b) {
-		switch s.b[s.pos] {
-		case ' ', '\t', '\n', '\r':
-			s.pos++
-		default:
-			return
-		}
-	}
-}
-
-func (s *jsonFlatScanner) peek() byte {
-	if s.pos >= len(s.b) {
-		return 0
-	}
-	return s.b[s.pos]
-}
-
-// expect consumes c or fails.
-func (s *jsonFlatScanner) expect(c byte) bool {
-	if s.pos < len(s.b) && s.b[s.pos] == c {
-		s.pos++
-		return true
-	}
-	return false
-}
-
-// literal consumes the exact bytes of lit.
-func (s *jsonFlatScanner) literal(lit string) bool {
-	if len(s.b)-s.pos < len(lit) || string(s.b[s.pos:s.pos+len(lit)]) != lit {
-		return false
-	}
-	s.pos += len(lit)
-	return true
-}
-
-// number consumes one strict JSON number and returns its value.
-func (s *jsonFlatScanner) number() (float64, bool) {
-	start := s.pos
-	if s.peek() == '-' {
-		s.pos++
-	}
-	// Integer part: 0 or [1-9][0-9]*.
-	switch c := s.peek(); {
-	case c == '0':
-		s.pos++
-	case c >= '1' && c <= '9':
-		for c := s.peek(); c >= '0' && c <= '9'; c = s.peek() {
-			s.pos++
-		}
-	default:
-		return 0, false
-	}
-	if s.peek() == '.' {
-		s.pos++
-		digits := 0
-		for c := s.peek(); c >= '0' && c <= '9'; c = s.peek() {
-			s.pos++
-			digits++
-		}
-		if digits == 0 {
-			return 0, false
-		}
-	}
-	if c := s.peek(); c == 'e' || c == 'E' {
-		s.pos++
-		if c := s.peek(); c == '+' || c == '-' {
-			s.pos++
-		}
-		digits := 0
-		for c := s.peek(); c >= '0' && c <= '9'; c = s.peek() {
-			s.pos++
-			digits++
-		}
-		if digits == 0 {
-			return 0, false
-		}
-	}
-	// string(...) of a small non-escaping byte slice stays on the stack.
-	v, err := strconv.ParseFloat(string(s.b[start:s.pos]), 64)
-	if err != nil {
-		return 0, false
-	}
-	return v, true
-}
-
-// rows consumes `[ [n, n, ...], ... ]`, appending to dst.
-func (s *jsonFlatScanner) rows(dst []float64) (flat []float64, n, dim int, ok bool) {
-	if !s.expect('[') {
-		return dst, 0, 0, false
-	}
-	s.skipWS()
-	if s.expect(']') {
-		return dst, 0, 0, true
-	}
-	for {
-		s.skipWS()
-		if !s.expect('[') {
-			return dst, 0, 0, false
-		}
-		cols := 0
-		s.skipWS()
-		if !s.expect(']') {
-			for {
-				s.skipWS()
-				v, numOK := s.number()
-				if !numOK {
-					return dst, 0, 0, false
-				}
-				dst = append(dst, v)
-				cols++
-				s.skipWS()
-				if s.expect(']') {
-					break
-				}
-				if !s.expect(',') {
-					return dst, 0, 0, false
-				}
-			}
-		}
-		if n == 0 {
-			dim = cols
-		} else if cols != dim {
-			// Ragged rows are valid JSON the old path accepted (the model
-			// rejected them later); let the fallback produce that flow.
-			return dst, 0, 0, false
-		}
-		n++
-		s.skipWS()
-		if s.expect(']') {
-			return dst, n, dim, true
-		}
-		if !s.expect(',') {
-			return dst, 0, 0, false
-		}
-	}
-}
-
-// parseJSONFlat scans the two shapes parsePoints accepts — a bare
-// [[...]] array and {"points": [[...]]} — into dst.
-func parseJSONFlat(trimmed []byte, dst []float64) (flat []float64, n, dim int, err error) {
-	s := &jsonFlatScanner{b: trimmed}
-	mark := len(dst)
-	switch s.peek() {
-	case '[':
-		flat, n, dim, ok := s.rows(dst)
-		s.skipWS()
-		if !ok || s.pos != len(s.b) {
-			return flat[:mark], 0, 0, errFallback
-		}
-		return flat, n, dim, nil
-	case '{':
-		s.pos++
-		s.skipWS()
-		if !s.literal(`"points"`) {
-			return dst, 0, 0, errFallback
-		}
-		s.skipWS()
-		if !s.expect(':') {
-			return dst, 0, 0, errFallback
-		}
-		s.skipWS()
-		flat, n, dim, ok := s.rows(dst)
-		if !ok {
-			return flat[:mark], 0, 0, errFallback
-		}
-		s.skipWS()
-		if !s.expect('}') {
-			return flat[:mark], 0, 0, errFallback
-		}
-		s.skipWS()
-		if s.pos != len(s.b) {
-			return flat[:mark], 0, 0, errFallback
-		}
-		return flat, n, dim, nil
-	}
-	return dst, 0, 0, errFallback
 }

@@ -15,7 +15,6 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"expvar"
 	"fmt"
 	"io"
@@ -30,7 +29,6 @@ import (
 	"time"
 
 	"tkdc/internal/core"
-	"tkdc/internal/dataset"
 	"tkdc/internal/fleet"
 	"tkdc/internal/stream"
 	"tkdc/internal/telemetry"
@@ -270,12 +268,6 @@ func (s *Server) handleSnapshotMeta(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, meta)
 }
 
-// classifyRequest is the JSON request body: {"points": [[x, y], ...]}.
-// A bare top-level array of rows is also accepted.
-type classifyRequest struct {
-	Points [][]float64 `json:"points"`
-}
-
 // classifyResult is one per-point response entry in density mode.
 type classifyResult struct {
 	Label    string  `json:"label"`
@@ -359,37 +351,6 @@ func (s *Server) readRowsFlat(w http.ResponseWriter, r *http.Request) (flat []fl
 		return nil, 0, 0, false
 	}
 	return flat, n, dim, true
-}
-
-// parsePoints decodes the request body: JSON ({"points": [[...]]} or a
-// bare [[...]] array) when the content type says JSON or the body looks
-// like it, CSV rows otherwise.
-func parsePoints(contentType string, body []byte) ([][]float64, error) {
-	trimmed := bytes.TrimSpace(body)
-	if len(trimmed) == 0 {
-		return nil, errors.New("empty request body")
-	}
-	isJSON := strings.Contains(contentType, "json") ||
-		(len(trimmed) > 0 && (trimmed[0] == '{' || trimmed[0] == '['))
-	if isJSON {
-		if trimmed[0] == '[' {
-			var rows [][]float64
-			if err := json.Unmarshal(trimmed, &rows); err != nil {
-				return nil, fmt.Errorf("parse JSON rows: %w", err)
-			}
-			return rows, nil
-		}
-		var req classifyRequest
-		if err := json.Unmarshal(trimmed, &req); err != nil {
-			return nil, fmt.Errorf("parse JSON body: %w", err)
-		}
-		return req.Points, nil
-	}
-	rows, err := dataset.ReadCSV(bytes.NewReader(body))
-	if err != nil {
-		return nil, fmt.Errorf("parse CSV body: %w", err)
-	}
-	return rows, nil
 }
 
 // handleIngest feeds a batch of rows into the streaming sample. It

@@ -148,6 +148,28 @@ func TestIngestErrors(t *testing.T) {
 	}
 }
 
+// TestNullCoordinateRejected: a JSON null coordinate is a 400 on both
+// /classify and /ingest, never a point at 0, so a rejected ingest adds
+// nothing to the training sample.
+func TestNullCoordinateRejected(t *testing.T) {
+	ts, _ := streamServer(t, Options{})
+	for _, tc := range []struct{ path, body string }{
+		{"/classify", `[[1,null]]`},
+		{"/ingest", `{"points":[[null,2]]}`},
+	} {
+		resp, out := postJSON(t, ts.URL+tc.path, tc.body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s %s: status = %d, want 400: %v", tc.path, tc.body, resp.StatusCode, out)
+		}
+		if msg, _ := out["error"].(string); !strings.Contains(msg, "is null") {
+			t.Fatalf("%s %s: error %q does not name the null coordinate", tc.path, tc.body, msg)
+		}
+	}
+	if _, model := getJSON(t, ts.URL+"/model"); model["ingested_total"].(float64) != 800 {
+		t.Fatalf("ingested_total = %v, want 800 (prefill only)", model["ingested_total"])
+	}
+}
+
 // TestIngestWithoutStreaming: a static server refuses ingest with 409
 // and says how to enable it, and /model still serves the descriptor.
 func TestIngestWithoutStreaming(t *testing.T) {
