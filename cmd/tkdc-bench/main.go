@@ -39,7 +39,7 @@ type jsonReport struct {
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "experiment id (tab2, tab3, fig7..fig16, stream, or all)")
+		experiment = flag.String("experiment", "all", "experiment id (tab2, tab3, fig7..fig16, or all)")
 		scale      = flag.Float64("scale", 0.01, "dataset size multiplier relative to the paper (0 < scale <= 1)")
 		maxQueries = flag.Int("maxqueries", 2000, "maximum measured queries per algorithm (throughput is extrapolated)")
 		seed       = flag.Int64("seed", 42, "random seed for dataset generation and training")

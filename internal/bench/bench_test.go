@@ -97,7 +97,7 @@ func TestRunRegistry(t *testing.T) {
 		}
 		ids[e.ID] = true
 	}
-	for _, want := range []string{"tab2", "tab3", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "stream", "trace", "fleet"} {
+	for _, want := range []string{"tab2", "tab3", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16"} {
 		if !ids[want] {
 			t.Fatalf("registry missing %s", want)
 		}

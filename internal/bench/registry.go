@@ -30,9 +30,6 @@ func Experiments() []Experiment {
 		{"fig14", "Figure 14: throughput vs dimensionality (mnist, PCA-reduced)", Figure14},
 		{"fig15", "Figure 15: throughput vs quantile threshold p", Figure15},
 		{"fig16", "Figure 16: lesion analysis of tKDC optimizations", Figure16},
-		{"stream", "Streaming lifecycle: query latency under concurrent ingest + retrain churn", StreamLifecycle},
-		{"trace", "Telemetry overhead: per-query cost of counters and flight tracing", TraceOverhead},
-		{"fleet", "Replication fleet: aggregate throughput at 1/2/4 replicas under leader churn", Fleet},
 	}
 	sort.Slice(exps, func(i, j int) bool { return exps[i].ID < exps[j].ID })
 	return exps
@@ -62,7 +59,7 @@ func Run(id string, opts Options) ([]Table, error) {
 			return tables, nil
 		}
 	}
-	return nil, fmt.Errorf("bench: unknown experiment %q (try: tab2, tab3, fig7..fig16, stream, trace, fleet, all)", id)
+	return nil, fmt.Errorf("bench: unknown experiment %q (try: tab2, tab3, fig7..fig16, all)", id)
 }
 
 // Table2 renders the algorithm roster.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"tkdc/internal/estimator"
 	"tkdc/internal/kdtree"
@@ -105,22 +106,20 @@ func newQueryBackend(tree *kdtree.Tree, kern kernel.Kernel, cfg Config) DensityB
 
 // --- tree backend -----------------------------------------------------
 
-// The tree backend is densityEstimator itself: the exported interface
-// methods wrap the historical lowercase traversals without touching
-// them, and report the bound midpoint as the point estimate — exactly
-// the quantity the pre-interface code classified on, so tree-backend
-// labels and trained models are bit-identical across the refactor.
+// The tree backend is densityEstimator itself: both interface methods
+// run its one refinement loop and report the bound midpoint as the point
+// estimate.
 
 // BoundDensity implements DensityBackend over Algorithm 2's traversal.
 func (e *densityEstimator) BoundDensity(x []float64, tl, tu, tolCut float64, stats *QueryStats) (fl, fu, est float64) {
-	fl, fu = e.boundDensity(x, tl, tu, tolCut, stats)
+	fl, fu = e.refine(x, tl, tu, tolCut, 0, "tree/refine", stats)
 	return fl, fu, 0.5 * (fl + fu)
 }
 
-// EstimateDensity implements DensityBackend over the tolerance-only
-// traversal.
+// EstimateDensity implements DensityBackend over the same traversal with
+// only the relative rule armed.
 func (e *densityEstimator) EstimateDensity(x []float64, rel float64, stats *QueryStats) (fl, fu, est float64) {
-	fl, fu = e.estimateDensity(x, rel, stats)
+	fl, fu = e.refine(x, math.Inf(-1), math.Inf(1), math.Inf(-1), rel, "tree/estimate", stats)
 	return fl, fu, 0.5 * (fl + fu)
 }
 

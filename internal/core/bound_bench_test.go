@@ -81,7 +81,7 @@ func BenchmarkBoundDensity(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				x := st.queries[(i%n)*d : (i%n)*d+d]
-				st.est.boundDensity(x, st.t, st.t, tolCut, &qs)
+				st.est.BoundDensity(x, st.t, st.t, tolCut, &qs)
 			}
 			b.ReportMetric(float64(qs.NodesVisited)/float64(b.N), "nodes/op")
 		})

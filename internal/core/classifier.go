@@ -155,10 +155,11 @@ type TrainStats struct {
 	Workers     int
 	GridEnabled bool
 	GridCells   int
-	// Phases is the training trace: one span per bootstrap round
-	// ("bootstrap/round-NN"), the index/grid construction ("assemble"),
-	// and one span per threshold-refinement pass ("refine/pass-N") —
-	// the tolerance-tightening retries of §3.6 appear as extra refine
+	// Phases is the training trace, in pipeline order: the serving
+	// KDE and grid construction ("assemble"), one span per bootstrap
+	// round ("bootstrap/round-NN"), and one span per
+	// threshold-refinement pass ("refine/pass-N") — the
+	// tolerance-tightening retries of §3.6 appear as extra refine
 	// passes. Span kernel counts sum to TrainKernels.
 	Phases []telemetry.Span
 }
@@ -218,10 +219,11 @@ func TrainFlat(flat []float64, dim int, cfg Config) (*Classifier, error) {
 	return TrainStore(store, cfg)
 }
 
-// TrainStore fits a tKDC classifier to flat storage: it bootstraps
-// threshold bounds (Algorithm 3), builds the spatial index and grid
-// cache, scores every training point to refine the threshold to t̃(p),
-// and returns a classifier ready to serve queries (Algorithm 1).
+// TrainStore fits a tKDC classifier to flat storage: it builds the
+// serving KDE and grid cache, bootstraps threshold bounds (Algorithm 3)
+// with its full-size rounds scored against that KDE, scores every
+// training point to refine the threshold to t̃(p), and returns a
+// classifier ready to serve queries (Algorithm 1).
 //
 // The store is referenced, not copied; it must not be mutated afterwards
 // (the public tkdc entry points always pass a fresh copy).
@@ -246,26 +248,27 @@ func TrainStore(data *points.Store, cfg Config) (*Classifier, error) {
 		workers = 1
 	}
 
-	// Phase 1: probabilistic threshold bounds (Algorithm 3). Each
-	// bootstrap round contributes a trace span.
-	tb, err := boundThreshold(data, cfg, rng)
-	if err != nil {
-		return nil, err
-	}
-	phases := tb.spans
-
-	// Phase 2: full index, kernel, and grid.
+	// Phase 1: the serving KDE — bandwidths, kernel, index and grid.
 	asmStart := time.Now()
 	c, err := assemble(data, cfg)
 	if err != nil {
 		return nil, err
 	}
-	phases = append(phases, telemetry.Span{
+	phases := []telemetry.Span{{
 		Name:     "assemble",
 		Duration: time.Since(asmStart),
 		Items:    int64(data.Len()),
 		Workers:  workers,
-	})
+	}}
+
+	// Phase 2: probabilistic threshold bounds (Algorithm 3). Its
+	// full-size rounds score against the serving KDE. Each bootstrap
+	// round contributes a trace span.
+	tb, err := boundThreshold(data, c.kern, c.tree, cfg, rng)
+	if err != nil {
+		return nil, err
+	}
+	phases = append(phases, tb.spans...)
 	c.tLow, c.tHigh = tb.lo, tb.hi
 
 	// Phase 3: score all training points to refine t̃(p) (Algorithm 1).
@@ -330,20 +333,31 @@ func TrainStore(data *points.Store, cfg Config) (*Classifier, error) {
 	return c, nil
 }
 
-// assemble builds the deterministic serving machinery over a dataset —
-// bandwidths, kernel, spatial index, grid cache, and estimator pool —
-// shared by training and snapshot loading. Thresholds are left for the
-// caller to fill in.
-func assemble(data *points.Store, cfg Config) (*Classifier, error) {
+// buildKDE fits the kernel density estimate over data: Scott's-rule
+// bandwidths, the configured kernel, and the k-d tree index. It is the
+// one place the package builds a KDE — for the serving model, for
+// Algorithm 3's subsampled rounds, and for the drift probe.
+func buildKDE(data *points.Store, cfg Config) (kernel.Kernel, *kdtree.Tree, error) {
 	h, err := kernel.ScottBandwidths(data, cfg.BandwidthFactor)
 	if err != nil {
-		return nil, err
+		return nil, nil, fmt.Errorf("core: bandwidth: %w", err)
 	}
 	kern, err := newKernel(cfg.Kernel, h)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	tree, err := kdtree.Build(data, kdtree.Options{LeafSize: cfg.LeafSize, Split: cfg.Split, Workers: cfg.Workers})
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: index: %w", err)
+	}
+	return kern, tree, nil
+}
+
+// assemble builds the deterministic serving machinery over a dataset —
+// the KDE, grid cache, and estimator pool — shared by training and
+// snapshot loading. Thresholds are left for the caller to fill in.
+func assemble(data *points.Store, cfg Config) (*Classifier, error) {
+	kern, tree, err := buildKDE(data, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -366,7 +380,7 @@ func assemble(data *points.Store, cfg Config) (*Classifier, error) {
 		return &pooledBackend{DensityBackend: newQueryBackend(c.tree, c.kern, cfg)}
 	}
 	if !cfg.DisableGrid && c.dim <= cfg.MaxGridDim {
-		g, err := grid.NewWorkers(data, h, cfg.Workers)
+		g, err := grid.NewWorkers(data, kern.Bandwidths(), cfg.Workers)
 		if err != nil {
 			return nil, err
 		}

@@ -121,6 +121,16 @@ func TestTrainValidation(t *testing.T) {
 		func(c *Config) { c.HBuffer = 0.5 },
 		func(c *Config) { c.HGrowth = 1 },
 		func(c *Config) { c.Kernel = KernelFamily(99) },
+		// Non-finite knobs: HGrowth NaN or +Inf used to panic inside
+		// Train, and the others trained without complaint.
+		func(c *Config) { c.Epsilon = math.Inf(1) },
+		func(c *Config) { c.Epsilon = math.NaN() },
+		func(c *Config) { c.HBackoff = math.NaN() },
+		func(c *Config) { c.HBackoff = math.Inf(1) },
+		func(c *Config) { c.HBuffer = math.NaN() },
+		func(c *Config) { c.HBuffer = math.Inf(1) },
+		func(c *Config) { c.HGrowth = math.NaN() },
+		func(c *Config) { c.HGrowth = math.Inf(1) },
 	} {
 		c := testConfig()
 		mut(&c)

@@ -159,13 +159,16 @@ func (c Config) normalized() Config {
 	return c
 }
 
+// finite reports whether x is neither NaN nor infinite.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
 // validate rejects out-of-range parameters.
 func (c Config) validate() error {
 	switch {
 	case math.IsNaN(c.P) || c.P <= 0 || c.P >= 1:
 		return fmt.Errorf("core: quantile P = %v must be in (0, 1)", c.P)
-	case math.IsNaN(c.Epsilon) || c.Epsilon <= 0:
-		return fmt.Errorf("core: Epsilon = %v must be positive", c.Epsilon)
+	case !finite(c.Epsilon) || c.Epsilon <= 0:
+		return fmt.Errorf("core: Epsilon = %v must be positive and finite", c.Epsilon)
 	case math.IsNaN(c.Delta) || c.Delta <= 0 || c.Delta >= 1:
 		return fmt.Errorf("core: Delta = %v must be in (0, 1)", c.Delta)
 	case math.IsNaN(c.BandwidthFactor) || c.BandwidthFactor <= 0:
@@ -174,12 +177,12 @@ func (c Config) validate() error {
 		return fmt.Errorf("core: R0 = %d must be at least 1", c.R0)
 	case c.S0 < 1:
 		return fmt.Errorf("core: S0 = %d must be at least 1", c.S0)
-	case c.HBackoff <= 1:
-		return fmt.Errorf("core: HBackoff = %v must exceed 1", c.HBackoff)
-	case c.HBuffer < 1:
-		return fmt.Errorf("core: HBuffer = %v must be at least 1", c.HBuffer)
-	case c.HGrowth <= 1:
-		return fmt.Errorf("core: HGrowth = %v must exceed 1", c.HGrowth)
+	case !finite(c.HBackoff) || c.HBackoff <= 1:
+		return fmt.Errorf("core: HBackoff = %v must be finite and exceed 1", c.HBackoff)
+	case !finite(c.HBuffer) || c.HBuffer < 1:
+		return fmt.Errorf("core: HBuffer = %v must be finite and at least 1", c.HBuffer)
+	case !finite(c.HGrowth) || c.HGrowth <= 1:
+		return fmt.Errorf("core: HGrowth = %v must be finite and exceed 1", c.HGrowth)
 	}
 	if !validBackend(c.Backend) {
 		return backendError(c.Backend)

@@ -152,17 +152,25 @@ func (e *densityEstimator) weights(id int32, x []float64) (wlo, whi float64) {
 	return wlo, whi
 }
 
-// boundDensity is Algorithm 2: it refines density bounds for x until a
-// pruning rule fires or the tree is exhausted, returning certified bounds
-// fl ≤ f(x) ≤ fu.
+// refine is Algorithm 2, the one best-first refinement behind every
+// tree-backend density bound. It pops the node with the widest
+// contribution interval, replaces it by its children (or by the exact
+// sum over a leaf), and returns certified bounds fl ≤ f(x) ≤ fu once a
+// stopping rule fires or the tree is exhausted:
 //
-// The threshold rule stops once fl > tu or fu < tl — the classification
-// is already decided. The tolerance rule stops once fu − fl < tolCut —
-// the estimate is as precise as approximate classification requires
-// (callers pass ε·t). With both rules disabled the traversal computes
-// the density exactly (up to floating point), which is the
-// factor-analysis baseline of Figure 12.
-func (e *densityEstimator) boundDensity(x []float64, tl, tu, tolCut float64, stats *QueryStats) (fl, fu float64) {
+//   - the threshold rule, fl > tu or fu < tl: the classification is
+//     already decided;
+//   - the tolerance rule, fu − fl < tolCut: the estimate is as precise as
+//     approximate classification requires (callers pass ε·t);
+//   - the relative rule, fu − fl ≤ rel·fl, when rel > 0: the
+//     tolerance-only traversal of Gray & Moore that density queries use.
+//
+// Density queries pass tl = −Inf, tu = +Inf and tolCut = −Inf, which
+// never fire; classification passes rel = 0. With the threshold and
+// tolerance rules disabled the traversal computes the density exactly
+// (up to floating point), which is the factor-analysis baseline of
+// Figure 12. stage names the trace stage the refinement files.
+func (e *densityEstimator) refine(x []float64, tl, tu, tolCut, rel float64, stage string, stats *QueryStats) (fl, fu float64) {
 	tr := stats.Trace
 	var stageStart time.Time
 	var nodes0, pts0, bounds0 int64
@@ -182,12 +190,13 @@ func (e *densityEstimator) boundDensity(x []float64, tl, tu, tolCut float64, sta
 	e.heap.push(heapItem{id: 0, wlo: wlo, whi: whi})
 
 	for e.heap.len() > 0 {
-		if !e.disableThreshold {
-			if fl > tu || fu < tl {
-				break
-			}
+		if !e.disableThreshold && (fl > tu || fu < tl) {
+			break
 		}
 		if !e.disableTolerance && fu-fl < tolCut {
+			break
+		}
+		if rel > 0 && fu-fl <= rel*fl {
 			break
 		}
 
@@ -237,91 +246,7 @@ func (e *densityEstimator) boundDensity(x []float64, tl, tu, tolCut float64, sta
 		// BFS ids grow with depth, so the largest id pushed marks the
 		// deepest level the refinement reached.
 		tr.AddStage(telemetry.TraceStage{
-			Name:     "tree/refine",
-			Duration: time.Since(stageStart),
-			Nodes:    stats.NodesVisited - nodes0,
-			Pushes:   pushes,
-			Points:   stats.PointKernels - pts0,
-			Bounds:   stats.BoundKernels - bounds0,
-			Depth:    t.Depth(maxID),
-			Lower:    fl,
-			Upper:    fu,
-			Band:     fu - fl,
-		})
-	}
-	return fl, fu
-}
-
-// estimateDensity computes the density with bounds tightened to a target
-// relative precision (fu − fl ≤ rel·fl) regardless of any threshold,
-// exhausting the tree if necessary. This is the tolerance-only traversal
-// of Gray & Moore used by the nocut baseline and by callers that need
-// density values rather than classifications.
-func (e *densityEstimator) estimateDensity(x []float64, rel float64, stats *QueryStats) (fl, fu float64) {
-	tr := stats.Trace
-	var stageStart time.Time
-	var nodes0, pts0, bounds0 int64
-	var pushes int64
-	var maxID int32
-	if tr != nil {
-		stageStart = time.Now()
-		nodes0, pts0, bounds0 = stats.NodesVisited, stats.PointKernels, stats.BoundKernels
-	}
-
-	e.heap.items = e.heap.items[:0]
-	t := e.tree
-
-	wlo, whi := e.weights(0, x)
-	stats.BoundKernels += 2
-	fl, fu = wlo, whi
-	e.heap.push(heapItem{id: 0, wlo: wlo, whi: whi})
-
-	for e.heap.len() > 0 {
-		if rel > 0 && fu-fl <= rel*fl {
-			break
-		}
-		cur := e.heap.pop()
-		stats.NodesVisited++
-		fl -= cur.wlo
-		fu -= cur.whi
-		left, right := t.Children(cur.id)
-		if left < 0 {
-			// One contiguous sweep over the leaf's flat row range.
-			sum := kernel.Sum(e.kern, x, t.LeafFlat(cur.id))
-			stats.PointKernels += int64(t.Count(cur.id))
-			sum /= e.n
-			fl += sum
-			fu += sum
-			continue
-		}
-		for _, child := range [2]int32{left, right} {
-			cwlo, cwhi := e.weights(child, x)
-			stats.BoundKernels += 2
-			if cwhi == 0 {
-				// The whole subtree is beyond the kernel's truncation
-				// radius: it can never contribute, so skip the heap.
-				continue
-			}
-			fl += cwlo
-			fu += cwhi
-			e.heap.push(heapItem{id: child, wlo: cwlo, whi: cwhi})
-			if tr != nil {
-				pushes++
-				if child > maxID {
-					maxID = child
-				}
-			}
-		}
-	}
-	if fl < 0 {
-		fl = 0
-	}
-	if fu < fl {
-		fu = fl
-	}
-	if tr != nil {
-		tr.AddStage(telemetry.TraceStage{
-			Name:     "tree/estimate",
+			Name:     stage,
 			Duration: time.Since(stageStart),
 			Nodes:    stats.NodesVisited - nodes0,
 			Pushes:   pushes,

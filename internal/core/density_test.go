@@ -33,7 +33,7 @@ func buildEstimator(t testing.TB, rng *rand.Rand, n, d int) (*densityEstimator, 
 	return newDensityEstimator(tree, kern, false, false), pts, kern
 }
 
-// Property: boundDensity's certified bounds always bracket the exact
+// Property: BoundDensity's certified bounds always bracket the exact
 // density, for arbitrary thresholds (which only change where it stops).
 func TestBoundDensityBracketsExactProperty(t *testing.T) {
 	f := func(seed int64, rawTl, rawTu float64) bool {
@@ -47,7 +47,7 @@ func TestBoundDensityBracketsExactProperty(t *testing.T) {
 		tl := math.Abs(math.Mod(rawTl, 1)) * 0.01
 		tu := tl + math.Abs(math.Mod(rawTu, 1))*0.01
 		var qs QueryStats
-		fl, fu := est.boundDensity(q, tl, tu, 0.01*tl, &qs)
+		fl, fu, _ := est.BoundDensity(q, tl, tu, 0.01*tl, &qs)
 		exact := exactDensity(pts, kern, q)
 		slack := 1e-9*math.Max(exact, fl) + 1e-300
 		return fl <= exact+slack && fu >= exact-slack && fl <= fu
@@ -72,7 +72,7 @@ func TestBoundDensityExactWhenRulesDisabled(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		q := []float64{rng.NormFloat64() * 3, rng.NormFloat64() * 3}
 		var qs QueryStats
-		fl, fu := est.boundDensity(q, 0.001, 0.001, 0.001*0.01, &qs)
+		fl, fu, _ := est.BoundDensity(q, 0.001, 0.001, 0.001*0.01, &qs)
 		exact := exactDensity(pts, kern, q)
 		if math.Abs(fl-exact) > 1e-9*exact+1e-300 || math.Abs(fu-exact) > 1e-9*exact+1e-300 {
 			t.Fatalf("rules-disabled traversal not exact: [%g, %g] vs %g", fl, fu, exact)
@@ -101,8 +101,8 @@ func TestThresholdRuleSavesWork(t *testing.T) {
 	q := []float64{0, 0}
 	tl, tu := 1e-4, 1.2e-4
 	var prunedStats, unprunedStats QueryStats
-	pruned.boundDensity(q, tl, tu, 0.01*tl, &prunedStats)
-	unpruned.boundDensity(q, tl, tu, 0.01*tl, &unprunedStats)
+	pruned.BoundDensity(q, tl, tu, 0.01*tl, &prunedStats)
+	unpruned.BoundDensity(q, tl, tu, 0.01*tl, &unprunedStats)
 	if prunedStats.Kernels()*10 > unprunedStats.Kernels() {
 		t.Fatalf("threshold rule saved too little: %d vs %d kernels", prunedStats.Kernels(), unprunedStats.Kernels())
 	}
@@ -114,7 +114,7 @@ func TestEstimateDensityReachesRequestedPrecision(t *testing.T) {
 	for _, rel := range []float64{0.1, 0.01, 0.001} {
 		q := []float64{rng.NormFloat64() * 3, rng.NormFloat64() * 3}
 		var qs QueryStats
-		fl, fu := est.estimateDensity(q, rel, &qs)
+		fl, fu, _ := est.EstimateDensity(q, rel, &qs)
 		if fu-fl > rel*fl*(1+1e-9)+1e-300 {
 			t.Fatalf("rel=%v: bounds [%g, %g] too loose", rel, fl, fu)
 		}
@@ -131,8 +131,8 @@ func TestEstimateDensityWorkMonotoneInPrecision(t *testing.T) {
 	est, _, _ := buildEstimator(t, rng, 3000, 2)
 	q := []float64{0.5, -0.5}
 	var loose, tight QueryStats
-	est.estimateDensity(q, 0.5, &loose)
-	est.estimateDensity(q, 1e-4, &tight)
+	est.EstimateDensity(q, 0.5, &loose)
+	est.EstimateDensity(q, 1e-4, &tight)
 	if loose.Kernels() > tight.Kernels() {
 		t.Fatalf("loose tolerance did more work: %d > %d", loose.Kernels(), tight.Kernels())
 	}

@@ -45,18 +45,21 @@ type nonFiniteSnapshot struct {
 }
 
 // nonFiniteSnapshots returns a bandwidth factor so small that 1/h²
-// overflows (the box bounds then compute 0·Inf = NaN) and an infinite
-// threshold (every query LOW).
+// overflows (the box bounds then compute 0·Inf = NaN), an infinite
+// threshold (every query LOW), and a NaN growth factor (a retrain from
+// the loaded config panics on a negative sample size).
 func nonFiniteSnapshots(t testing.TB) []nonFiniteSnapshot {
 	return []nonFiniteSnapshot{
 		{"bandwidth factor 1e-300", "1/h² overflows",
 			tinySnapshot(t, func(s *modelSnapshot) { s.Config.BandwidthFactor = 1e-300 })},
 		{"threshold +Inf", "threshold +Inf is not finite",
 			tinySnapshot(t, func(s *modelSnapshot) { s.Threshold = math.Inf(1) })},
+		{"HGrowth NaN", "HGrowth = NaN must be finite",
+			tinySnapshot(t, func(s *modelSnapshot) { s.Config.HGrowth = math.NaN() })},
 	}
 }
 
-// TestLoadRejectsNonFiniteModels: both snapshots used to load, and the
+// TestLoadRejectsNonFiniteModels: every snapshot used to load. The
 // first then scored density NaN with label LOW.
 func TestLoadRejectsNonFiniteModels(t *testing.T) {
 	for _, s := range nonFiniteSnapshots(t) {

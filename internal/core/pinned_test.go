@@ -1,0 +1,187 @@
+package core
+
+import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"tkdc/internal/points"
+)
+
+// pinnedModel is the work and the answer bits one trained model produces
+// on a fixed query set. Floats are kept as bits: the pin is exact.
+type pinnedModel struct {
+	TrainKernels    int64
+	BootstrapRounds int
+	Threshold       uint64
+	ThresholdLow    uint64
+	ThresholdHigh   uint64
+	// Score is Stats() after scoring every query; ScoreBits digests each
+	// result's Lower, Upper and Density.
+	Score     Counters
+	ScoreBits uint64
+	// Density[i] is Stats() after DensityBounds on every query at
+	// pinnedRels[i], cumulative over the earlier entries; DensityBits[i]
+	// digests the returned bounds.
+	Density     [3]Counters
+	DensityBits [3]uint64
+}
+
+var pinnedRels = [3]float64{0.1, 0.01, 0}
+
+// bitsDigest returns a function that folds float bits into one running
+// FNV-1a hash and returns its current value.
+func bitsDigest() func(...float64) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	return func(vs ...float64) uint64 {
+		for _, v := range vs {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+			h.Write(buf[:])
+		}
+		return h.Sum64()
+	}
+}
+
+func pinModel(t *testing.T, data, queries [][]float64, cfg Config) pinnedModel {
+	t.Helper()
+	c, err := Train(data, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := c.TrainStats()
+	got := pinnedModel{
+		TrainKernels:    ts.TrainKernels,
+		BootstrapRounds: ts.BootstrapRounds,
+		Threshold:       math.Float64bits(ts.Threshold),
+		ThresholdLow:    math.Float64bits(ts.ThresholdLow),
+		ThresholdHigh:   math.Float64bits(ts.ThresholdHigh),
+	}
+	add := bitsDigest()
+	for _, q := range queries {
+		r, err := c.Score(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got.ScoreBits = add(r.Lower, r.Upper, r.Density)
+	}
+	got.Score = c.Stats()
+	for i, rel := range pinnedRels {
+		add := bitsDigest()
+		for _, q := range queries {
+			fl, fu, err := c.DensityBounds(q, rel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got.DensityBits[i] = add(fl, fu)
+		}
+		got.Density[i] = c.Stats()
+	}
+	return got
+}
+
+// pinnedSamplingData is a seeded d=27 set large enough (n > 512) that
+// the sampling backend runs its near phase and samples the far field,
+// plus 64 queries from the same distribution.
+func pinnedSamplingData() (data, queries [][]float64) {
+	rows := latentData(rand.New(rand.NewSource(27)), 1564, 27, 5)
+	return rows[:1500], rows[1500:]
+}
+
+// TestPinnedWork pins the exact work and answer bits of training and
+// serving on both density backends: kernel and node counts, bootstrap
+// rounds, threshold bits, and digests of every returned bound. A change
+// that claims to be a pure refactor of the traversal or of the training
+// pipeline must leave every constant here untouched.
+func TestPinnedWork(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("constants recorded on amd64; other architectures may fuse multiply-adds and round differently")
+	}
+	goldenData, goldenQueries := goldenDataset()
+	samplingData, samplingQueries := pinnedSamplingData()
+	tree := goldenConfig()
+	tree.Backend = BackendTree
+	subsampled := tree
+	subsampled.S0 = 100 // the full-size bootstrap round scores a subsample
+	sampling := goldenConfig()
+	sampling.Backend = BackendSampling
+
+	cases := []struct {
+		name          string
+		data, queries [][]float64
+		cfg           Config
+		want          pinnedModel
+	}{
+		{"tree", goldenData, goldenQueries, tree, pinnedModel{
+			TrainKernels: 227578, BootstrapRounds: 3,
+			Threshold: 0x3f813aadfd92770e, ThresholdLow: 0x3f3d6d542efdb9ff, ThresholdHigh: 0x3f8fa7158187acb8,
+			Score:     Counters{Queries: 64, GridHits: 0, PointKernels: 1228, BoundKernels: 1800, NodesVisited: 482, SamplingRounds: 0, SampledPoints: 0},
+			ScoreBits: 0x6c583ee49c86bc0a,
+			Density: [3]Counters{
+				{Queries: 128, GridHits: 0, PointKernels: 8030, BoundKernels: 4480, NodesVisited: 1481, SamplingRounds: 0, SampledPoints: 0},
+				{Queries: 192, GridHits: 0, PointKernels: 17026, BoundKernels: 7520, NodesVisited: 2688, SamplingRounds: 0, SampledPoints: 0},
+				{Queries: 256, GridHits: 0, PointKernels: 42626, BoundKernels: 12768, NodesVisited: 5312, SamplingRounds: 0, SampledPoints: 0},
+			},
+			DensityBits: [3]uint64{0x6515efb0fd8ac52, 0x3b1745a7826a0a5e, 0x57783ceecfbc50f4},
+		}},
+		{"tree/S0=100", goldenData, goldenQueries, subsampled, pinnedModel{
+			TrainKernels: 100743, BootstrapRounds: 3,
+			Threshold: 0x3f813aadfd92770e, ThresholdLow: 0x3f24df575140d6f6, ThresholdHigh: 0x3f91396ecae19bd4,
+			Score:     Counters{Queries: 64, GridHits: 0, PointKernels: 1228, BoundKernels: 1800, NodesVisited: 482, SamplingRounds: 0, SampledPoints: 0},
+			ScoreBits: 0x6c583ee49c86bc0a,
+			Density: [3]Counters{
+				{Queries: 128, GridHits: 0, PointKernels: 8030, BoundKernels: 4480, NodesVisited: 1481, SamplingRounds: 0, SampledPoints: 0},
+				{Queries: 192, GridHits: 0, PointKernels: 17026, BoundKernels: 7520, NodesVisited: 2688, SamplingRounds: 0, SampledPoints: 0},
+				{Queries: 256, GridHits: 0, PointKernels: 42626, BoundKernels: 12768, NodesVisited: 5312, SamplingRounds: 0, SampledPoints: 0},
+			},
+			DensityBits: [3]uint64{0x6515efb0fd8ac52, 0x3b1745a7826a0a5e, 0x57783ceecfbc50f4},
+		}},
+		{"sampling/d27", samplingData, samplingQueries, sampling, pinnedModel{
+			TrainKernels: 9592178, BootstrapRounds: 5,
+			Threshold: 0x3b82fee2924ce4c0, ThresholdLow: 0x3b7af88e1ba80780, ThresholdHigh: 0x3b89bb363d410d60,
+			Score:     Counters{Queries: 64, GridHits: 0, PointKernels: 75278, BoundKernels: 1102, NodesVisited: 7036, SamplingRounds: 65, SampledPoints: 17920},
+			ScoreBits: 0x23b54252a24e5d67,
+			Density: [3]Counters{
+				{Queries: 128, GridHits: 0, PointKernels: 204216, BoundKernels: 2204, NodesVisited: 14072, SamplingRounds: 183, SampledPoints: 80640},
+				{Queries: 192, GridHits: 0, PointKernels: 417474, BoundKernels: 3306, NodesVisited: 21108, SamplingRounds: 387, SampledPoints: 216064},
+				{Queries: 256, GridHits: 0, PointKernels: 513474, BoundKernels: 4408, NodesVisited: 28144, SamplingRounds: 387, SampledPoints: 216064},
+			},
+			DensityBits: [3]uint64{0x3f13ed680ce19c01, 0x47572722228e91ee, 0xe5bd9483b164dd09},
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got := pinModel(t, tc.data, tc.queries, tc.cfg)
+			if got != tc.want {
+				t.Errorf("pinned work changed:\n got %#v\nwant %#v", got, tc.want)
+			}
+		})
+	}
+
+	probes := []struct {
+		name string
+		data [][]float64
+		cfg  Config
+		ref  int
+		want uint64
+	}{
+		{"golden/tree", goldenData, tree, 256, 0x3f804110a8dbdccc},
+		{"d27/sampling", samplingData, sampling, 1024, 0x3b70eba1337dea5c},
+	}
+	for _, p := range probes {
+		store, err := points.FromRows(p.data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ProbeThreshold(store, p.cfg, p.ref, 128, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bits := math.Float64bits(got); bits != p.want {
+			t.Errorf("ProbeThreshold %s bits = %#x, want %#x", p.name, bits, p.want)
+		}
+	}
+}

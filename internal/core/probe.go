@@ -2,12 +2,9 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"sort"
 
-	"tkdc/internal/kdtree"
-	"tkdc/internal/kernel"
 	"tkdc/internal/points"
 	"tkdc/internal/stats"
 )
@@ -79,17 +76,9 @@ func ProbeThreshold(data *points.Store, cfg Config, refRows, probes int, seed in
 		}
 	}
 
-	h, err := kernel.ScottBandwidths(ref, cfg.BandwidthFactor)
-	if err != nil {
-		return 0, fmt.Errorf("core: probe bandwidth: %w", err)
-	}
-	kern, err := newKernel(cfg.Kernel, h)
+	kern, tree, err := buildKDE(ref, cfg)
 	if err != nil {
 		return 0, err
-	}
-	tree, err := kdtree.Build(ref, kdtree.Options{LeafSize: cfg.LeafSize, Split: cfg.Split, Workers: cfg.Workers})
-	if err != nil {
-		return 0, fmt.Errorf("core: probe index: %w", err)
 	}
 	// The probe's own seed drives the backend so repeated probes with the
 	// same seed stay bit-identical regardless of the training seed.

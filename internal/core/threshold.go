@@ -32,11 +32,15 @@ type thresholdBound struct {
 // rules of Algorithm 2 can fire. Bounds that turn out invalid for the
 // larger sample are multiplicatively backed off and the round retried.
 //
+// kern and tree are the serving KDE over all of data. A round whose
+// subsample has grown to the whole dataset would fit exactly that KDE,
+// so it scores against them instead of building its own.
+//
 // Each round's score loop fans the sample rows out with forEachChunk,
 // one private density backend per chunk. Sampling (the only RNG
 // consumer) stays sequential and each chunk writes disjoint density
 // slots, so the bounds are bit-identical to a single-threaded run.
-func boundThreshold(data *points.Store, cfg Config, rng *rand.Rand) (thresholdBound, error) {
+func boundThreshold(data *points.Store, kern kernel.Kernel, tree *kdtree.Tree, cfg Config, rng *rand.Rand) (thresholdBound, error) {
 	n := data.Len()
 	res := thresholdBound{lo: 0, hi: math.Inf(1)}
 	spanWorkers := max(effectiveWorkers(cfg.Workers), 1)
@@ -55,19 +59,13 @@ func boundThreshold(data *points.Store, cfg Config, rng *rand.Rand) (thresholdBo
 		res.rounds++
 		roundStart := time.Now()
 		kernelsBefore := res.queries.Kernels()
-		xr := sampleRows(data, r, rng)
-
-		h, err := kernel.ScottBandwidths(xr, cfg.BandwidthFactor)
-		if err != nil {
-			return res, fmt.Errorf("core: threshold bootstrap bandwidth: %w", err)
-		}
-		kern, err := newKernel(cfg.Kernel, h)
-		if err != nil {
-			return res, err
-		}
-		tree, err := kdtree.Build(xr, kdtree.Options{LeafSize: cfg.LeafSize, Split: cfg.Split, Workers: cfg.Workers})
-		if err != nil {
-			return res, fmt.Errorf("core: threshold bootstrap index: %w", err)
+		xr, rkern, rtree := data, kern, tree
+		if r < n {
+			xr = sampleRows(data, r, rng)
+			var err error
+			if rkern, rtree, err = buildKDE(xr, cfg); err != nil {
+				return res, err
+			}
 		}
 
 		sEff := cfg.S0
@@ -77,18 +75,18 @@ func boundThreshold(data *points.Store, cfg Config, rng *rand.Rand) (thresholdBo
 		xs := sampleRows(xr, sEff, rng)
 
 		// The bounds live in corrected-density space (Equation 1) while
-		// boundDensity prunes on plain densities: shift by the
+		// BoundDensity prunes on plain densities: shift by the
 		// self-contribution so the pruning thresholds and the validity
 		// checks below refer to exactly the same quantity. The tolerance
 		// target stays ε·t in corrected space.
-		selfContrib := kern.AtZero() / float64(r)
+		selfContrib := rkern.AtZero() / float64(r)
 		tolCut := cfg.Epsilon * math.Max(res.lo, 0)
 		if cap(densities) < sEff {
 			densities = make([]float64, sEff)
 		}
 		densities = densities[:sEff]
 		res.queries.add(forEachChunk(cfg.Workers, sEff, func(lo, hi int, qs *QueryStats) {
-			est := newQueryBackend(tree, kern, cfg)
+			est := newQueryBackend(rtree, rkern, cfg)
 			for i := lo; i < hi; i++ {
 				_, _, f := est.BoundDensity(xs.Row(i), res.lo+selfContrib, res.hi+selfContrib, tolCut, qs)
 				densities[i] = f - selfContrib
@@ -187,14 +185,15 @@ func scaleTowardZero(x, factor float64) float64 {
 }
 
 // sampleRows draws k rows without replacement into a fresh store using a
-// partial Fisher–Yates shuffle over an index array. k is clamped to the
-// store's length. The RNG consumption order matches the historical
+// partial Fisher–Yates shuffle over an index array. When k covers the
+// whole store it returns s itself and draws nothing, so callers must
+// only read the result. The RNG consumption order matches the historical
 // slice-of-rows implementation, keeping trained models bit-identical
 // across the storage refactor.
 func sampleRows(s *points.Store, k int, rng *rand.Rand) *points.Store {
 	n := s.Len()
 	if k >= n {
-		return s.Clone()
+		return s
 	}
 	idx := make([]int, n)
 	for i := range idx {

@@ -27,6 +27,21 @@ func bruteThreshold(data *points.Store, b, p float64) float64 {
 	return t
 }
 
+// bootstrap runs Algorithm 3 over data the way TrainStore does: against
+// the full-size KDE that the classifier would serve.
+func bootstrap(t *testing.T, data *points.Store, cfg Config, rng *rand.Rand) thresholdBound {
+	t.Helper()
+	kern, tree, err := buildKDE(data, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb, err := boundThreshold(data, kern, tree, cfg, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tb
+}
+
 // TestBoundThresholdBracketsTrueThreshold verifies the bootstrap's core
 // guarantee across seeds: the returned bounds contain the exact t(p) (the
 // failure probability δ = 0.01 makes a miss across 8 seeds vanishingly
@@ -37,10 +52,7 @@ func TestBoundThresholdBracketsTrueThreshold(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		data := mustStore(gauss2D(rng, 1500))
 		cfg := testConfig().normalized()
-		tb, err := boundThreshold(data, cfg, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
+		tb := bootstrap(t, data, cfg, rng)
 		trueT := bruteThreshold(data, cfg.BandwidthFactor, cfg.P)
 		// Allow the ε precision the estimates carry.
 		slack := 2 * cfg.Epsilon * trueT
@@ -68,10 +80,7 @@ func TestBoundThresholdCheaperThanExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
 	data := mustStore(gauss2D(rng, 4000))
 	cfg := testConfig().normalized()
-	tb, err := boundThreshold(data, cfg, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := bootstrap(t, data, cfg, rng)
 	exactCost := int64(data.Len()) * int64(data.Len())
 	if tb.queries.Kernels() > exactCost/4 {
 		t.Fatalf("bootstrap used %d kernels; exact pass would be %d", tb.queries.Kernels(), exactCost)
@@ -82,10 +91,7 @@ func TestBoundThresholdTinyData(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	data := mustStore([][]float64{{0}, {0.1}, {0.2}, {10}})
 	cfg := testConfig().normalized()
-	tb, err := boundThreshold(data, cfg, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := bootstrap(t, data, cfg, rng)
 	if math.IsInf(tb.hi, 1) || tb.lo > tb.hi {
 		t.Fatalf("degenerate bounds for tiny data: [%g, %g]", tb.lo, tb.hi)
 	}
@@ -105,10 +111,15 @@ func TestSampleRows(t *testing.T) {
 		}
 		seen[got.At(i, 0)] = true
 	}
-	// k ≥ n returns all rows.
-	all := sampleRows(rows, 10, rng)
-	if all.Len() != 5 {
-		t.Fatalf("k>n returned %d rows, want 5", all.Len())
+	// k ≥ n returns the store itself and draws nothing.
+	used, fresh := rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
+	for _, k := range []int{5, 10} {
+		if all := sampleRows(rows, k, used); all != rows {
+			t.Fatalf("k=%d of 5 returned a new store, want the input itself", k)
+		}
+	}
+	if used.Int63() != fresh.Int63() {
+		t.Fatal("sampleRows drew from the RNG for k ≥ n")
 	}
 	// Original store unharmed.
 	for i := 0; i < rows.Len(); i++ {

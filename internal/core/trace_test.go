@@ -226,6 +226,11 @@ func TestDensityBoundsTrace(t *testing.T) {
 	if tr.Straddle || tr.Label != "" {
 		t.Fatalf("density trace carries classification fields: straddle=%v label=%q", tr.Straddle, tr.Label)
 	}
+	// The tree backend runs one refinement loop for both query kinds; a
+	// density query must still file its stage as tree/estimate.
+	if c.Backend() == BackendTree && (len(tr.Stages) != 1 || tr.Stages[0].Name != "tree/estimate") {
+		t.Fatalf("tree density trace stages = %+v, want one tree/estimate stage", tr.Stages)
+	}
 }
 
 // TestTraceDisabledLeavesNoTraces pins the gating: with the flight

@@ -535,58 +535,10 @@ func (s *Sampler) exact(x []float64, w *Work) float64 {
 // fl ≤ f(x) ≤ fu with probability ≥ 1−δ (with certainty, when the near
 // phase resolved the whole dataset); est is the unbiased split estimate.
 func (s *Sampler) BoundDensity(x []float64, tl, tu, tolCut float64, w *Work) (fl, fu, est float64) {
-	s.src.Seed(querySeed(s.seed, x))
-	if s.tree.Size <= 2*s.minSamples {
-		v := s.exact(x, w)
-		return v, v, v
-	}
-	sumNear := s.nearPhase(x, w)
-	if s.far.count == 0 {
-		v := sumNear / s.n
-		return v, v, v
-	}
-	if s.far.count <= s.minSamples {
-		// Sampling with replacement from a population this small costs
-		// more than exhausting it.
-		v := (sumNear + s.exactFar(x, w)) / s.n
-		return v, v, v
-	}
-	var st farState
-	target := s.minSamples
-	for {
-		var roundStart time.Time
-		if w.Trace != nil {
-			roundStart = time.Now()
-		}
-		s.sampleTo(&st, x, target, w)
-		fl, fu, est = s.bounds(sumNear, &st)
-		w.FarRounds++
-		if w.Trace != nil {
-			w.Trace.AddStage(telemetry.TraceStage{
-				Name:     fmt.Sprintf("far/round-%d", w.FarRounds),
-				Duration: time.Since(roundStart),
-				Samples:  int64(st.m),
-				Lower:    fl,
-				Upper:    fu,
-				Band:     fu - fl,
-			})
-		}
-		if !s.disableThreshold && (fl > tu || fu < tl) {
-			break
-		}
-		if !s.disableTolerance && tolCut > 0 && fu-fl < tolCut {
-			break
-		}
-		if target >= s.maxSamples {
-			break
-		}
-		target *= 2
-		if target > s.maxSamples {
-			target = s.maxSamples
-		}
-	}
-	w.FarSamples += int64(st.m)
-	return fl, fu, est
+	return s.refine(x, true, false, func(fl, fu float64) bool {
+		return !s.disableThreshold && (fl > tu || fu < tl) ||
+			!s.disableTolerance && tolCut > 0 && fu-fl < tolCut
+	}, w)
 }
 
 // EstimateDensity estimates the density to relative precision rel
@@ -595,6 +547,21 @@ func (s *Sampler) BoundDensity(x []float64, tl, tu, tolCut float64, w *Work) (fl
 // falls back to exhausting the far field exactly, so the returned
 // precision always honors the contract.
 func (s *Sampler) EstimateDensity(x []float64, rel float64, w *Work) (fl, fu, est float64) {
+	return s.refine(x, rel > 0, true, func(fl, fu float64) bool {
+		return fu-fl <= rel*fl
+	}, w)
+}
+
+// refine is the one estimation path behind BoundDensity and
+// EstimateDensity. It seeds the query's sampler, sums small datasets
+// exactly, runs the near phase, and then, when sample allows it and the
+// far field is large enough, doubles the far-field sample from
+// MinSamples to MaxSamples. stop runs once per round on the round's band
+// and ends the doubling. When the budget runs out first, exhaust
+// replaces the band by the exact far-field sum; otherwise the last band
+// is returned. A far field too small to sample, or one the caller does
+// not let it sample, is summed exactly.
+func (s *Sampler) refine(x []float64, sample, exhaust bool, stop func(fl, fu float64) bool, w *Work) (fl, fu, est float64) {
 	s.src.Seed(querySeed(s.seed, x))
 	if s.tree.Size <= 2*s.minSamples {
 		v := s.exact(x, w)
@@ -605,10 +572,12 @@ func (s *Sampler) EstimateDensity(x []float64, rel float64, w *Work) (fl, fu, es
 		v := sumNear / s.n
 		return v, v, v
 	}
-	if rel > 0 && s.far.count > s.minSamples {
+	// Sampling with replacement from a population of at most MinSamples
+	// costs more than exhausting it.
+	if sample && s.far.count > s.minSamples {
 		var st farState
-		target := s.minSamples
-		for {
+		met := false
+		for target := s.minSamples; ; target = min(2*target, s.maxSamples) {
 			var roundStart time.Time
 			if w.Trace != nil {
 				roundStart = time.Now()
@@ -626,19 +595,14 @@ func (s *Sampler) EstimateDensity(x []float64, rel float64, w *Work) (fl, fu, es
 					Band:     fu - fl,
 				})
 			}
-			if fu-fl <= rel*fl {
-				w.FarSamples += int64(st.m)
-				return fl, fu, est
-			}
-			if target >= s.maxSamples {
+			if met = stop(fl, fu); met || target >= s.maxSamples {
 				break
-			}
-			target *= 2
-			if target > s.maxSamples {
-				target = s.maxSamples
 			}
 		}
 		w.FarSamples += int64(st.m)
+		if met || !exhaust {
+			return fl, fu, est
+		}
 	}
 	v := (sumNear + s.exactFar(x, w)) / s.n
 	return v, v, v
