@@ -126,7 +126,8 @@ func main() {
 	})
 
 	// -stats and -serve both record into the process-wide registry, so
-	// tkdc.Metrics() and the /metrics endpoint see the same stream.
+	// tkdc.Metrics() and the /metrics endpoint see the same stream. A nil
+	// registry keeps telemetry off.
 	var reg *telemetry.Registry
 	if *stats || *serve != "" || traceSet {
 		reg = telemetry.Default
@@ -146,7 +147,7 @@ func main() {
 			staleAfter: *staleAfter,
 			workers:    *workers,
 			seed:       *seed,
-		}, reg, flight)
+		}, reg)
 		return
 	}
 
@@ -158,9 +159,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		if reg != nil {
-			clf.SetRecorder(reg)
-		}
+		clf.SetRecorder(reg)
 		// The snapshot carries the training machine's Workers; serve with
 		// this host's budget instead (also inherited by -stream retrains).
 		clf.SetWorkers(*workers)
@@ -185,9 +184,7 @@ func main() {
 		cfg.Workers = *workers
 		cfg.Backend = *backend
 		cfg.Seed = *seed
-		if reg != nil {
-			cfg.Recorder = reg
-		}
+		cfg.Recorder = reg
 
 		clf, err = tkdc.Train(data, cfg)
 		if err != nil {
@@ -234,7 +231,7 @@ func main() {
 			pub = fleet.NewPublisher(svc.Model())
 			svc.Start() // after pub: the hook must see the assignment
 		}
-		runServer(clf, reg, flight, *serve, svc, pub)
+		runServer(clf, reg, *serve, svc, pub)
 		if svc != nil {
 			if err := svc.Close(); err != nil {
 				fail(err)
@@ -280,9 +277,9 @@ func main() {
 // runServer blocks serving HTTP until SIGINT/SIGTERM, then shuts down
 // gracefully. With a non-nil streaming service, the handlers serve its
 // live model and accept ingest; the caller owns the service lifecycle.
-func runServer(clf *tkdc.Classifier, reg *telemetry.Registry, flight *telemetry.FlightRecorder, addr string, svc *tkdc.StreamService, pub *fleet.Publisher) {
+func runServer(clf *tkdc.Classifier, reg *telemetry.Registry, addr string, svc *tkdc.StreamService, pub *fleet.Publisher) {
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
-	serveLoop(addr, logger, server.Options{Registry: reg, Logger: logger, Stream: svc, Flight: flight, Publisher: pub}, clf,
+	serveLoop(addr, logger, server.Options{Registry: reg, Logger: logger, Stream: svc, Publisher: pub}, clf,
 		slog.Bool("stream", svc != nil))
 }
 
@@ -298,20 +295,17 @@ type fleetOptions struct {
 // the leader (retrying until the first snapshot lands or the process is
 // interrupted), then serve it while the background poll loop hot-swaps
 // generations underneath the handlers.
-func runFollower(leaderURL, addr string, fo fleetOptions, reg *telemetry.Registry, flight *telemetry.FlightRecorder) {
+func runFollower(leaderURL, addr string, fo fleetOptions, reg *telemetry.Registry) {
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
-	cfg := fleet.FollowerConfig{
+	f, err := fleet.NewFollower(fleet.FollowerConfig{
 		URL:        leaderURL,
 		PollEvery:  fo.pollEvery,
 		StaleAfter: fo.staleAfter,
 		Workers:    fo.workers,
 		Logger:     logger,
 		Seed:       fo.seed,
-	}
-	if reg != nil {
-		cfg.Recorder = reg
-	}
-	f, err := fleet.NewFollower(cfg)
+		Recorder:   reg,
+	})
 	if err != nil {
 		fail(err)
 	}
@@ -326,7 +320,7 @@ func runFollower(leaderURL, addr string, fo fleetOptions, reg *telemetry.Registr
 	defer f.Close()
 
 	clf := f.Model().Current()
-	serveLoop(addr, logger, server.Options{Registry: reg, Logger: logger, Flight: flight, Follower: f}, clf,
+	serveLoop(addr, logger, server.Options{Registry: reg, Logger: logger, Follower: f}, clf,
 		slog.String("role", "follower"), slog.String("leader", leaderURL))
 }
 

@@ -186,11 +186,6 @@ type Classifier struct {
 
 	counters workCounters
 	rec      telemetry.Recorder
-	// sink is the recorder's TraceSink view, type-asserted once at
-	// attach time so the per-query gate is a direct interface call
-	// rather than a per-query assertion. Nil when the recorder cannot
-	// trace.
-	sink telemetry.TraceSink
 }
 
 // Train fits a tKDC classifier to a slice-of-rows dataset. The rows are
@@ -375,7 +370,6 @@ func assemble(data *points.Store, cfg Config) (*Classifier, error) {
 		selfContrib: kern.AtZero() / float64(data.Len()),
 		rec:         rec,
 	}
-	c.sink, _ = rec.(telemetry.TraceSink)
 	c.estPool.New = func() any {
 		return &pooledBackend{DensityBackend: newQueryBackend(c.tree, c.kern, cfg)}
 	}
@@ -498,56 +492,24 @@ func (c *Classifier) scoreChecked(x []float64) Result {
 	var start time.Time
 	var tr *telemetry.QueryTrace
 	if traced {
-		start = time.Now()
-		// Per-query flight records ride on the aggregate-telemetry gate:
-		// they exist only when the recorder is also a TraceSink with an
-		// enabled flight recorder behind it.
-		if c.sink != nil && c.sink.TraceEnabled() {
-			tr = c.sink.StartTrace()
-			if tr != nil {
-				tr.Start = start
-				tr.Kind = "score"
-				tr.Query = append([]float64(nil), x...)
-				tr.Threshold = c.threshold
-			}
-		}
+		start, tr = c.startQuery(traceScore, x)
 	}
 
 	gridChecked := c.grid != nil
 	if gridChecked {
 		if lb := c.grid.LowerBoundDensity(x, c.gridKDiag); lb > c.threshold {
-			c.counters.add(QueryStats{GridHit: true})
-			if traced {
-				c.grid.Observe(true)
-				lat := time.Since(start)
-				if tr != nil {
-					tr.Latency = lat
-					tr.Backend = "grid"
-					tr.Label = High.String()
-					tr.Lower = lb
-					tr.Upper = math.Inf(1)
-					tr.Estimate = lb
-					tr.Margin = lb - c.threshold
-					tr.Certified = true
-					tr.GridHit = true
-					c.sink.FinishTrace(tr)
-				}
-				c.rec.RecordQuery(telemetry.QuerySample{
-					Latency:     lat,
-					GridChecked: true,
-					GridHit:     true,
-				})
-			}
-			return Result{
+			r := Result{
 				Label:   High,
 				Lower:   lb,
 				Upper:   math.Inf(1),
 				Density: lb,
 				Stats:   QueryStats{GridHit: true},
 			}
-		}
-		if traced {
-			c.grid.Observe(false)
+			c.counters.add(r.Stats)
+			if traced {
+				c.finishQuery(start, tr, r, "grid", true, true)
+			}
+			return r
 		}
 	}
 
@@ -564,34 +526,71 @@ func (c *Classifier) scoreChecked(x []float64) Result {
 	if f > c.threshold {
 		label = High
 	}
+	r := Result{Label: label, Lower: fl, Upper: fu, Density: f, Stats: qs}
 	if traced {
-		lat := time.Since(start)
-		if tr != nil {
-			tr.Latency = lat
-			tr.Backend = backendName
-			tr.Label = label.String()
-			tr.Lower = fl
-			tr.Upper = fu
-			tr.Estimate = f
-			tr.Margin = f - c.threshold
-			tr.Straddle = fl <= c.threshold && c.threshold <= fu
-			tr.Certified = certified
-			tr.PointKernels = qs.PointKernels
-			tr.BoundKernels = qs.BoundKernels
-			tr.Nodes = qs.NodesVisited
-			c.sink.FinishTrace(tr)
-		}
-		c.rec.RecordQuery(telemetry.QuerySample{
-			Latency:        lat,
-			PointKernels:   qs.PointKernels,
-			BoundKernels:   qs.BoundKernels,
-			Nodes:          qs.NodesVisited,
-			GridChecked:    gridChecked,
-			SamplingRounds: qs.SamplingRounds,
-			SampledPoints:  qs.SampledPoints,
-		})
+		c.finishQuery(start, tr, r, backendName, certified, gridChecked)
 	}
-	return Result{Label: label, Lower: fl, Upper: fu, Density: f, Stats: qs}
+	return r
+}
+
+// Trace kinds: a threshold classification or a DensityBounds query.
+const (
+	traceScore   = "score"
+	traceDensity = "density"
+)
+
+// startQuery opens one query's telemetry once the recorder is enabled:
+// it reads the clock and, when the recorder is tracing, starts a trace
+// of the given kind over a copy of x. The trace is nil otherwise.
+func (c *Classifier) startQuery(kind string, x []float64) (time.Time, *telemetry.QueryTrace) {
+	start := time.Now()
+	if !c.rec.TraceEnabled() {
+		return start, nil
+	}
+	tr := c.rec.StartTrace()
+	if tr != nil {
+		tr.Start = start
+		tr.Kind = kind
+		tr.Query = append([]float64(nil), x...)
+		if kind == traceScore {
+			tr.Threshold = c.threshold
+		}
+	}
+	return start, tr
+}
+
+// finishQuery closes what startQuery opened: it fills in and files the
+// trace, when there is one, and records the query's sample. r is the
+// query's answer; a density query has no label, margin or straddle.
+func (c *Classifier) finishQuery(start time.Time, tr *telemetry.QueryTrace, r Result, backend string, certified, gridChecked bool) {
+	lat := time.Since(start)
+	qs := r.Stats
+	if tr != nil {
+		tr.Latency = lat
+		tr.Backend = backend
+		tr.Lower, tr.Upper, tr.Estimate = r.Lower, r.Upper, r.Density
+		tr.Certified = certified
+		tr.GridHit = qs.GridHit
+		tr.PointKernels = qs.PointKernels
+		tr.BoundKernels = qs.BoundKernels
+		tr.Nodes = qs.NodesVisited
+		if tr.Kind == traceScore {
+			tr.Label = r.Label.String()
+			tr.Margin = r.Density - c.threshold
+			tr.Straddle = r.Lower <= c.threshold && c.threshold <= r.Upper
+		}
+		c.rec.FinishTrace(tr)
+	}
+	c.rec.RecordQuery(telemetry.QuerySample{
+		Latency:        lat,
+		PointKernels:   qs.PointKernels,
+		BoundKernels:   qs.BoundKernels,
+		Nodes:          qs.NodesVisited,
+		GridChecked:    gridChecked,
+		GridHit:        qs.GridHit,
+		SamplingRounds: qs.SamplingRounds,
+		SampledPoints:  qs.SampledPoints,
+	})
 }
 
 // ClassifyAll labels a batch of query points, fanning out across
@@ -624,15 +623,7 @@ func (c *Classifier) DensityBounds(x []float64, rel float64) (fl, fu float64, er
 	var start time.Time
 	var tr *telemetry.QueryTrace
 	if traced {
-		start = time.Now()
-		if c.sink != nil && c.sink.TraceEnabled() {
-			tr = c.sink.StartTrace()
-			if tr != nil {
-				tr.Start = start
-				tr.Kind = "density"
-				tr.Query = append([]float64(nil), x...)
-			}
-		}
+		start, tr = c.startQuery(traceDensity, x)
 	}
 	est := c.getEstimator()
 	est.qs.Trace = tr
@@ -644,27 +635,7 @@ func (c *Classifier) DensityBounds(x []float64, rel float64) (fl, fu float64, er
 	qs.Trace = nil
 	c.counters.add(qs)
 	if traced {
-		lat := time.Since(start)
-		if tr != nil {
-			tr.Latency = lat
-			tr.Backend = backendName
-			tr.Lower = fl
-			tr.Upper = fu
-			tr.Estimate = f
-			tr.Certified = certified
-			tr.PointKernels = qs.PointKernels
-			tr.BoundKernels = qs.BoundKernels
-			tr.Nodes = qs.NodesVisited
-			c.sink.FinishTrace(tr)
-		}
-		c.rec.RecordQuery(telemetry.QuerySample{
-			Latency:        lat,
-			PointKernels:   qs.PointKernels,
-			BoundKernels:   qs.BoundKernels,
-			Nodes:          qs.NodesVisited,
-			SamplingRounds: qs.SamplingRounds,
-			SampledPoints:  qs.SampledPoints,
-		})
+		c.finishQuery(start, tr, Result{Lower: fl, Upper: fu, Density: f, Stats: qs}, backendName, certified, false)
 	}
 	return fl, fu, nil
 }
@@ -737,7 +708,6 @@ func (c *Classifier) SetRecorder(r telemetry.Recorder) {
 		r = telemetry.Nop{}
 	}
 	c.rec = r
-	c.sink, _ = r.(telemetry.TraceSink)
 }
 
 // SetWorkers replaces the classifier's worker budget (Config.Workers):
@@ -752,17 +722,6 @@ func (c *Classifier) SetWorkers(w int) { c.cfg.Workers = w }
 // counts, maximum depth) — the denominator for interpreting the
 // nodes-visited histogram.
 func (c *Classifier) TreeStats() kdtree.Stats { return c.tree.Stats() }
-
-// GridCounters returns the hypergrid cache's hit/miss lookup counters.
-// They are populated only while telemetry is enabled (the grid lookup
-// stays side-effect-free otherwise) and are zero when the grid is
-// disabled.
-func (c *Classifier) GridCounters() (hits, misses int64) {
-	if c.grid == nil {
-		return 0, 0
-	}
-	return c.grid.Counters()
-}
 
 func (c *Classifier) checkQuery(x []float64) error {
 	if len(x) != c.dim {

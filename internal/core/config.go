@@ -102,12 +102,14 @@ type Config struct {
 	Workers int
 
 	// Recorder receives per-query telemetry samples (latency, kernel
-	// evaluations, nodes visited) and training phase spans. Nil means
-	// telemetry is off: the no-op recorder is used and the query path
-	// performs no timing calls. Point it at a *telemetry.Registry to
-	// collect latency and work histograms. The recorder is runtime
-	// wiring, not model state — Save does not persist it, and Load
-	// starts with telemetry off (see Classifier.SetRecorder).
+	// evaluations, nodes visited), per-query traces and training phase
+	// spans. Nil, or a nil *telemetry.Registry, means telemetry is off:
+	// the query path performs no timing calls. Point it at a
+	// *telemetry.Registry to collect latency and work histograms, and
+	// attach a flight recorder to that registry for traces. The
+	// recorder is runtime wiring, not model state — Save does not
+	// persist it, and Load starts with telemetry off (see
+	// Classifier.SetRecorder).
 	Recorder telemetry.Recorder
 }
 

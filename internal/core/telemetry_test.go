@@ -56,10 +56,6 @@ func TestRecorderReceivesQuerySamples(t *testing.T) {
 	if snap.GridHits+snap.GridMisses != queries {
 		t.Fatalf("grid hits+misses = %d, want %d (grid enabled: every query checks)", snap.GridHits+snap.GridMisses, queries)
 	}
-	gh, gm := c.GridCounters()
-	if gh != snap.GridHits || gm != snap.GridMisses {
-		t.Fatalf("GridCounters() = (%d, %d), want (%d, %d)", gh, gm, snap.GridHits, snap.GridMisses)
-	}
 	if snap.LatencyNS.Sum <= 0 {
 		t.Fatal("latency histogram sum should be positive")
 	}
@@ -223,6 +219,33 @@ func TestSnapshotWithoutRecorder(t *testing.T) {
 	snap := c.Snapshot()
 	if snap.Queries != 0 || snap.LatencyNS.Count() != 0 {
 		t.Fatalf("no-op recorder produced a non-zero snapshot: %+v", snap)
+	}
+}
+
+// TestNilRegistryRecorderIsOff checks that a nil *telemetry.Registry
+// set as the recorder means telemetry is off: the interface holding it
+// is non-nil, so the Nop fallback does not apply, and every gate must
+// answer false instead of dereferencing the registry.
+func TestNilRegistryRecorderIsOff(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	cfg := testConfig()
+	cfg.Recorder = (*telemetry.Registry)(nil)
+	c, err := Train(gauss2D(rng, 800), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Score([]float64{0.3, -0.2}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.DensityBounds([]float64{0.3, -0.2}, 0.01); err != nil {
+		t.Fatal(err)
+	}
+	c.SetRecorder((*telemetry.Registry)(nil))
+	if _, err := c.Score([]float64{5, 5}); err != nil {
+		t.Fatal(err)
+	}
+	if snap := c.Snapshot(); snap.Queries != 0 {
+		t.Fatalf("nil registry snapshot reports %d queries, want 0", snap.Queries)
 	}
 }
 

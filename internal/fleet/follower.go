@@ -371,9 +371,7 @@ func (f *Follower) pollOnce() (bool, error) {
 	if f.cfg.Workers > 0 {
 		clf.SetWorkers(f.cfg.Workers)
 	}
-	if f.cfg.Recorder != nil {
-		clf.SetRecorder(f.cfg.Recorder)
-	}
+	clf.SetRecorder(f.cfg.Recorder)
 
 	var local uint64
 	if m := f.Model(); m != nil {

@@ -20,23 +20,17 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"tkdc/internal/points"
 )
 
-// Grid counts dataset points per hypercube cell. The cell structure is
-// immutable after New and safe for concurrent readers; the hit/miss
-// telemetry counters are atomic, so concurrent queries may record
-// lookup outcomes freely.
+// Grid counts dataset points per hypercube cell. It is immutable after
+// New and safe for concurrent readers.
 type Grid struct {
 	widths []float64
 	inv    []float64
 	counts map[string]int
 	n      int
-
-	hits   atomic.Int64
-	misses atomic.Int64
 }
 
 // New builds a grid over a flat point store with the given per-dimension
@@ -175,22 +169,4 @@ func (g *Grid) DiagSqScaled(invH2 []float64) float64 {
 // cell diagonal away. kernelAtDiag must be K_H evaluated at DiagSqScaled.
 func (g *Grid) LowerBoundDensity(x []float64, kernelAtDiag float64) float64 {
 	return float64(g.Count(x)) / float64(g.n) * kernelAtDiag
-}
-
-// Observe records the outcome of one cache lookup: hit means the cell
-// count alone proved the query's density exceeds the threshold, so no
-// tree traversal was needed. Callers gate Observe behind their telemetry
-// flag, keeping the lookup itself side-effect-free when telemetry is
-// off.
-func (g *Grid) Observe(hit bool) {
-	if hit {
-		g.hits.Add(1)
-	} else {
-		g.misses.Add(1)
-	}
-}
-
-// Counters returns the lookup outcomes recorded by Observe.
-func (g *Grid) Counters() (hits, misses int64) {
-	return g.hits.Load(), g.misses.Load()
 }

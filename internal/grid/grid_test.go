@@ -3,7 +3,6 @@ package grid
 import (
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -185,41 +184,6 @@ func BenchmarkGridCount(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.Count(q)
-	}
-}
-
-// TestObserveCounters checks the telemetry lookup counters: they start
-// at zero, tally hits and misses independently, and are safe to bump
-// from concurrent queries.
-func TestObserveCounters(t *testing.T) {
-	pts := storeOf(t, [][]float64{{0.5, 0.5}})
-	g, err := New(pts, []float64{1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h, m := g.Counters(); h != 0 || m != 0 {
-		t.Fatalf("fresh grid counters = (%d, %d), want (0, 0)", h, m)
-	}
-	g.Observe(true)
-	g.Observe(true)
-	g.Observe(false)
-	if h, m := g.Counters(); h != 2 || m != 1 {
-		t.Fatalf("counters = (%d, %d), want (2, 1)", h, m)
-	}
-
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				g.Observe(i%2 == 0)
-			}
-		}()
-	}
-	wg.Wait()
-	if h, m := g.Counters(); h != 2+4*500 || m != 1+4*500 {
-		t.Fatalf("concurrent counters = (%d, %d), want (%d, %d)", h, m, 2+4*500, 1+4*500)
 	}
 }
 

@@ -30,8 +30,7 @@ func tracedServer(t *testing.T, backend string) (*httptest.Server, *telemetry.Fl
 	if err != nil {
 		t.Fatal(err)
 	}
-	// No explicit Options.Flight: New must find the recorder through the
-	// registry fallback.
+	// The server finds the flight recorder through the registry.
 	ts := httptest.NewServer(New(clf, Options{Registry: reg}))
 	t.Cleanup(ts.Close)
 	return ts, flight
@@ -175,8 +174,6 @@ func TestMetricsExpositionGolden(t *testing.T) {
 		"tkdc_tree_leaves gauge",
 		"tkdc_tree_max_depth gauge",
 		"tkdc_grid_cells gauge",
-		"tkdc_grid_cache_hits_total counter",
-		"tkdc_grid_cache_misses_total counter",
 		"tkdc_http_requests_total counter",
 		"tkdc_stream_ingested_total counter",
 		"tkdc_stream_retrains_total counter",
@@ -207,48 +204,6 @@ func TestMetricsExpositionGolden(t *testing.T) {
 	}
 	if resp.Header.Get("Content-Type") != "text/plain; version=0.0.4; charset=utf-8" {
 		t.Fatalf("content type = %q", resp.Header.Get("Content-Type"))
-	}
-}
-
-// TestExpvarFlightCounters checks the expvar mirror exposes the flight
-// block once a recorder is attached.
-func TestExpvarFlightCounters(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	reg.AttachFlightRecorder(telemetry.NewFlightRecorder(telemetry.FlightOptions{}))
-	ts, svc := streamServer(t, Options{Registry: reg})
-	// streamServer trains its classifier without a recorder; wire the live
-	// generation to ours so queries trace.
-	clf, _, _ := svc.Model().View()
-	clf.SetRecorder(reg)
-
-	resp, err := http.Post(ts.URL+"/classify", "application/json",
-		strings.NewReader(`{"points": [[0.5, 0.5]]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-
-	_, body := getJSON(t, ts.URL+"/debug/vars")
-	tk, ok := body["tkdc"].(map[string]any)
-	if !ok {
-		t.Fatalf("expvar missing tkdc key: %v", body)
-	}
-	flight, ok := tk["flight"].(map[string]any)
-	if !ok {
-		t.Fatalf("expvar tkdc block missing flight: %v", tk)
-	}
-	if flight["traced"].(float64) != 1 {
-		t.Fatalf("flight.traced = %v, want 1", flight["traced"])
-	}
-	stream, ok := tk["stream"].(map[string]any)
-	if !ok {
-		t.Fatalf("expvar tkdc block missing stream: %v", tk)
-	}
-	for _, key := range []string{"pending", "drift_score", "drift_probes", "last_retrain_reason"} {
-		if _, ok := stream[key]; !ok {
-			t.Fatalf("expvar stream block missing %q: %v", key, stream)
-		}
 	}
 }
 

@@ -1,8 +1,10 @@
 // Package server implements the tkdc -serve HTTP mode: classification
 // over HTTP (CSV or JSON rows) with structured request logging, plus the
 // observability surface — /metrics (plain-text exposition of the
-// telemetry registry and model gauges), /healthz, expvar at /debug/vars,
-// and the net/http/pprof profiling handlers at /debug/pprof/*.
+// telemetry registry and model gauges), /model, /healthz,
+// /debug/queries (the registry's flight recorder), Go's own expvar
+// variables at /debug/vars, and the net/http/pprof profiling handlers at
+// /debug/pprof/*.
 //
 // Every request reads the model through a stream.Model handle — one
 // atomic pointer load — so the same handlers serve a static classifier
@@ -24,7 +26,6 @@ import (
 	"net/http/pprof"
 	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -40,7 +41,8 @@ const DefaultMaxBodyBytes = 32 << 20
 
 // Options configures New.
 type Options struct {
-	// Registry supplies the telemetry behind /metrics; nil falls back to
+	// Registry supplies the telemetry behind /metrics and, through its
+	// attached flight recorder, /debug/queries; nil falls back to
 	// telemetry.Default. For the histograms to move, the classifier's
 	// recorder must point at the same registry (the CLI wires both).
 	Registry *telemetry.Registry
@@ -56,11 +58,6 @@ type Options struct {
 	// /metrics expose generation/age/ingest state. The caller owns the
 	// service lifecycle (Start/Close).
 	Stream *stream.Service
-	// Flight, when non-nil, backs GET /debug/queries with the flight
-	// recorder's retained traces. Nil falls back to the one attached to
-	// Registry (if any); with neither, the endpoint reports tracing
-	// disabled.
-	Flight *telemetry.FlightRecorder
 	// Follower, when non-nil, makes this a replication replica: queries
 	// read the follower's live Model handle (clf and Stream are ignored),
 	// /model reports leader URL and generation lag, and /healthz answers
@@ -84,24 +81,13 @@ type Server struct {
 	follower *fleet.Follower // nil unless replicating a leader
 	pub      *fleet.Publisher
 	reg      *telemetry.Registry
-	flight   *telemetry.FlightRecorder // nil when per-query tracing is off
 	log      *slog.Logger
 	max      int64
 	mux      *http.ServeMux
 
 	started  time.Time
 	requests atomic.Int64
-	ingested atomic.Int64 // rows accepted via /ingest on this server
 }
-
-// current is the server behind the process-wide expvar publication;
-// expvar names are global and cannot be unpublished, so the variable is
-// registered once and always reads through this pointer (tests may
-// build several servers).
-var (
-	current    atomic.Pointer[Server]
-	expvarOnce sync.Once
-)
 
 // New builds a Server over a trained classifier, wrapped in a
 // generation-1 Model handle. With opts.Stream set, the server serves
@@ -111,7 +97,6 @@ func New(clf *core.Classifier, opts Options) *Server {
 		svc:      opts.Stream,
 		follower: opts.Follower,
 		reg:      opts.Registry,
-		flight:   opts.Flight,
 		log:      opts.Logger,
 		max:      opts.MaxBodyBytes,
 		mux:      http.NewServeMux(),
@@ -135,9 +120,6 @@ func New(clf *core.Classifier, opts Options) *Server {
 	if s.reg == nil {
 		s.reg = telemetry.Default
 	}
-	if s.flight == nil {
-		s.flight = s.reg.Flight()
-	}
 	if s.max <= 0 {
 		s.max = DefaultMaxBodyBytes
 	}
@@ -156,17 +138,6 @@ func New(clf *core.Classifier, opts Options) *Server {
 	s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-
-	current.Store(s)
-	expvarOnce.Do(func() {
-		expvar.Publish("tkdc", expvar.Func(func() any {
-			srv := current.Load()
-			if srv == nil {
-				return nil
-			}
-			return srv.expvarSnapshot()
-		}))
-	})
 	return s
 }
 
@@ -378,7 +349,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	s.ingested.Add(int64(accepted))
 	st := s.svc.Stats()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"accepted":       accepted,
@@ -466,11 +436,12 @@ func (s *Server) handleDebugQueries(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "GET the retained query traces")
 		return
 	}
-	if s.flight == nil {
+	flight := s.reg.Flight()
+	if flight == nil {
 		writeJSON(w, http.StatusOK, telemetry.FlightSnapshot{})
 		return
 	}
-	writeJSON(w, http.StatusOK, s.flight.Snapshot())
+	writeJSON(w, http.StatusOK, flight.Snapshot())
 }
 
 // wantDensity reports whether the request asked for density bounds
@@ -488,7 +459,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	clf, gen, born := s.model.View()
 	ts := clf.TrainStats()
 	tree := clf.TreeStats()
-	gridHits, gridMisses := clf.GridCounters()
 
 	var b strings.Builder
 	snap.WriteMetrics(&b)
@@ -514,8 +484,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeGauge("tkdc_tree_leaves", tree.Leaves)
 	writeGauge("tkdc_tree_max_depth", tree.MaxDepth)
 	writeGauge("tkdc_grid_cells", ts.GridCells)
-	fmt.Fprintf(&b, "# TYPE tkdc_grid_cache_hits_total counter\ntkdc_grid_cache_hits_total %d\n", gridHits)
-	fmt.Fprintf(&b, "# TYPE tkdc_grid_cache_misses_total counter\ntkdc_grid_cache_misses_total %d\n", gridMisses)
 	fmt.Fprintf(&b, "# TYPE tkdc_http_requests_total counter\ntkdc_http_requests_total %d\n", s.requests.Load())
 	if s.svc != nil {
 		st := s.svc.Stats()
@@ -558,8 +526,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&b, "# TYPE tkdc_fleet_failures_total counter\ntkdc_fleet_failures_total %d\n", fs.Failures)
 		fmt.Fprintf(&b, "# TYPE tkdc_fleet_rejected_total counter\ntkdc_fleet_rejected_total %d\n", fs.Rejected)
 	}
-	if s.flight != nil {
-		fs := s.flight.Snapshot()
+	if flight := s.reg.Flight(); flight != nil {
+		fs := flight.Snapshot()
 		fmt.Fprintf(&b, "# TYPE tkdc_traces_total counter\ntkdc_traces_total %d\n", fs.Traced)
 		fmt.Fprintf(&b, "# TYPE tkdc_traces_straddling_total counter\ntkdc_traces_straddling_total %d\n", fs.Straddled)
 		fmt.Fprintf(&b, "# TYPE tkdc_slow_queries_total counter\ntkdc_slow_queries_total %d\n", fs.SlowLogged)
@@ -568,65 +536,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	io.WriteString(w, b.String())
-}
-
-// expvarSnapshot is the structured value published under the "tkdc"
-// expvar key.
-func (s *Server) expvarSnapshot() map[string]any {
-	snap := s.reg.Snapshot()
-	clf, gen, _ := s.model.View()
-	out := map[string]any{
-		"queries":        snap.Queries,
-		"grid_hits":      snap.GridHits,
-		"grid_misses":    snap.GridMisses,
-		"latency_ns_sum": snap.LatencyNS.Sum,
-		"kernels_sum":    snap.Kernels.Sum,
-		"model": map[string]any{
-			"n":          clf.N(),
-			"dim":        clf.Dim(),
-			"threshold":  clf.Threshold(),
-			"generation": gen,
-			"backend":    clf.Backend(),
-		},
-		"http_requests": s.requests.Load(),
-	}
-	if s.svc != nil {
-		st := s.svc.Stats()
-		out["stream"] = map[string]any{
-			"ingested":            st.Ingested,
-			"sample_size":         st.SampleSize,
-			"shards":              st.Shards,
-			"retrains":            st.Retrains,
-			"pending":             st.Pending,
-			"drift_score":         st.DriftScore,
-			"drift_probes":        st.DriftProbes,
-			"last_retrain_reason": st.LastRetrainReason,
-			"last_retrain_ns":     int64(st.LastRetrainDuration),
-		}
-	}
-	if s.follower != nil {
-		fs := s.follower.Stats()
-		out["fleet"] = map[string]any{
-			"leader_url":         fs.LeaderURL,
-			"leader_generation":  fs.LeaderGeneration,
-			"applied_generation": fs.AppliedGeneration,
-			"generation_lag":     fs.GenerationLag,
-			"last_sync_seconds":  fs.SinceSync.Seconds(),
-			"stale":              fs.Stale,
-			"syncs":              fs.Applied,
-			"failures":           fs.Failures,
-			"rejected":           fs.Rejected,
-		}
-	}
-	if s.flight != nil {
-		fs := s.flight.Snapshot()
-		out["flight"] = map[string]any{
-			"traced":      fs.Traced,
-			"straddled":   fs.Straddled,
-			"slow_logged": fs.SlowLogged,
-		}
-	}
-	return out
 }
 
 // writeJSON encodes v to a buffer before touching the ResponseWriter so

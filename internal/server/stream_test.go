@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -236,4 +237,59 @@ func TestStreamMetrics(t *testing.T) {
 	if got := metricValue(t, exp, "tkdc_stream_sample_size"); got != 801 {
 		t.Fatalf("sample_size = %d, want 801", got)
 	}
+}
+
+// TestCountersMonotoneAcrossRetrain scrapes /metrics around a retrain
+// and checks that no series declared a counter went down. A counter
+// kept on one model generation would fall back to zero on every swap.
+func TestCountersMonotoneAcrossRetrain(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	reg.AttachFlightRecorder(telemetry.NewFlightRecorder(telemetry.FlightOptions{}))
+	ts, svc := streamServer(t, Options{Registry: reg})
+	// streamServer trains without a recorder; record the live generation
+	// into reg so the query and trace counters move.
+	clf, _, _ := svc.Model().View()
+	clf.SetRecorder(reg)
+	if resp, out := postJSON(t, ts.URL+"/classify", `{"points":[[0,0],[0.1,0.1],[0.2,-0.1],[6,6]]}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("classify status = %d: %v", resp.StatusCode, out)
+	}
+
+	before := counterValues(t, getMetrics(t, ts.URL))
+	if before["tkdc_queries_total"] != 4 || before["tkdc_traces_total"] != 4 {
+		t.Fatalf("queries = %v, traces = %v before the retrain; want 4 each",
+			before["tkdc_queries_total"], before["tkdc_traces_total"])
+	}
+	if err := svc.Retrain(); err != nil {
+		t.Fatal(err)
+	}
+	after := counterValues(t, getMetrics(t, ts.URL))
+	for name, v := range before {
+		if after[name] < v {
+			t.Errorf("counter %s fell from %v to %v across a retrain", name, v, after[name])
+		}
+	}
+}
+
+// counterValues maps each series an exposition declares with
+// `# TYPE <name> counter` to its value.
+func counterValues(t *testing.T, exposition string) map[string]float64 {
+	t.Helper()
+	counters := map[string]bool{}
+	values := map[string]float64{}
+	for _, line := range strings.Split(exposition, "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[1] == "TYPE" && f[3] == "counter" {
+			counters[f[2]] = true
+			continue
+		}
+		name, v, ok := strings.Cut(line, " ")
+		if !ok || !counters[name] {
+			continue
+		}
+		x, err := strconv.ParseFloat(v, 64)
+		if err != nil {
+			t.Fatalf("parse %q: %v", line, err)
+		}
+		values[name] = x
+	}
+	return values
 }

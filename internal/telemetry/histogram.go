@@ -97,14 +97,6 @@ func (s HistogramSnapshot) Mean() float64 {
 	return float64(s.Sum) / float64(n)
 }
 
-// Merge adds another snapshot's observations into s.
-func (s *HistogramSnapshot) Merge(o HistogramSnapshot) {
-	for i := range s.Counts {
-		s.Counts[i] += o.Counts[i]
-	}
-	s.Sum += o.Sum
-}
-
 // Quantile estimates the q-quantile (0 ≤ q ≤ 1) by locating the bucket
 // containing the target rank and interpolating linearly inside it. The
 // estimate is exact for q's bucket boundary and within the bucket's 2×

@@ -93,6 +93,17 @@ type Recorder interface {
 	RecordQuery(QuerySample)
 	// RecordSpan records one named phase of batch work.
 	RecordSpan(Span)
+	// TraceEnabled reports whether per-query flight records are wanted.
+	// The query path asks it once per query, after Enabled, so it must
+	// stay as cheap: with tracing off a query performs that check and
+	// allocates nothing.
+	TraceEnabled() bool
+	// StartTrace hands out a trace to populate.
+	StartTrace() *QueryTrace
+	// FinishTrace takes ownership of a populated trace: the caller must
+	// not touch it afterwards, since it may be retained, rendered, and
+	// served concurrently.
+	FinishTrace(*QueryTrace)
 }
 
 // Nop is the default recorder: permanently disabled, records nothing,
@@ -107,6 +118,15 @@ func (Nop) RecordQuery(QuerySample) {}
 
 // RecordSpan discards the span.
 func (Nop) RecordSpan(Span) {}
+
+// TraceEnabled always returns false.
+func (Nop) TraceEnabled() bool { return false }
+
+// StartTrace returns nil.
+func (Nop) StartTrace() *QueryTrace { return nil }
+
+// FinishTrace discards the trace.
+func (Nop) FinishTrace(*QueryTrace) {}
 
 // maxSpans bounds the trace a registry retains; spans beyond it are
 // counted in Snapshot.SpansDropped rather than silently lost.
@@ -131,7 +151,7 @@ type Registry struct {
 	kernels   Histogram
 	nodes     Histogram
 
-	// flight, when attached, extends the registry into a TraceSink: the
+	// flight, when attached, receives the registry's trace methods: the
 	// query path asks TraceEnabled() once per query and only builds a
 	// QueryTrace when a recorder is present and switched on.
 	flight atomic.Pointer[FlightRecorder]
@@ -152,33 +172,34 @@ func NewRegistry() *Registry {
 // modes record into it, and tkdc.Metrics() snapshots it.
 var Default = NewRegistry()
 
-// Enabled reports whether the registry is accepting samples.
-func (r *Registry) Enabled() bool { return r.enabled.Load() }
+// Enabled reports whether the registry is accepting samples. A nil
+// registry never is, so a nil *Registry used as a Recorder means
+// telemetry is off.
+func (r *Registry) Enabled() bool { return r != nil && r.enabled.Load() }
 
 // SetEnabled toggles sample collection without detaching the recorder.
 func (r *Registry) SetEnabled(on bool) { r.enabled.Store(on) }
 
-// AttachFlightRecorder wires a flight recorder into the registry so the
-// query path sees it through the TraceSink interface. Pass nil to
-// detach.
+// AttachFlightRecorder wires a flight recorder into the registry, which
+// forwards the Recorder trace methods to it. Pass nil to detach.
 func (r *Registry) AttachFlightRecorder(f *FlightRecorder) { r.flight.Store(f) }
 
 // Flight returns the attached flight recorder, or nil.
 func (r *Registry) Flight() *FlightRecorder { return r.flight.Load() }
 
-// TraceEnabled implements TraceSink: per-query tracing is on only when
-// the registry itself is enabled and an enabled flight recorder is
+// TraceEnabled reports whether per-query tracing is on: only when the
+// registry itself is enabled and an enabled flight recorder is
 // attached. Two atomic loads on the hot path.
 func (r *Registry) TraceEnabled() bool {
-	if !r.enabled.Load() {
+	if !r.Enabled() {
 		return false
 	}
 	f := r.flight.Load()
 	return f != nil && f.Enabled()
 }
 
-// StartTrace implements TraceSink by delegating to the attached flight
-// recorder (nil when none is attached — callers gate on TraceEnabled).
+// StartTrace delegates to the attached flight recorder (nil when none
+// is attached — callers gate on TraceEnabled).
 func (r *Registry) StartTrace() *QueryTrace {
 	if f := r.flight.Load(); f != nil {
 		return f.StartTrace()
@@ -186,7 +207,7 @@ func (r *Registry) StartTrace() *QueryTrace {
 	return nil
 }
 
-// FinishTrace implements TraceSink.
+// FinishTrace hands the trace to the attached flight recorder.
 func (r *Registry) FinishTrace(t *QueryTrace) {
 	if f := r.flight.Load(); f != nil {
 		f.FinishTrace(t)
@@ -195,7 +216,7 @@ func (r *Registry) FinishTrace(t *QueryTrace) {
 
 // RecordQuery folds one query into the counters and histograms.
 func (r *Registry) RecordQuery(s QuerySample) {
-	if !r.enabled.Load() {
+	if !r.Enabled() {
 		return
 	}
 	r.queries.Inc()
@@ -224,7 +245,7 @@ func (r *Registry) RecordQuery(s QuerySample) {
 // RecordSpan appends one phase span to the trace, keeping at most
 // maxSpans.
 func (r *Registry) RecordSpan(s Span) {
-	if !r.enabled.Load() {
+	if !r.Enabled() {
 		return
 	}
 	r.mu.Lock()
@@ -238,8 +259,11 @@ func (r *Registry) RecordSpan(s Span) {
 
 // Snapshot copies the registry's current state. It may be taken while
 // queries are in flight; histograms and counters are read atomically
-// per field.
+// per field. A nil registry has recorded nothing.
 func (r *Registry) Snapshot() Snapshot {
+	if r == nil {
+		return Snapshot{}
+	}
 	s := Snapshot{
 		Queries:        r.queries.Load(),
 		GridHits:       r.gridHits.Load(),
@@ -302,22 +326,6 @@ type Snapshot struct {
 
 	Spans        []Span
 	SpansDropped int64
-}
-
-// Merge adds another snapshot's counters, histograms, and spans into s.
-func (s *Snapshot) Merge(o Snapshot) {
-	s.Queries += o.Queries
-	s.GridHits += o.GridHits
-	s.GridMisses += o.GridMisses
-	s.SamplingRounds += o.SamplingRounds
-	s.SampledPoints += o.SampledPoints
-	s.NearKernels += o.NearKernels
-	s.FarKernels += o.FarKernels
-	s.LatencyNS.Merge(o.LatencyNS)
-	s.Kernels.Merge(o.Kernels)
-	s.Nodes.Merge(o.Nodes)
-	s.Spans = append(s.Spans, o.Spans...)
-	s.SpansDropped += o.SpansDropped
 }
 
 // String renders the snapshot as a human-readable summary: query

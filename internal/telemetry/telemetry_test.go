@@ -107,24 +107,6 @@ func TestHistogramQuantileAcrossBuckets(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	var a, b Histogram
-	a.Observe(3)
-	a.Observe(100)
-	b.Observe(3)
-	sa, sb := a.Snapshot(), b.Snapshot()
-	sa.Merge(sb)
-	if got := sa.Count(); got != 3 {
-		t.Errorf("merged Count = %d, want 3", got)
-	}
-	if sa.Counts[2] != 2 {
-		t.Errorf("merged bucket for 3 = %d, want 2", sa.Counts[2])
-	}
-	if sa.Sum != 106 {
-		t.Errorf("merged Sum = %d, want 106", sa.Sum)
-	}
-}
-
 // TestNopRecorderAllocatesNothing is the satellite guarantee: the
 // default recorder adds zero allocations to the hot path.
 func TestNopRecorderAllocatesNothing(t *testing.T) {
@@ -204,19 +186,6 @@ func TestRegistrySpanCap(t *testing.T) {
 	}
 	if s.SpansDropped != 10 {
 		t.Errorf("SpansDropped = %d, want 10", s.SpansDropped)
-	}
-}
-
-func TestSnapshotMerge(t *testing.T) {
-	a := NewRegistry()
-	b := NewRegistry()
-	a.RecordQuery(QuerySample{Latency: time.Microsecond, PointKernels: 4})
-	b.RecordQuery(QuerySample{Latency: time.Microsecond, PointKernels: 6})
-	b.RecordSpan(Span{Name: "x"})
-	sa := a.Snapshot()
-	sa.Merge(b.Snapshot())
-	if sa.Queries != 2 || sa.Kernels.Sum != 10 || len(sa.Spans) != 1 {
-		t.Errorf("merged: %+v", sa)
 	}
 }
 

@@ -58,14 +58,15 @@ type TraceStage struct {
 // QueryTrace is the flight record of one density query: which backend
 // served it, the typed stages it went through, the work it performed,
 // and how close the decision came to the threshold. Traces are
-// allocated by a TraceSink only while tracing is enabled; the disabled
+// allocated by a Recorder only while tracing is enabled; the disabled
 // path never sees one.
 type QueryTrace struct {
-	// ID is a process-unique sequence number (assigned by the sink).
+	// ID is a process-unique sequence number (assigned by the flight
+	// recorder).
 	ID    uint64    `json:"id"`
 	Start time.Time `json:"start"`
 	// Latency is the query's wall-clock duration, set just before the
-	// trace is handed back to the sink.
+	// trace is handed back to the recorder.
 	Latency time.Duration `json:"latency_ns"`
 	// Kind is the query type: "score" (threshold classification) or
 	// "density" (DensityBounds).
@@ -201,41 +202,15 @@ func (t *QueryTrace) String() string {
 	return b.String()
 }
 
-// TraceSink receives per-query flight records. The query path gates
-// every trace behind TraceEnabled(), which must stay as cheap as an
-// atomic load: with tracing disabled a query performs that single check
-// and allocates nothing. StartTrace hands out a trace to populate;
-// FinishTrace takes ownership back (the caller must not touch the trace
-// afterwards — it may be retained, rendered, and served concurrently).
-type TraceSink interface {
-	TraceEnabled() bool
-	StartTrace() *QueryTrace
-	FinishTrace(*QueryTrace)
-}
-
 // DefaultTraceK is the per-category retention (slowest / most recent /
 // straddling) when FlightOptions leaves K zero.
 const DefaultTraceK = 32
-
-// traceShards spreads recent-trace inserts over this many locks; a
-// power of two so the sequence counter selects a shard with a mask.
-const traceShards = 8
-
-// traceShard is one lock-sharded slot ring of the most-recent buffer,
-// padded past a cache line so neighboring shards don't false-share.
-type traceShard struct {
-	mu   sync.Mutex
-	ring []*QueryTrace
-	next int
-	_    [64]byte
-}
 
 // FlightOptions configures NewFlightRecorder.
 type FlightOptions struct {
 	// K is the retention per category: the K slowest traces, the K most
 	// recent, and the K most recent threshold-straddling ones (default
-	// DefaultTraceK; rounded up to a multiple of the shard count for the
-	// recent ring).
+	// DefaultTraceK).
 	K int
 	// SlowThreshold, when positive, additionally logs every trace at
 	// least this slow through Logger and counts it in SlowLogged.
@@ -245,14 +220,12 @@ type FlightOptions struct {
 	Logger *slog.Logger
 }
 
-// FlightRecorder is the standard TraceSink: a lock-sharded ring buffer
-// that retains the K slowest traces, the K most recent, and the K most
-// recent whose density bounds straddled the classification threshold
-// (the ε-band "uncertain" cases), plus a structured slow-query log.
-// Inserts are designed for many concurrent query goroutines: recent
-// traces spread round-robin over sharded locks, and the slowest-K heap
-// is guarded by an atomic floor so queries faster than the current
-// K-th-slowest never touch its lock. Safe for concurrent use.
+// FlightRecorder retains the K slowest query traces, the K most recent,
+// and the K most recent whose density bounds straddled the
+// classification threshold (the ε-band "uncertain" cases), plus a
+// structured slow-query log. A Registry forwards its trace methods to
+// an attached FlightRecorder. One mutex guards the three retention
+// buffers and the counters. Safe for concurrent use.
 type FlightRecorder struct {
 	enabled atomic.Bool
 	k       int
@@ -261,19 +234,15 @@ type FlightRecorder struct {
 
 	seq atomic.Uint64
 
-	shards [traceShards]traceShard
-
-	slowMu    sync.Mutex
-	slowHeap  []*QueryTrace // min-heap on latency, ≤ k entries
-	slowFloor atomic.Int64  // latency of the heap minimum once full
-
-	straddleMu   sync.Mutex
-	straddleRing []*QueryTrace
+	mu           sync.Mutex
+	recent       []*QueryTrace // ring of the last k traces
+	recentNext   int
+	slowHeap     []*QueryTrace // min-heap on latency, ≤ k entries
+	straddle     []*QueryTrace // ring of the last k straddlers
 	straddleNext int
-
-	traced     Counter
-	straddled  Counter
-	slowLogged Counter
+	traced       int64
+	straddled    int64
+	slowLogged   int64
 }
 
 // NewFlightRecorder returns an enabled flight recorder.
@@ -282,16 +251,14 @@ func NewFlightRecorder(opts FlightOptions) *FlightRecorder {
 	if k <= 0 {
 		k = DefaultTraceK
 	}
-	perShard := (k + traceShards - 1) / traceShards
 	f := &FlightRecorder{
-		k:      perShard * traceShards,
-		slowNS: int64(opts.SlowThreshold),
-		log:    opts.Logger,
+		k:        k,
+		slowNS:   int64(opts.SlowThreshold),
+		log:      opts.Logger,
+		recent:   make([]*QueryTrace, k),
+		slowHeap: make([]*QueryTrace, 0, k),
+		straddle: make([]*QueryTrace, k),
 	}
-	for i := range f.shards {
-		f.shards[i].ring = make([]*QueryTrace, perShard)
-	}
-	f.straddleRing = make([]*QueryTrace, f.k)
 	f.enabled.Store(true)
 	return f
 }
@@ -300,14 +267,8 @@ func NewFlightRecorder(opts FlightOptions) *FlightRecorder {
 func (f *FlightRecorder) Enabled() bool { return f.enabled.Load() }
 
 // SetEnabled toggles trace collection. Disabling stops StartTrace calls
-// at the TraceEnabled gate; retained traces stay readable.
+// at the Registry's TraceEnabled gate; retained traces stay readable.
 func (f *FlightRecorder) SetEnabled(on bool) { f.enabled.Store(on) }
-
-// SlowThreshold returns the slow-query log threshold (0 = log off).
-func (f *FlightRecorder) SlowThreshold() time.Duration { return time.Duration(f.slowNS) }
-
-// TraceEnabled implements TraceSink.
-func (f *FlightRecorder) TraceEnabled() bool { return f.enabled.Load() }
 
 // StartTrace allocates a fresh trace with the next sequence number.
 // Traces are not pooled: a finished trace is retained by the rings and
@@ -324,45 +285,29 @@ func (f *FlightRecorder) FinishTrace(t *QueryTrace) {
 	if t == nil || !f.enabled.Load() {
 		return
 	}
-	f.traced.Inc()
+	slow := f.slowNS > 0 && int64(t.Latency) >= f.slowNS && f.log != nil
 
-	// Most-recent ring: strict round-robin over the shards, so the union
-	// of the shard rings is exactly the last k traces (modulo in-flight
-	// races, which can reorder neighbors but never lose a slot).
-	s := &f.shards[t.ID&(traceShards-1)]
-	s.mu.Lock()
-	s.ring[s.next] = t
-	s.next = (s.next + 1) % len(s.ring)
-	s.mu.Unlock()
-
-	// Slowest-K: the atomic floor keeps fast queries (the overwhelming
-	// majority) off the heap lock entirely.
-	lat := int64(t.Latency)
-	if lat > f.slowFloor.Load() {
-		f.slowMu.Lock()
-		if len(f.slowHeap) < f.k {
-			f.slowPush(t)
-			if len(f.slowHeap) == f.k {
-				f.slowFloor.Store(int64(f.slowHeap[0].Latency))
-			}
-		} else if lat > int64(f.slowHeap[0].Latency) {
-			f.slowPop()
-			f.slowPush(t)
-			f.slowFloor.Store(int64(f.slowHeap[0].Latency))
-		}
-		f.slowMu.Unlock()
+	f.mu.Lock()
+	f.traced++
+	f.recent[f.recentNext] = t
+	f.recentNext = (f.recentNext + 1) % f.k
+	if len(f.slowHeap) < f.k {
+		f.slowPush(t)
+	} else if t.Latency > f.slowHeap[0].Latency {
+		f.slowHeap[0] = t
+		f.slowDown()
 	}
-
 	if t.Straddle {
-		f.straddled.Inc()
-		f.straddleMu.Lock()
-		f.straddleRing[f.straddleNext] = t
-		f.straddleNext = (f.straddleNext + 1) % len(f.straddleRing)
-		f.straddleMu.Unlock()
+		f.straddled++
+		f.straddle[f.straddleNext] = t
+		f.straddleNext = (f.straddleNext + 1) % f.k
 	}
+	if slow {
+		f.slowLogged++
+	}
+	f.mu.Unlock()
 
-	if f.slowNS > 0 && lat >= f.slowNS && f.log != nil {
-		f.slowLogged.Inc()
+	if slow {
 		f.log.Warn("slow query",
 			slog.Uint64("trace_id", t.ID),
 			slog.String("kind", t.Kind),
@@ -379,7 +324,8 @@ func (f *FlightRecorder) FinishTrace(t *QueryTrace) {
 	}
 }
 
-// slowPush and slowPop maintain the min-heap on latency under slowMu.
+// slowPush adds t to the latency min-heap and slowDown restores the
+// heap after its root was replaced; both run under mu.
 func (f *FlightRecorder) slowPush(t *QueryTrace) {
 	h := append(f.slowHeap, t)
 	i := len(h) - 1
@@ -394,11 +340,8 @@ func (f *FlightRecorder) slowPush(t *QueryTrace) {
 	f.slowHeap = h
 }
 
-func (f *FlightRecorder) slowPop() {
+func (f *FlightRecorder) slowDown() {
 	h := f.slowHeap
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
 	i := 0
 	for {
 		l, r := 2*i+1, 2*i+2
@@ -410,12 +353,23 @@ func (f *FlightRecorder) slowPop() {
 			smallest = r
 		}
 		if smallest == i {
-			break
+			return
 		}
 		h[i], h[smallest] = h[smallest], h[i]
 		i = smallest
 	}
-	f.slowHeap = h
+}
+
+// newestFirst copies the filled slots of a ring whose next write goes
+// to slot next, newest first.
+func newestFirst(ring []*QueryTrace, next int) []*QueryTrace {
+	var out []*QueryTrace
+	for i := 1; i <= len(ring); i++ {
+		if t := ring[(next-i+len(ring))%len(ring)]; t != nil {
+			out = append(out, t)
+		}
+	}
+	return out
 }
 
 // FlightSnapshot is a coherent copy of a flight recorder's retained
@@ -446,38 +400,15 @@ func (f *FlightRecorder) Snapshot() FlightSnapshot {
 	snap := FlightSnapshot{
 		Enabled:         f.enabled.Load(),
 		K:               f.k,
-		Traced:          f.traced.Load(),
-		Straddled:       f.straddled.Load(),
-		SlowLogged:      f.slowLogged.Load(),
 		SlowThresholdNS: f.slowNS,
 	}
-
-	for i := range f.shards {
-		s := &f.shards[i]
-		s.mu.Lock()
-		for _, t := range s.ring {
-			if t != nil {
-				snap.Recent = append(snap.Recent, t)
-			}
-		}
-		s.mu.Unlock()
-	}
-	sort.Slice(snap.Recent, func(i, j int) bool { return snap.Recent[i].ID > snap.Recent[j].ID })
-
-	f.slowMu.Lock()
+	f.mu.Lock()
+	snap.Traced, snap.Straddled, snap.SlowLogged = f.traced, f.straddled, f.slowLogged
+	snap.Recent = newestFirst(f.recent, f.recentNext)
+	snap.Straddling = newestFirst(f.straddle, f.straddleNext)
 	snap.Slowest = append(snap.Slowest, f.slowHeap...)
-	f.slowMu.Unlock()
+	f.mu.Unlock()
 	sort.Slice(snap.Slowest, func(i, j int) bool { return snap.Slowest[i].Latency > snap.Slowest[j].Latency })
-
-	f.straddleMu.Lock()
-	for _, t := range f.straddleRing {
-		if t != nil {
-			snap.Straddling = append(snap.Straddling, t)
-		}
-	}
-	f.straddleMu.Unlock()
-	sort.Slice(snap.Straddling, func(i, j int) bool { return snap.Straddling[i].ID > snap.Straddling[j].ID })
-
 	return snap
 }
 

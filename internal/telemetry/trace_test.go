@@ -109,8 +109,8 @@ func TestFlightRecorderSlowLog(t *testing.T) {
 func TestFlightRecorderDisabled(t *testing.T) {
 	f := NewFlightRecorder(FlightOptions{K: 8})
 	f.SetEnabled(false)
-	if f.TraceEnabled() {
-		t.Fatal("TraceEnabled after SetEnabled(false)")
+	if f.Enabled() {
+		t.Fatal("Enabled after SetEnabled(false)")
 	}
 	fileTrace(f, time.Microsecond, true)
 	snap := f.Snapshot()
@@ -122,10 +122,20 @@ func TestFlightRecorderDisabled(t *testing.T) {
 	f.FinishTrace(nil)
 }
 
-func TestFlightRecorderKRoundsUpToShardMultiple(t *testing.T) {
+// TestFlightRecorderKeepsKExactly checks that each category retains
+// exactly K traces, K not a power of two included.
+func TestFlightRecorderKeepsKExactly(t *testing.T) {
 	f := NewFlightRecorder(FlightOptions{K: 5})
-	if snap := f.Snapshot(); snap.K != 8 {
-		t.Fatalf("K = %d, want 8 (rounded up to shard multiple)", snap.K)
+	for i := 1; i <= 20; i++ {
+		fileTrace(f, time.Duration(i)*time.Microsecond, true)
+	}
+	snap := f.Snapshot()
+	if snap.K != 5 {
+		t.Fatalf("K = %d, want 5", snap.K)
+	}
+	if len(snap.Slowest) != 5 || len(snap.Recent) != 5 || len(snap.Straddling) != 5 {
+		t.Fatalf("retained %d slowest, %d recent, %d straddling; want 5 each",
+			len(snap.Slowest), len(snap.Recent), len(snap.Straddling))
 	}
 	if f := NewFlightRecorder(FlightOptions{}); f.Snapshot().K != DefaultTraceK {
 		t.Fatalf("default K = %d, want %d", f.Snapshot().K, DefaultTraceK)
