@@ -140,14 +140,19 @@ func (w *workCounters) snapshot() Counters {
 
 // TrainStats describes the training phase.
 type TrainStats struct {
-	N, Dim          int
-	Bandwidths      []float64
-	ThresholdLow    float64 // t(p) lower bound from Algorithm 3
-	ThresholdHigh   float64 // t(p) upper bound from Algorithm 3
-	Threshold       float64 // refined estimate t̃(p)
+	N, Dim     int
+	Bandwidths []float64
+	// ThresholdLow and ThresholdHigh bound t(p) with probability ≥ 1−δ:
+	// the l-th and u-th order statistics (Equation 11 at s = n) of the
+	// accepted full-size pass, which bracket Threshold by construction.
+	ThresholdLow  float64
+	ThresholdHigh float64
+	Threshold     float64 // refined estimate t̃(p)
+	// BootstrapRounds counts Algorithm 3's subsampled rounds, retries
+	// included; it is 0 when n ≤ R0. The full-size pass is not a round.
 	BootstrapRounds int
 	// TrainKernels counts kernel evaluations spent in training (bootstrap
-	// plus the full-dataset density pass).
+	// rounds plus the full-size passes).
 	TrainKernels int64
 	// Workers is the effective goroutine budget the training pipeline
 	// fanned out to (1 = single-threaded): tree build, bootstrap
@@ -156,11 +161,11 @@ type TrainStats struct {
 	GridEnabled bool
 	GridCells   int
 	// Phases is the training trace, in pipeline order: the serving
-	// KDE and grid construction ("assemble"), one span per bootstrap
-	// round ("bootstrap/round-NN"), and one span per
-	// threshold-refinement pass ("refine/pass-N") — the
-	// tolerance-tightening retries of §3.6 appear as extra refine
-	// passes. Span kernel counts sum to TrainKernels.
+	// KDE and grid construction ("assemble"), one span per subsampled
+	// bootstrap round ("bootstrap/round-NN"), and one span per
+	// full-size pass ("refine/pass-N") — the §3.6 retries with a
+	// widened window appear as extra refine passes. Span kernel counts
+	// sum to TrainKernels.
 	Phases []telemetry.Span
 }
 
@@ -215,10 +220,10 @@ func TrainFlat(flat []float64, dim int, cfg Config) (*Classifier, error) {
 }
 
 // TrainStore fits a tKDC classifier to flat storage: it builds the
-// serving KDE and grid cache, bootstraps threshold bounds (Algorithm 3)
-// with its full-size rounds scored against that KDE, scores every
-// training point to refine the threshold to t̃(p), and returns a
-// classifier ready to serve queries (Algorithm 1).
+// serving KDE and grid cache, runs Algorithm 3's rounds on subsamples
+// smaller than n, scores every training point against the window they
+// carried to take t̃(p) and its bounds in one full-size pass, and
+// returns a classifier ready to serve queries (Algorithm 1).
 //
 // The store is referenced, not copied; it must not be mutated afterwards
 // (the public tkdc entry points always pass a fresh copy).
@@ -256,21 +261,27 @@ func TrainStore(data *points.Store, cfg Config) (*Classifier, error) {
 		Workers:  workers,
 	}}
 
-	// Phase 2: probabilistic threshold bounds (Algorithm 3). Its
-	// full-size rounds score against the serving KDE. Each bootstrap
-	// round contributes a trace span.
-	tb, err := boundThreshold(data, c.kern, c.tree, cfg, rng)
+	// Phase 2: Algorithm 3's subsampled rounds narrow a window on t(p).
+	// Each round contributes a trace span.
+	tb, err := boundThreshold(data, cfg, rng)
 	if err != nil {
 		return nil, err
 	}
 	phases = append(phases, tb.spans...)
-	c.tLow, c.tHigh = tb.lo, tb.hi
 
-	// Phase 3: score all training points to refine t̃(p) (Algorithm 1).
-	// If δ struck and the bootstrap bounds were invalid, detect it (t̃
-	// escaping [t_low, t_high]) and retry with widened bounds (§3.6).
+	// Phase 3: Algorithm 3's last round and Algorithm 1's refinement in
+	// one pass: score every training point against the window to take
+	// t̃(p). If δ struck and the window was invalid, detect it (t̃
+	// escaping the window) and retry with the escaped side widened
+	// (§3.6). The accepted pass's CI order statistics become t_low and
+	// t_high, which bracket t̃ by construction.
+	n := data.Len()
+	l, u, err := stats.QuantileCIIndices(n, cfg.P, cfg.Delta)
+	if err != nil {
+		return nil, fmt.Errorf("core: threshold quantile CI: %w", err)
+	}
 	trainKernels := tb.queries.Kernels()
-	tl, tu := c.tLow, c.tHigh
+	tl, tu := tb.lo, tb.hi
 	const maxAttempts = 4
 	for attempt := 0; ; attempt++ {
 		passStart := time.Now()
@@ -281,7 +292,7 @@ func TrainStore(data *points.Store, cfg Config) (*Classifier, error) {
 			Name:     fmt.Sprintf("refine/pass-%d", attempt+1),
 			Duration: time.Since(passStart),
 			Kernels:  passStats.Kernels(),
-			Items:    int64(data.Len()),
+			Items:    int64(n),
 			Workers:  workers,
 		})
 		t, qerr := stats.SortedQuantile(densities, cfg.P)
@@ -292,15 +303,18 @@ func TrainStore(data *points.Store, cfg Config) (*Classifier, error) {
 		loOK := t >= tl || tl <= 0
 		if hiOK && loOK {
 			c.threshold = t
+			c.tLow, _ = stats.SortedOrderStatistic(densities, l)
+			c.tHigh, _ = stats.SortedOrderStatistic(densities, u)
 			break
 		}
 		if attempt == maxAttempts {
-			return nil, fmt.Errorf("core: threshold estimate %g escaped bootstrap bounds [%g, %g] after %d attempts", t, c.tLow, c.tHigh, attempt)
+			return nil, fmt.Errorf("core: threshold estimate %g escaped bootstrap bounds [%g, %g] after %d attempts", t, tl, tu, attempt)
 		}
-		tl = scaleTowardZero(tl, cfg.HBackoff)
-		tu = scaleTowardInf(tu, cfg.HBackoff)
-		if tu <= 0 {
-			tu = math.Inf(1)
+		if !hiOK {
+			tu = scaleTowardInf(tu, cfg.HBackoff)
+		}
+		if !loOK {
+			tl = scaleTowardZero(tl, cfg.HBackoff)
 		}
 	}
 
@@ -644,7 +658,9 @@ func (c *Classifier) DensityBounds(x []float64, rel float64) (fl, fu float64, er
 func (c *Classifier) Threshold() float64 { return c.threshold }
 
 // ThresholdBounds returns the probabilistic bounds (t_low, t_high) on
-// t(p) computed by the bootstrap, valid with probability ≥ 1−δ.
+// t(p), valid with probability ≥ 1−δ: the Equation 11 order statistics
+// of the full-size training pass, so t_low ≤ t̃(p) ≤ t_high. Training
+// does not prune with them; they are persisted and reported.
 func (c *Classifier) ThresholdBounds() (lo, hi float64) { return c.tLow, c.tHigh }
 
 // SelfContribution returns K_H(0)/n, the density a training point

@@ -45,7 +45,7 @@ func goldenConfig() Config {
 }
 
 // goldenFixture captures the numerical outcome of training: the refined
-// threshold t̃(p), its bootstrap bounds, and the labels of both the
+// threshold t̃(p), its bounds (t_low, t_high), and the labels of both the
 // training points and an independent query grid.
 type goldenFixture struct {
 	Threshold   float64 `json:"threshold"`

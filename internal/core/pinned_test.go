@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"testing"
 
+	"tkdc/internal/dataset"
 	"tkdc/internal/points"
 )
 
@@ -91,6 +92,15 @@ func pinnedSamplingData() (data, queries [][]float64) {
 	return rows[:1500], rows[1500:]
 }
 
+// pinnedRetryData is a seeded tmy3 d=8 set whose p-quantile drifts
+// between bootstrap rounds faster than HBuffer covers, plus 64 queries
+// from the same generator. Trained at HGrowth = 2 with seed 2, two of
+// its rounds fail on the upper side and retry one geometric step.
+func pinnedRetryData() (data, queries [][]float64) {
+	rows := dataset.TMY3(1064, 2)
+	return rows[:1000], rows[1000:]
+}
+
 // TestPinnedWork pins the exact work and answer bits of training and
 // serving on both density backends: kernel and node counts, bootstrap
 // rounds, threshold bits, and digests of every returned bound. A change
@@ -102,12 +112,17 @@ func TestPinnedWork(t *testing.T) {
 	}
 	goldenData, goldenQueries := goldenDataset()
 	samplingData, samplingQueries := pinnedSamplingData()
+	retryData, retryQueries := pinnedRetryData()
 	tree := goldenConfig()
 	tree.Backend = BackendTree
 	subsampled := tree
-	subsampled.S0 = 100 // the full-size bootstrap round scores a subsample
+	subsampled.S0 = 100 // the bootstrap round scores a 100-row subsample
 	sampling := goldenConfig()
 	sampling.Backend = BackendSampling
+	retry := DefaultConfig()
+	retry.Backend = BackendTree
+	retry.HGrowth = 2
+	retry.Seed = 2
 
 	cases := []struct {
 		name          string
@@ -116,8 +131,8 @@ func TestPinnedWork(t *testing.T) {
 		want          pinnedModel
 	}{
 		{"tree", goldenData, goldenQueries, tree, pinnedModel{
-			TrainKernels: 227578, BootstrapRounds: 3,
-			Threshold: 0x3f813aadfd92770e, ThresholdLow: 0x3f3d6d542efdb9ff, ThresholdHigh: 0x3f8fa7158187acb8,
+			TrainKernels: 119053, BootstrapRounds: 1,
+			Threshold: 0x3f813aadfd92770e, ThresholdLow: 0x3f401690412c3904, ThresholdHigh: 0x3f8fa767af8058d0,
 			Score:     Counters{Queries: 64, GridHits: 0, PointKernels: 1228, BoundKernels: 1800, NodesVisited: 482, SamplingRounds: 0, SampledPoints: 0},
 			ScoreBits: 0x6c583ee49c86bc0a,
 			Density: [3]Counters{
@@ -128,8 +143,8 @@ func TestPinnedWork(t *testing.T) {
 			DensityBits: [3]uint64{0x6515efb0fd8ac52, 0x3b1745a7826a0a5e, 0x57783ceecfbc50f4},
 		}},
 		{"tree/S0=100", goldenData, goldenQueries, subsampled, pinnedModel{
-			TrainKernels: 100743, BootstrapRounds: 3,
-			Threshold: 0x3f813aadfd92770e, ThresholdLow: 0x3f24df575140d6f6, ThresholdHigh: 0x3f91396ecae19bd4,
+			TrainKernels: 103234, BootstrapRounds: 1,
+			Threshold: 0x3f813a4a51846864, ThresholdLow: 0x3f3d6d542efdb9ff, ThresholdHigh: 0x3f8fa6ebcb9b1924,
 			Score:     Counters{Queries: 64, GridHits: 0, PointKernels: 1228, BoundKernels: 1800, NodesVisited: 482, SamplingRounds: 0, SampledPoints: 0},
 			ScoreBits: 0x6c583ee49c86bc0a,
 			Density: [3]Counters{
@@ -140,8 +155,8 @@ func TestPinnedWork(t *testing.T) {
 			DensityBits: [3]uint64{0x6515efb0fd8ac52, 0x3b1745a7826a0a5e, 0x57783ceecfbc50f4},
 		}},
 		{"sampling/d27", samplingData, samplingQueries, sampling, pinnedModel{
-			TrainKernels: 9592178, BootstrapRounds: 5,
-			Threshold: 0x3b82fee2924ce4c0, ThresholdLow: 0x3b7af88e1ba80780, ThresholdHigh: 0x3b89bb363d410d60,
+			TrainKernels: 4516972, BootstrapRounds: 3,
+			Threshold: 0x3b82fee2924ce4c0, ThresholdLow: 0x3b7af88e1ba80780, ThresholdHigh: 0x3b89bb2df61107a0,
 			Score:     Counters{Queries: 64, GridHits: 0, PointKernels: 75278, BoundKernels: 1102, NodesVisited: 7036, SamplingRounds: 65, SampledPoints: 17920},
 			ScoreBits: 0x23b54252a24e5d67,
 			Density: [3]Counters{
@@ -150,6 +165,18 @@ func TestPinnedWork(t *testing.T) {
 				{Queries: 256, GridHits: 0, PointKernels: 513474, BoundKernels: 4408, NodesVisited: 28144, SamplingRounds: 387, SampledPoints: 216064},
 			},
 			DensityBits: [3]uint64{0x3f13ed680ce19c01, 0x47572722228e91ee, 0xe5bd9483b164dd09},
+		}},
+		{"tree/tmy3-retry", retryData, retryQueries, retry, pinnedModel{
+			TrainKernels: 399272, BootstrapRounds: 5,
+			Threshold: 0x3cfa82a2ecf89e72, ThresholdLow: 0x3cf4bc41772e691a, ThresholdHigh: 0x3cff76d9eff5785a,
+			Score:     Counters{Queries: 64, GridHits: 0, PointKernels: 2059, BoundKernels: 3740, NodesVisited: 990, SamplingRounds: 0, SampledPoints: 0},
+			ScoreBits: 0xea54027c2c2066c5,
+			Density: [3]Counters{
+				{Queries: 128, GridHits: 0, PointKernels: 16427, BoundKernels: 10588, NodesVisited: 3343, SamplingRounds: 0, SampledPoints: 0},
+				{Queries: 192, GridHits: 0, PointKernels: 36651, BoundKernels: 18556, NodesVisited: 6257, SamplingRounds: 0, SampledPoints: 0},
+				{Queries: 256, GridHits: 0, PointKernels: 100651, BoundKernels: 30972, NodesVisited: 12465, SamplingRounds: 0, SampledPoints: 0},
+			},
+			DensityBits: [3]uint64{0x29ca8a63873896c1, 0xd00e7490fa1380ba, 0x4b15f80576379821},
 		}},
 	}
 	for _, tc := range cases {

@@ -7,71 +7,66 @@ import (
 	"sort"
 	"time"
 
-	"tkdc/internal/kdtree"
-	"tkdc/internal/kernel"
 	"tkdc/internal/points"
 	"tkdc/internal/stats"
 	"tkdc/internal/telemetry"
 )
 
-// thresholdBound is the outcome of Algorithm 3: probabilistic bounds on
-// t(p) for the full-dataset KDE, valid with probability ≥ 1−δ.
+// thresholdBound is the outcome of Algorithm 3's subsampled rounds: a
+// window (lo, hi) on the corrected p-quantile that the full-size pass
+// in TrainStore scores against. The window carries the last passing
+// round's order statistics widened by HBuffer, so it holds t(p) with
+// probability ≥ 1−δ.
 type thresholdBound struct {
-	lo, hi  float64
-	rounds  int // bootstrap rounds run (including retries)
-	queries QueryStats
+	lo, hi float64
+	rounds int // bootstrap rounds run (including retries)
+	// upperRetries counts the rounds that failed on the upper side.
+	upperRetries int
+	queries      QueryStats
 	// spans traces each round (including retries): duration, kernel
 	// evaluations, and the subsample size it trained on.
 	spans []telemetry.Span
 }
 
-// boundThreshold is Algorithm 3. It bootstraps bounds on the quantile
-// threshold t(p) by training mini-KDEs on geometrically growing
-// subsamples: quantile bounds estimated on a small subsample make density
-// evaluation on the next, larger subsample cheap, because the pruning
-// rules of Algorithm 2 can fire. Bounds that turn out invalid for the
-// larger sample are multiplicatively backed off and the round retried.
+// boundThreshold is Algorithm 3 up to its last round. It bootstraps a
+// window on the quantile threshold t(p) by training mini-KDEs on
+// geometrically growing subsamples: quantile bounds estimated on a small
+// subsample make density evaluation on the next, larger subsample cheap,
+// because the pruning rules of Algorithm 2 can fire. Bounds that turn
+// out invalid for the larger sample are relaxed and the round retried.
 //
-// kern and tree are the serving KDE over all of data. A round whose
-// subsample has grown to the whole dataset would fit exactly that KDE,
-// so it scores against them instead of building its own.
+// It runs only rounds on fewer than n rows. The round on all n rows is
+// TrainStore's full-size pass, which scores every training point against
+// the window returned here. When R0 ≥ n no round runs and the window is
+// (0, +Inf).
 //
 // Each round's score loop fans the sample rows out with forEachChunk,
 // one private density backend per chunk. Sampling (the only RNG
 // consumer) stays sequential and each chunk writes disjoint density
 // slots, so the bounds are bit-identical to a single-threaded run.
-func boundThreshold(data *points.Store, kern kernel.Kernel, tree *kdtree.Tree, cfg Config, rng *rand.Rand) (thresholdBound, error) {
+func boundThreshold(data *points.Store, cfg Config, rng *rand.Rand) (thresholdBound, error) {
 	n := data.Len()
 	res := thresholdBound{lo: 0, hi: math.Inf(1)}
 	spanWorkers := max(effectiveWorkers(cfg.Workers), 1)
+	clipped := resolveBackend(cfg.Backend, data.Dim) == BackendTree
 
-	r := cfg.R0
-	if r > n {
-		r = n
-	}
 	const maxRetriesPerRound = 25
 	retries := 0
 	// densities is reused across rounds: sEff only grows (up to S0), so
 	// the buffer settles after a few rounds instead of reallocating per
 	// round.
 	var densities []float64
-	for {
+	for r := cfg.R0; r < n; {
 		res.rounds++
 		roundStart := time.Now()
 		kernelsBefore := res.queries.Kernels()
-		xr, rkern, rtree := data, kern, tree
-		if r < n {
-			xr = sampleRows(data, r, rng)
-			var err error
-			if rkern, rtree, err = buildKDE(xr, cfg); err != nil {
-				return res, err
-			}
+		xr := sampleRows(data, r, rng)
+		rkern, rtree, err := buildKDE(xr, cfg)
+		if err != nil {
+			return res, err
 		}
 
-		sEff := cfg.S0
-		if sEff > r {
-			sEff = r
-		}
+		sEff := min(cfg.S0, r)
 		xs := sampleRows(xr, sEff, rng)
 
 		// The bounds live in corrected-density space (Equation 1) while
@@ -115,45 +110,25 @@ func boundThreshold(data *points.Store, kern kernel.Kernel, tree *kdtree.Tree, c
 		// the low side).
 		switch {
 		case du > res.hi:
-			// Upper bound was too tight for this sample size. Relax past
-			// the (over-estimated) order statistic we observed and retry
-			// the round — bounds carried between rounds can be off by
-			// many orders of magnitude (Section 3.5), so pure
-			// multiplicative backoff would need dozens of retries. A
-			// non-positive bound cannot be grown multiplicatively; give
-			// up on that side entirely.
-			res.hi = scaleTowardInf(math.Max(res.hi, du), cfg.HBackoff)
-			if res.hi <= 0 || math.IsNaN(res.hi) {
-				res.hi = math.Inf(1)
-			}
+			res.hi = relaxUpper(res.hi, du, clipped, cfg)
+			res.upperRetries++
 			retries++
 		case res.lo > 0 && dl < res.lo:
 			res.lo = scaleTowardZero(math.Min(res.lo, dl), cfg.HBackoff)
 			retries++
 		default:
-			if r >= n {
-				// Final round ran against the full dataset: dl and du are
-				// the 1−δ bounds on t(p) (Section 3.5). In extreme
-				// dimensionality the corrected densities can cancel to
-				// zero; a non-positive upper bound cannot prune and would
-				// poison later passes, so it degrades to +Inf.
-				res.lo = dl
-				res.hi = du
-				if res.hi <= 0 {
-					res.hi = math.Inf(1)
-				}
-				return res, nil
-			}
+			// In extreme dimensionality the corrected densities can
+			// cancel to zero; a non-positive upper bound cannot prune
+			// and would poison later rounds, so it degrades to +Inf.
 			res.hi = scaleTowardInf(du, cfg.HBuffer)
 			if res.hi <= 0 {
 				res.hi = math.Inf(1)
 			}
 			res.lo = scaleTowardZero(dl, cfg.HBuffer)
 			retries = 0
-			r = int(float64(r) * cfg.HGrowth)
-			if r > n {
-				r = n
-			}
+			// Grow by at least one row: int(r·HGrowth) truncates back
+			// to r when HGrowth < 1 + 1/r.
+			r = max(r+1, int(float64(r)*cfg.HGrowth))
 			continue
 		}
 		if retries > maxRetriesPerRound {
@@ -164,6 +139,27 @@ func boundThreshold(data *points.Store, kern kernel.Kernel, tree *kdtree.Tree, c
 			retries = 0
 		}
 	}
+	return res, nil
+}
+
+// relaxUpper returns the upper bound a round retries with after its
+// u-th order statistic du exceeded the carried bound hi (0 < hi < du:
+// a carried bound is positive or +Inf). On the tree backend du is
+// clipped: the threshold rule stopped refining every row above hi at
+// the midpoint of wide bounds, so du overstates the true statistic, by
+// up to several times on drifting data. There, when du is within
+// HBackoff of hi, the retry takes one geometric step, to √(hi·du), and
+// grows hi by at least HBuffer so a nearly exact du cannot stall the
+// search below the true statistic; a too-tight retry stays cheap
+// because rows far above hi prune at the first boxes. Otherwise the
+// bound jumps to HBackoff·du: a bound can be orders of magnitude off
+// (Section 3.5), and the sampling backend's estimates are unbiased, so
+// a step below du would fail again at the full price of a round.
+func relaxUpper(hi, du float64, clipped bool, cfg Config) float64 {
+	if clipped && du <= cfg.HBackoff*hi {
+		return math.Max(math.Sqrt(hi*du), cfg.HBuffer*hi)
+	}
+	return cfg.HBackoff * du
 }
 
 // scaleTowardInf multiplicatively loosens an upper bound (larger for

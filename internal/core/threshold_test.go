@@ -5,65 +5,65 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"time"
 
 	"tkdc/internal/kernel"
 	"tkdc/internal/points"
 	"tkdc/internal/stats"
 )
 
+// bruteDensities returns the exact KDE (Scott's-rule bandwidths scaled
+// by b, Gaussian kernel) at every row of data, self-contribution
+// included, together with that self-contribution K_H(0)/n.
+func bruteDensities(data *points.Store, b float64) (ds []float64, self float64) {
+	h, _ := kernel.ScottBandwidths(data, b)
+	kern, _ := kernel.NewGaussian(h)
+	ds = make([]float64, data.Len())
+	for i := range ds {
+		ds[i] = exactDensity(data, kern, data.Row(i))
+	}
+	return ds, kern.AtZero() / float64(len(ds))
+}
+
 // bruteThreshold computes the exact self-contribution-corrected p-quantile
 // of training densities — the definition of t(p) in Equation 1.
 func bruteThreshold(data *points.Store, b, p float64) float64 {
-	h, _ := kernel.ScottBandwidths(data, b)
-	kern, _ := kernel.NewGaussian(h)
-	n := data.Len()
-	self := kern.AtZero() / float64(n)
-	ds := make([]float64, n)
-	for i := 0; i < n; i++ {
-		ds[i] = exactDensity(data, kern, data.Row(i)) - self
+	ds, self := bruteDensities(data, b)
+	for i := range ds {
+		ds[i] -= self
 	}
 	sort.Float64s(ds)
 	t, _ := stats.SortedQuantile(ds, p)
 	return t
 }
 
-// bootstrap runs Algorithm 3 over data the way TrainStore does: against
-// the full-size KDE that the classifier would serve.
-func bootstrap(t *testing.T, data *points.Store, cfg Config, rng *rand.Rand) thresholdBound {
-	t.Helper()
-	kern, tree, err := buildKDE(data, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb, err := boundThreshold(data, kern, tree, cfg, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tb
-}
-
-// TestBoundThresholdBracketsTrueThreshold verifies the bootstrap's core
-// guarantee across seeds: the returned bounds contain the exact t(p) (the
+// TestBoundThresholdBracketsTrueThreshold verifies the training
+// guarantee across seeds: the trained bounds contain the exact t(p) (the
 // failure probability δ = 0.01 makes a miss across 8 seeds vanishingly
 // unlikely; allow one).
 func TestBoundThresholdBracketsTrueThreshold(t *testing.T) {
 	misses := 0
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		data := mustStore(gauss2D(rng, 1500))
-		cfg := testConfig().normalized()
-		tb := bootstrap(t, data, cfg, rng)
-		trueT := bruteThreshold(data, cfg.BandwidthFactor, cfg.P)
+		data := gauss2D(rng, 1500)
+		cfg := testConfig()
+		cfg.Seed = seed
+		c, err := Train(data, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lo, hi := c.ThresholdBounds()
+		trueT := bruteThreshold(mustStore(data), cfg.BandwidthFactor, cfg.P)
 		// Allow the ε precision the estimates carry.
 		slack := 2 * cfg.Epsilon * trueT
-		if trueT < tb.lo-slack || trueT > tb.hi+slack {
+		if trueT < lo-slack || trueT > hi+slack {
 			misses++
-			t.Logf("seed %d: true t(p)=%g outside [%g, %g]", seed, trueT, tb.lo, tb.hi)
+			t.Logf("seed %d: true t(p)=%g outside [%g, %g]", seed, trueT, lo, hi)
 		}
-		if tb.lo > tb.hi {
-			t.Fatalf("seed %d: inverted bounds [%g, %g]", seed, tb.lo, tb.hi)
+		if lo > hi {
+			t.Fatalf("seed %d: inverted bounds [%g, %g]", seed, lo, hi)
 		}
-		if tb.rounds < 1 {
+		if c.TrainStats().BootstrapRounds < 1 {
 			t.Fatalf("seed %d: no bootstrap rounds recorded", seed)
 		}
 	}
@@ -72,28 +72,63 @@ func TestBoundThresholdBracketsTrueThreshold(t *testing.T) {
 	}
 }
 
-// The bootstrap must be dramatically cheaper than scoring every training
-// point exactly: its kernel evaluations should be well below n² even on a
-// modest dataset.
+// Training must be dramatically cheaper than scoring every training
+// point exactly: the bootstrap rounds plus the full-size pass should
+// evaluate well below n² kernels even on a modest dataset.
 func TestBoundThresholdCheaperThanExact(t *testing.T) {
 	skipUnlessTreeEfficiency(t)
 	rng := rand.New(rand.NewSource(40))
-	data := mustStore(gauss2D(rng, 4000))
-	cfg := testConfig().normalized()
-	tb := bootstrap(t, data, cfg, rng)
-	exactCost := int64(data.Len()) * int64(data.Len())
-	if tb.queries.Kernels() > exactCost/4 {
-		t.Fatalf("bootstrap used %d kernels; exact pass would be %d", tb.queries.Kernels(), exactCost)
+	data := gauss2D(rng, 4000)
+	c, err := Train(data, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	exactCost := int64(len(data)) * int64(len(data))
+	if k := c.TrainStats().TrainKernels; k > exactCost/4 {
+		t.Fatalf("training used %d kernels; exact pass would be %d", k, exactCost)
 	}
 }
 
+// With n ≤ R0 no subsampled round runs: the full-size pass scores the
+// tiny set exactly and still yields finite, ordered bounds.
 func TestBoundThresholdTinyData(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	data := mustStore([][]float64{{0}, {0.1}, {0.2}, {10}})
-	cfg := testConfig().normalized()
-	tb := bootstrap(t, data, cfg, rng)
-	if math.IsInf(tb.hi, 1) || tb.lo > tb.hi {
-		t.Fatalf("degenerate bounds for tiny data: [%g, %g]", tb.lo, tb.hi)
+	c, err := Train([][]float64{{0}, {0.1}, {0.2}, {10}}, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := c.ThresholdBounds()
+	if math.IsInf(hi, 1) || lo > c.Threshold() || c.Threshold() > hi {
+		t.Fatalf("degenerate bounds for tiny data: t̃=%g outside [%g, %g]", c.Threshold(), lo, hi)
+	}
+	if r := c.TrainStats().BootstrapRounds; r != 0 {
+		t.Fatalf("BootstrapRounds = %d for n ≤ R0, want 0", r)
+	}
+}
+
+// TestTrainSlowGrowthTerminates trains with growth factors at which
+// int(r·HGrowth) truncates back to r. Each round must still grow the
+// subsample by at least one row, so training returns.
+func TestTrainSlowGrowthTerminates(t *testing.T) {
+	data := gauss2D(rand.New(rand.NewSource(43)), 400)
+	for _, tc := range []struct {
+		r0      int
+		hGrowth float64
+	}{{1, 1.5}, {200, 1.004}} {
+		cfg := testConfig()
+		cfg.R0, cfg.HGrowth = tc.r0, tc.hGrowth
+		done := make(chan error, 1)
+		go func() {
+			_, err := Train(data, cfg)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("R0=%d HGrowth=%v: %v", tc.r0, tc.hGrowth, err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("R0=%d HGrowth=%v: Train did not return within 30 s", tc.r0, tc.hGrowth)
+		}
 	}
 }
 

@@ -184,10 +184,11 @@ func DefaultRegistry() *Registry { return telemetry.Default }
 // recorder contribute nothing (telemetry defaults to off).
 func Metrics() MetricsSnapshot { return telemetry.Default.Snapshot() }
 
-// Train fits a tKDC classifier: it bootstraps probabilistic threshold
-// bounds from growing subsamples (Algorithm 3), builds the spatial index
-// and grid cache, and refines the threshold to t̃(p) by scoring every
-// training point with threshold-pruned traversals (Algorithm 1).
+// Train fits a tKDC classifier: it builds the spatial index and grid
+// cache, narrows a window on the threshold from growing subsamples
+// (Algorithm 3), and takes t̃(p) and its 1−δ bounds in one pass that
+// scores every training point with threshold-pruned traversals against
+// that window (Algorithm 1).
 //
 // The rows are copied into the classifier's own contiguous storage, so
 // callers are free to mutate or discard data after Train returns.
