@@ -54,6 +54,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -249,20 +250,8 @@ func main() {
 	}
 
 	w := bufio.NewWriter(os.Stdout)
-	for i, q := range queries {
-		if *density {
-			r, err := clf.Score(q)
-			if err != nil {
-				fail(fmt.Errorf("query %d: %w", i, err))
-			}
-			fmt.Fprintf(w, "%s,%g,%g\n", r.Label, r.Lower, r.Upper)
-			continue
-		}
-		label, err := clf.Classify(q)
-		if err != nil {
-			fail(fmt.Errorf("query %d: %w", i, err))
-		}
-		fmt.Fprintln(w, label)
+	if err := writeResults(w, clf, queries, *density); err != nil {
+		fail(err)
 	}
 	w.Flush()
 
@@ -466,6 +455,41 @@ func validateBackend(name string) error {
 		}
 	}
 	return fmt.Errorf("unknown -backend %q (valid: %s)", name, strings.Join(tkdc.Backends(), ", "))
+}
+
+// writeResults classifies queries and writes one line per row to w:
+// the label, or with density the label and its density bounds. Labels
+// go through ClassifyAll and bounds through ScoreFlat, so the per-query
+// sweep runs on the classifier's Workers goroutines; every line is
+// bit-identical to per-row Score output. A malformed row fails the
+// whole batch, and the error names its index.
+func writeResults(w io.Writer, clf *tkdc.Classifier, queries [][]float64, density bool) error {
+	if !density {
+		labels, err := clf.ClassifyAll(queries)
+		if err != nil {
+			return err
+		}
+		for _, label := range labels {
+			fmt.Fprintln(w, label)
+		}
+		return nil
+	}
+	dim := clf.Dim()
+	flat := make([]float64, 0, len(queries)*dim)
+	for i, q := range queries {
+		if len(q) != dim {
+			return fmt.Errorf("query %d has dimension %d, want %d", i, len(q), dim)
+		}
+		flat = append(flat, q...)
+	}
+	results, err := clf.ScoreFlat(flat, len(queries))
+	if err != nil {
+		return err
+	}
+	for _, r := range results {
+		fmt.Fprintf(w, "%s,%g,%g\n", r.Label, r.Lower, r.Upper)
+	}
+	return nil
 }
 
 // indent prefixes every line for the stderr telemetry block.

@@ -2,7 +2,10 @@ package main
 
 import (
 	"context"
+	"fmt"
 	"io"
+	"math"
+	"math/rand"
 	"net"
 	"net/http"
 	"strings"
@@ -189,5 +192,66 @@ func TestValidateShards(t *testing.T) {
 	}
 	if got := resolveShards(3); got != 3 {
 		t.Errorf("resolveShards(3) = %d, want 3", got)
+	}
+}
+
+// TestWriteResultsMatchesScore pins batch mode's output: the labels and
+// -density lines that come from the parallel batch APIs equal per-row
+// Score output at one worker and at two, and a malformed row fails the
+// batch with its index in the error.
+func TestWriteResultsMatchesScore(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	rows := make([][]float64, 800)
+	for i := range rows {
+		rows[i] = []float64{rng.NormFloat64(), rng.NormFloat64()}
+	}
+	// Training rows plus a spread of wider queries, so both labels occur.
+	queries := append([][]float64{}, rows...)
+	for i := 0; i < 200; i++ {
+		queries = append(queries, []float64{4 * rng.NormFloat64(), 4 * rng.NormFloat64()})
+	}
+	for _, workers := range []int{1, 2} {
+		cfg := tkdc.DefaultConfig()
+		cfg.Workers = workers
+		clf, err := tkdc.Train(rows, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var labels, density strings.Builder
+		for _, q := range queries {
+			r, err := clf.Score(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintln(&labels, r.Label)
+			fmt.Fprintf(&density, "%s,%g,%g\n", r.Label, r.Lower, r.Upper)
+		}
+		if !strings.Contains(labels.String(), tkdc.Low.String()) || !strings.Contains(labels.String(), tkdc.High.String()) {
+			t.Fatal("queries do not exercise both labels")
+		}
+		for _, c := range []struct {
+			density bool
+			want    string
+		}{{false, labels.String()}, {true, density.String()}} {
+			var got strings.Builder
+			if err := writeResults(&got, clf, queries, c.density); err != nil {
+				t.Fatal(err)
+			}
+			if got.String() != c.want {
+				t.Fatalf("workers=%d density=%v: batch output differs from per-row Score", workers, c.density)
+			}
+		}
+
+		bad := append([][]float64{}, queries[:10]...)
+		bad[7] = []float64{1, math.NaN()}
+		wide := [][]float64{{1, 2, 3}}
+		for _, density := range []bool{false, true} {
+			if err := writeResults(io.Discard, clf, bad, density); err == nil || !strings.Contains(err.Error(), "query 7") {
+				t.Fatalf("density=%v: NaN row error = %v, want it to name query 7", density, err)
+			}
+			if err := writeResults(io.Discard, clf, wide, density); err == nil || !strings.Contains(err.Error(), "query 0") {
+				t.Fatalf("density=%v: wide row error = %v, want it to name query 0", density, err)
+			}
+		}
 	}
 }

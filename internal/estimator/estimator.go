@@ -247,10 +247,6 @@ func New(tree *kdtree.Tree, kern kernel.Kernel, opts Options) *Sampler {
 	}
 }
 
-// NearRadiusSq returns the bandwidth-scaled squared radius of the exact
-// near field.
-func (s *Sampler) NearRadiusSq() float64 { return s.nearSq }
-
 // nearRadiusSq finds the smallest scaled squared distance at which the
 // kernel has decayed to cut·K(0), by bisection on the monotone kernel.
 func nearRadiusSq(kern kernel.Kernel, cut float64) float64 {

@@ -113,10 +113,9 @@ func validateBandwidths(h []float64) error {
 //
 //	K_H(x) = (2π)^{−d/2} |H|^{−1/2} · exp(−½ Σ x_i²/h_i²)
 type Gaussian struct {
-	h       []float64
-	invH2   []float64
-	norm    float64
-	logNorm float64
+	h     []float64
+	invH2 []float64
+	norm  float64
 }
 
 // NewGaussian builds a Gaussian product kernel from per-dimension
@@ -128,9 +127,8 @@ type Gaussian struct {
 // is invariant to a common positive scale — both the densities and the
 // quantile threshold derived from them scale together — so when the
 // constant is unrepresentable the kernel silently switches to the
-// unnormalized form K(s) = exp(−s/2). LogNorm always reports the true
-// log constant and NormalizedValues reports whether values returned by
-// FromScaledSqDist are true probability densities.
+// unnormalized form K(s) = exp(−s/2), and FromScaledSqDist no longer
+// returns true probability densities.
 func NewGaussian(h []float64) (*Gaussian, error) {
 	if err := validateBandwidths(h); err != nil {
 		return nil, err
@@ -147,22 +145,12 @@ func NewGaussian(h []float64) (*Gaussian, error) {
 		g.invH2[i] = 1 / (hi * hi)
 		logNorm -= math.Log(math.Sqrt(2*math.Pi) * hi)
 	}
-	g.logNorm = logNorm
 	g.norm = math.Exp(logNorm)
 	if g.norm == 0 || math.IsInf(g.norm, 0) {
 		g.norm = 1
 	}
 	return g, nil
 }
-
-// LogNorm returns the logarithm of the true normalization constant,
-// even when the constant itself is not representable as a float64.
-func (g *Gaussian) LogNorm() float64 { return g.logNorm }
-
-// NormalizedValues reports whether FromScaledSqDist returns true
-// probability densities (false when the normalization constant is
-// unrepresentable and the kernel operates in scale-invariant mode).
-func (g *Gaussian) NormalizedValues() bool { return g.norm != 1 || g.logNorm == 0 }
 
 // Dim returns the data dimensionality.
 func (g *Gaussian) Dim() int { return len(g.h) }

@@ -15,8 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"tkdc/internal/matrix"
 )
 
 // Store is a flat, contiguous, row-major point set: row i occupies
@@ -70,18 +68,6 @@ func FromFlat(flat []float64, dim int) (*Store, error) {
 		return nil, fmt.Errorf("points: buffer length %d is not a multiple of dimension %d", len(flat), dim)
 	}
 	return &Store{Dim: dim, Data: append([]float64(nil), flat...)}, nil
-}
-
-// FromDense copies a matrix.Dense (e.g. a PCA-reduced dataset) into a
-// store, one matrix row per point.
-func FromDense(m *matrix.Dense) (*Store, error) {
-	if m == nil || m.Rows == 0 {
-		return nil, errors.New("points: empty matrix")
-	}
-	if m.Cols == 0 {
-		return nil, errors.New("points: zero-dimensional matrix")
-	}
-	return &Store{Dim: m.Cols, Data: append([]float64(nil), m.Data...)}, nil
 }
 
 // Len returns the number of rows.

@@ -3,8 +3,6 @@ package points
 import (
 	"math"
 	"testing"
-
-	"tkdc/internal/matrix"
 )
 
 func TestFromRows(t *testing.T) {
@@ -68,26 +66,6 @@ func TestFromFlat(t *testing.T) {
 	}
 	if _, err := FromFlat([]float64{1}, 0); err == nil {
 		t.Fatal("want error for non-positive dim")
-	}
-}
-
-func TestFromDense(t *testing.T) {
-	m := matrix.NewDense(2, 2)
-	m.Set(0, 0, 1)
-	m.Set(1, 1, 4)
-	s, err := FromDense(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Len() != 2 || s.At(1, 1) != 4 {
-		t.Fatalf("FromDense got %v", s.Data)
-	}
-	m.Set(0, 0, 99)
-	if s.At(0, 0) != 1 {
-		t.Fatal("FromDense must copy the matrix data")
-	}
-	if _, err := FromDense(nil); err == nil {
-		t.Fatal("want error for nil matrix")
 	}
 }
 

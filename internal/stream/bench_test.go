@@ -95,13 +95,14 @@ func BenchmarkIngest(b *testing.B) {
 // three configurations, all driven through b.RunParallel so -cpu=1,4,8
 // shows how each scales with concurrent ingesters:
 //
-//   - direct: the unsharded Ingestor — every batch funnels through one
-//     mutex, the pre-sharding baseline. Expect flat-or-worse throughput
-//     as -cpu grows.
-//   - shards=1: ShardedIngestor with K=1, the delegation wrapper. The
-//     CI K=1 guard pins this within 30% of direct.
-//   - sharded: ShardedIngestor with K=DefaultShards — the lock-striped
-//     path that should scale near-linearly until memory bandwidth.
+//   - direct: one bare shard — validate, take its one lock, run the
+//     ingest loop — the single-mutex ingest with nothing around it.
+//     Expect flat-or-worse throughput as -cpu grows.
+//   - shards=1: Ingestor.Add at K=1, which adds the width check and the
+//     ticket-counter shard pick to direct. The CI ratio gate pins this
+//     within 30% of direct (scripts/ratio_gates.json).
+//   - sharded: K=DefaultShards — the lock-striped path that should
+//     scale near-linearly until memory bandwidth.
 //
 // ns/row is reported alongside ns/op (batches differ in size).
 func BenchmarkIngestBatch(b *testing.B) {
@@ -123,14 +124,14 @@ func BenchmarkIngestBatch(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				return ing
+				return bareShard{ing}
 			}},
 			{"shards=1", func(b *testing.B) adder {
-				s, err := NewShardedIngestor(10_000, 2, 1, false, 1)
+				ing, err := NewIngestor(10_000, 2, 1, false)
 				if err != nil {
 					b.Fatal(err)
 				}
-				return s
+				return ing
 			}},
 			{"sharded", func(b *testing.B) adder {
 				s, err := NewShardedIngestor(10_000, 2, 1, false, 0)
@@ -156,6 +157,24 @@ func BenchmarkIngestBatch(b *testing.B) {
 			})
 		}
 	}
+}
+
+// bareShard ingests into an Ingestor's single shard the way Add does,
+// minus the width check and the shard pick: the direct variant of
+// BenchmarkIngestBatch.
+type bareShard struct{ *Ingestor }
+
+func (b bareShard) Add(rows [][]float64) (int, error) {
+	if err := validateRows(rows, b.Dim()); err != nil {
+		return 0, err
+	}
+	sh := b.shards[0]
+	sh.mu.Lock()
+	for _, row := range rows {
+		b.ingestRow(sh, row)
+	}
+	sh.mu.Unlock()
+	return len(rows), nil
 }
 
 // BenchmarkSample watches the drift probe's sampling cost: k probe rows

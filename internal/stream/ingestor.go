@@ -22,136 +22,212 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"tkdc/internal/points"
 )
 
-// Ingestor maintains a bounded-memory sample of an unbounded point
-// stream in flat row-major form. It is safe for concurrent use; Add
-// batches are applied atomically with respect to Snapshot.
-//
-// In reservoir mode (the default) the sample is a uniform random subset
-// of everything ever ingested, maintained with Vitter's Algorithm R over
-// a seeded generator — two ingestors fed the same batches with the same
-// seed hold bit-identical samples. While fewer rows than the capacity
-// have arrived, the sample is exactly the rows in arrival order, which
-// is what makes the batch-training determinism bridge exact.
-//
-// In window mode the sample is the most recent capacity rows, so old
-// data ages out and retrains track distribution drift.
-type Ingestor struct {
-	mu       sync.Mutex
-	window   bool
-	capacity int
-	// dim is 0 until the first row fixes it. It is atomic so the Add
-	// fast path can read the expected row width for pre-lock validation
-	// without acquiring (and immediately releasing) the ingest mutex;
-	// the only writers run under mu.
-	dim  atomic.Int64
-	rng  *rand.Rand
-	buf  *points.Store // allocated once the dimensionality is known
-	n    int           // rows currently held (≤ capacity)
-	seen int64         // rows ever ingested
+// maxShards bounds the shard count: past this, per-shard sample memory
+// (each shard holds a full-capacity buffer) dwarfs any contention win.
+const maxShards = 64
+
+// DefaultShards is the shard count used when an Ingestor is built with
+// shards == 0: one shard per scheduler thread, clamped to
+// [1, maxShards].
+func DefaultShards() int {
+	n := runtime.GOMAXPROCS(0)
+	if n < 1 {
+		n = 1
+	}
+	if n > maxShards {
+		n = maxShards
+	}
+	return n
 }
 
-// NewIngestor builds an ingestor holding at most capacity rows. dim
-// fixes the expected row width; 0 infers it from the first row. seed
-// drives reservoir eviction; window selects sliding-window mode (seed is
-// then unused).
+// Ingestor maintains a bounded-memory sample of an unbounded point
+// stream in flat row-major form. It is safe for concurrent use; a batch
+// is applied atomically with respect to Snapshot and Sample.
+//
+// The sample is striped over K shards, K fixed at creation (1 for
+// NewIngestor). Each shard is a mutex, a full-capacity buffer and its
+// own reservoir generator. Every Add or AddFlat call validates outside
+// any lock and lands whole on one shard, assigned by a wait-free ticket
+// counter, so concurrent batches contend only when they land on the
+// same shard. All K shards run the same code: K = 1 is not a special
+// case.
+//
+// In reservoir mode (the default) each shard keeps a uniform sample of
+// its own sub-stream with Vitter's Algorithm R, and Snapshot draws
+// min(capacity, seen) rows across the shards, weighted by how many rows
+// each shard saw: a uniform sample of everything ever ingested
+// (DESIGN §8.0; cf. Phillips & Tai on when compressed samples preserve
+// KDE accuracy). While fewer rows than the capacity have arrived the
+// draw is every held row, which at K = 1 is the rows in arrival order —
+// what makes the batch-training determinism bridge exact. For a fixed
+// batch→shard assignment (any sequential feed) two ingestors fed the
+// same batches with the same seed hold bit-identical samples; different
+// shard counts draw different, equally uniform ones.
+//
+// In window mode each shard keeps its newest capacity rows, and
+// Snapshot merges the newest rows of each shard, so old data ages out
+// and retrains track distribution drift.
+//
+// Memory: K × capacity rows. Sharding buys ingest parallelism with
+// sample memory, not accuracy.
+type Ingestor struct {
+	shards   []*shard
+	dim      atomic.Int64 // 0 until the first batch fixes it
+	seed     int64        // seeds Snapshot's cross-shard draw
+	capacity int          // bound of the sample and of each shard
+	window   bool
+	// Every batch reads the fields above and writes seq, the ticket
+	// counter behind shard assignment. The padding keeps that write off
+	// their cache line, so concurrent batches do not miss on it.
+	_   [64]byte
+	seq atomic.Uint32
+}
+
+// ShardedIngestor is another name for Ingestor, kept for callers that
+// name the striped ingestor.
+type ShardedIngestor = Ingestor
+
+// shard is one lock's share of the sample. Every batch that lands on a
+// shard writes its lock and counters, so the padding keeps each shard
+// off its neighbours' cache lines: unpadded, two 40-byte shards share a
+// line, concurrent batches on different shards contend on it anyway,
+// and a 1024-row batch at K = 2 on two cores took twice as long
+// (DESIGN §8.0).
+type shard struct {
+	mu   sync.Mutex
+	rng  *rand.Rand    // reservoir eviction, seeded with seed ⊕ shard index
+	buf  *points.Store // capacity rows, allocated once the width is known
+	n    int           // rows currently held (≤ capacity)
+	seen int64         // rows ever ingested by this shard
+	_    [64]byte
+}
+
+// NewIngestor builds an ingestor holding at most capacity rows in one
+// shard. dim fixes the expected row width; 0 infers it from the first
+// row. seed drives reservoir eviction; window selects sliding-window
+// mode (seed is then unused).
 func NewIngestor(capacity, dim int, seed int64, window bool) (*Ingestor, error) {
+	return NewShardedIngestor(capacity, dim, seed, window, 1)
+}
+
+// NewShardedIngestor builds an ingestor whose sample holds at most
+// capacity rows, striped over shards shards; shards == 0 picks
+// DefaultShards. Shard i's reservoir generator is seeded with seed ⊕ i,
+// so shard 0 of any K draws the generator stream of NewIngestor.
+func NewShardedIngestor(capacity, dim int, seed int64, window bool, shards int) (*Ingestor, error) {
 	if capacity < 1 {
 		return nil, fmt.Errorf("stream: reservoir capacity %d must be at least 1", capacity)
 	}
 	if dim < 0 {
 		return nil, fmt.Errorf("stream: dimension %d must be non-negative", dim)
 	}
-	ing := &Ingestor{
-		window:   window,
-		capacity: capacity,
-		rng:      rand.New(rand.NewSource(seed)),
+	if shards < 0 {
+		return nil, fmt.Errorf("stream: shard count %d must be non-negative", shards)
 	}
-	if dim > 0 {
-		ing.dim.Store(int64(dim))
-		ing.buf = points.New(capacity, dim)
+	if shards == 0 {
+		shards = DefaultShards()
+	}
+	if shards > maxShards {
+		return nil, fmt.Errorf("stream: shard count %d exceeds the maximum %d", shards, maxShards)
+	}
+	ing := &Ingestor{
+		shards:   make([]*shard, shards),
+		seed:     seed,
+		capacity: capacity,
+		window:   window,
+	}
+	ing.dim.Store(int64(dim))
+	for i := range ing.shards {
+		sh := &shard{rng: rand.New(rand.NewSource(seed ^ int64(i)))}
+		if dim > 0 {
+			sh.buf = points.New(capacity, dim)
+		}
+		ing.shards[i] = sh
 	}
 	return ing, nil
 }
 
-// Add ingests a batch of rows. The batch is validated in full first —
-// consistent dimensionality, finite coordinates — and rejected whole on
-// the first bad row, mirroring the /classify request semantics; nothing
-// is ingested on error. Validation runs before the ingest lock is taken
-// (the expected row width is one atomic load, not a mutex acquire), so a
+// Add ingests a batch of rows into one shard. The batch is validated in
+// full first — consistent dimensionality, finite coordinates — and
+// rejected whole on the first bad row, mirroring the /classify request
+// semantics; nothing is ingested on error. Validation runs before any
+// lock is taken (the expected row width is one atomic load), so a
 // malformed (or merely large) batch never stalls concurrent ingesters
 // while it is being checked. Returns the number of rows ingested.
-func (i *Ingestor) Add(rows [][]float64) (int, error) {
+func (ing *Ingestor) Add(rows [][]float64) (int, error) {
 	if len(rows) == 0 {
 		return 0, nil
 	}
-	dim := i.Dim()
+	dim := ing.Dim()
 	if dim == 0 {
 		dim = len(rows[0])
 	}
 	if err := validateRows(rows, dim); err != nil {
 		return 0, err
 	}
-	return i.addPrevalidated(rows, dim)
+	sh, err := ing.lockShard(dim)
+	if err != nil {
+		return 0, err
+	}
+	for _, row := range rows {
+		ing.ingestRow(sh, row)
+	}
+	sh.mu.Unlock()
+	return len(rows), nil
 }
 
 // AddFlat ingests rows already in flat row-major form: flat holds
 // len(flat)/dim rows of width dim. Validation and atomicity match Add.
-func (i *Ingestor) AddFlat(flat []float64, dim int) (int, error) {
-	want := i.Dim()
+// An empty batch does not fix the row width.
+func (ing *Ingestor) AddFlat(flat []float64, dim int) (int, error) {
+	want := ing.Dim()
 	if want == 0 {
 		want = dim
 	}
 	if err := validateFlat(flat, dim, want); err != nil {
 		return 0, err
 	}
-	return i.addFlatPrevalidated(flat, dim)
-}
-
-// addPrevalidated applies a batch whose rows have already passed
-// validateRows against dim, taking the ingest lock once. checkDim
-// re-verifies the width under the lock — a concurrent first batch may
-// have fixed the dimensionality since validation ran.
-func (i *Ingestor) addPrevalidated(rows [][]float64, dim int) (int, error) {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	if err := i.checkDim(dim); err != nil {
-		return 0, err
+	if len(flat) == 0 && ing.Dim() == 0 {
+		return 0, nil
 	}
-	for _, row := range rows {
-		i.ingestRow(row)
-	}
-	return len(rows), nil
-}
-
-// addFlatPrevalidated is addPrevalidated over a flat row-major buffer
-// that already passed validateFlat.
-func (i *Ingestor) addFlatPrevalidated(flat []float64, dim int) (int, error) {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	if err := i.checkDim(dim); err != nil {
+	sh, err := ing.lockShard(dim)
+	if err != nil {
 		return 0, err
 	}
 	n := len(flat) / dim
 	for r := 0; r < n; r++ {
-		i.ingestRow(flat[r*dim : (r+1)*dim])
+		ing.ingestRow(sh, flat[r*dim:(r+1)*dim])
 	}
+	sh.mu.Unlock()
 	return n, nil
 }
 
-// checkDim re-verifies, under i.mu, that a batch validated outside the
-// lock still matches the ingestor's row width — a concurrent first batch
-// may have fixed the dimensionality in between. Callers hold i.mu.
-func (i *Ingestor) checkDim(dim int) error {
-	if d := int(i.dim.Load()); d != 0 && d != dim {
-		return fmt.Errorf("stream: batch has dimension %d, want %d", dim, d)
+// lockShard fixes the row width on the first batch, rejects a batch
+// whose width disagrees with it, and returns the next shard by ticket,
+// locked. The batch was validated against a width read before it was
+// fixed, so two first batches of different widths can race here; the
+// CAS settles which one wins. It runs only while the width is 0, so
+// later batches only read the cache line that holds it.
+func (ing *Ingestor) lockShard(dim int) (*shard, error) {
+	if ing.dim.Load() == 0 {
+		ing.dim.CompareAndSwap(0, int64(dim))
 	}
-	return nil
+	if d := ing.Dim(); d != dim {
+		return nil, fmt.Errorf("stream: batch has dimension %d, want %d", dim, d)
+	}
+	sh := ing.shards[int(ing.seq.Add(1)-1)%len(ing.shards)]
+	sh.mu.Lock()
+	if sh.buf == nil {
+		sh.buf = points.New(ing.capacity, dim)
+	}
+	return sh, nil
 }
 
 // validateRows checks every row for the expected width and finite
@@ -199,102 +275,235 @@ func checkRow(row []float64, dim, idx int) error {
 	return nil
 }
 
-// ingestRow applies one validated row. Callers hold i.mu.
-func (i *Ingestor) ingestRow(row []float64) {
-	if i.dim.Load() == 0 {
-		i.dim.Store(int64(len(row)))
-		i.buf = points.New(i.capacity, len(row))
-	}
-	i.seen++
-	if i.n < i.capacity {
-		copy(i.buf.Row(i.n), row)
-		i.n++
+// ingestRow applies one validated row to sh. Callers hold sh.mu.
+func (ing *Ingestor) ingestRow(sh *shard, row []float64) {
+	sh.seen++
+	if sh.n < ing.capacity {
+		copy(sh.buf.Row(sh.n), row)
+		sh.n++
 		return
 	}
-	if i.window {
+	if ing.window {
 		// Ring overwrite: the slot of the oldest row is (seen-1) mod cap
 		// once the buffer is full, because rows land in arrival order.
-		copy(i.buf.Row(int((i.seen-1)%int64(i.capacity))), row)
+		copy(sh.buf.Row(int((sh.seen-1)%int64(ing.capacity))), row)
 		return
 	}
 	// Algorithm R: the new row replaces a uniformly random slot with
 	// probability capacity/seen.
-	if j := i.rng.Int63n(i.seen); j < int64(i.capacity) {
-		copy(i.buf.Row(int(j)), row)
+	if j := sh.rng.Int63n(sh.seen); j < int64(ing.capacity) {
+		copy(sh.buf.Row(int(j)), row)
 	}
 }
 
-// Snapshot copies the current sample into a fresh store — the input to a
-// retrain, safe to index and keep while ingestion continues — and
-// returns the total rows ingested at the moment of the copy. In window
-// mode rows are ordered oldest to newest; in reservoir mode, by slot. A
-// nil store is returned while the sample is empty.
-func (i *Ingestor) Snapshot() (*points.Store, int64) {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	if i.n == 0 {
-		return nil, i.seen
+// lockAll acquires every shard lock in index order (the fixed order is
+// what makes concurrent readers deadlock-free) and returns the rows
+// ever ingested and the rows held across shards. The read is one
+// atomic cut: a batch is either entirely in it or entirely absent.
+func (ing *Ingestor) lockAll() (seen int64, held int) {
+	for _, sh := range ing.shards {
+		sh.mu.Lock()
+		seen += sh.seen
+		held += sh.n
 	}
-	dim := int(i.dim.Load())
-	out := points.New(i.n, dim)
-	i.copyNewestLocked(out.Data, i.n)
-	return out, i.seen
+	return seen, held
 }
 
-// copyNewestLocked copies the newest m held rows into dst in arrival
-// order (oldest of the m first). In reservoir mode slot order is the
-// only order there is, so m must equal n; in window mode any suffix of
-// the arrival order can be taken. Callers hold i.mu and size dst to
-// m*dim.
-func (i *Ingestor) copyNewestLocked(dst []float64, m int) {
-	dim := int(i.dim.Load())
-	if i.window && i.n == i.capacity {
-		// Full ring: the slot of the oldest held row is seen mod cap, so
-		// arrival rank r lives at slot (head+r) mod cap. The newest m rows
-		// are ranks n-m .. n-1, a wrapped contiguous run.
-		head := int(i.seen % int64(i.capacity))
-		start := (head + i.n - m) % i.capacity
-		if start+m <= i.capacity {
-			copy(dst, i.buf.Data[start*dim:(start+m)*dim])
-			return
-		}
-		k := copy(dst, i.buf.Data[start*dim:])
-		copy(dst[k:], i.buf.Data[:(m-(i.capacity-start))*dim])
-		return
+func (ing *Ingestor) unlockAll() {
+	for _, sh := range ing.shards {
+		sh.mu.Unlock()
 	}
-	copy(dst, i.buf.Data[(i.n-m)*dim:i.n*dim])
 }
 
-// Sample copies at most k uniformly drawn rows of the current sample
-// into a fresh store, using a private generator seeded with seed so the
-// draw is reproducible and does not perturb reservoir eviction. It is
-// the cheap input to the drift probe. Returns nil while empty.
-//
-// The draw is a sparse Fisher–Yates: only the k displaced slots are
-// tracked (in a map), so a k-row probe over an n-row sample allocates
-// O(k) instead of the O(n) index permutation it used to materialize —
-// see BenchmarkSample. The emitted rows are identical to the dense
-// shuffle's for any given seed.
-func (i *Ingestor) Sample(k int, seed int64) *points.Store {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	if i.n == 0 || k < 1 {
+// Snapshot copies the sample — Len() rows drawn across all shards —
+// into a fresh store, the input to a retrain, safe to index and keep
+// while ingestion continues, and returns the total rows ingested at the
+// moment of the copy. In reservoir mode the rows are a uniform draw of
+// the stream, seeded from the construction seed, so back-to-back
+// Snapshots of an idle ingestor are identical; in window mode they are
+// each shard's newest rows, oldest to newest. A nil store is returned
+// while the sample is empty.
+func (ing *Ingestor) Snapshot() (*points.Store, int64) {
+	seen, held := ing.lockAll()
+	defer ing.unlockAll()
+	if held == 0 {
+		return nil, seen
+	}
+	if ing.window {
+		return ing.mergeWindowLocked(held), seen
+	}
+	return ing.drawLocked(min(ing.capacity, held), held, ing.seed), seen
+}
+
+// Sample copies at most k uniformly drawn rows of the sample into a
+// fresh store — the drift probe's input — using a private generator
+// seeded with seed, so the draw is reproducible and leaves the
+// reservoirs untouched. It returns at most Len() rows, weighted across
+// shards as Snapshot's draw is in reservoir mode (by rows seen) and by
+// rows held in window mode. Returns nil while empty.
+func (ing *Ingestor) Sample(k int, seed int64) *points.Store {
+	_, held := ing.lockAll()
+	defer ing.unlockAll()
+	k = min(k, ing.capacity, held)
+	if k < 1 {
 		return nil
 	}
-	dim := int(i.dim.Load())
-	if k >= i.n {
-		out := points.New(i.n, dim)
-		copy(out.Data, i.buf.Data[:i.n*dim])
-		return out
+	return ing.drawLocked(k, held, seed)
+}
+
+// drawLocked draws k distinct held rows, k ≤ min(capacity, held), into
+// a fresh store. It allocates the k slots across shards by the
+// multivariate hypergeometric over per-shard weights — rows seen in
+// reservoir mode, which makes the draw a uniform k-subset of the whole
+// stream, or rows held in window mode — and then draws each shard's
+// count of rows within it by sparse Fisher–Yates, both from one
+// generator seeded with seed. A shard's count never exceeds
+// min(weight, k), which it holds.
+//
+// Two cases make no allocation draw. When every held row goes out (the
+// fill phase, or one full shard) the shards are copied whole in index
+// order; when one shard carries all the weight it takes all k slots.
+// K = 1 always lands in one of the two, so a single shard's draw is
+// its buffer in slot order or one sparse Fisher–Yates straight from the
+// seed (TestIngestorDigests pins both). Callers hold every shard lock.
+func (ing *Ingestor) drawLocked(k, held int, seed int64) *points.Store {
+	counts := make([]int, len(ing.shards))
+	var rng *rand.Rand
+	if k == held {
+		for i, sh := range ing.shards {
+			counts[i] = sh.n
+		}
+	} else {
+		rng = rand.New(rand.NewSource(seed))
+		weights := make([]int64, len(ing.shards))
+		for i, sh := range ing.shards {
+			weights[i] = sh.seen
+			if ing.window {
+				weights[i] = int64(sh.n)
+			}
+		}
+		allocate(rng, weights, counts, k)
 	}
-	rng := rand.New(rand.NewSource(seed))
+	dim := ing.Dim()
 	out := points.New(k, dim)
-	j := 0
-	sampleSlots(rng, i.n, k, func(slot int) {
-		copy(out.Row(j), i.buf.Row(slot))
-		j++
-	})
+	row := 0
+	for i, sh := range ing.shards {
+		switch c := counts[i]; {
+		case c == 0:
+		case c == sh.n:
+			copy(out.Data[row*dim:], sh.buf.Data[:c*dim])
+			row += c
+		default:
+			sampleSlots(rng, sh.n, c, func(slot int) {
+				copy(out.Row(row), sh.buf.Row(slot))
+				row++
+			})
+		}
+	}
 	return out
+}
+
+// allocate adds to counts a split of k draws across shards by the
+// multivariate hypergeometric over weights, simulated draw by draw:
+// each draw picks a shard with probability proportional to its
+// remaining weight, which it then decrements. A lone weighted shard
+// takes all k without consuming rng. weights is scratch.
+func allocate(rng *rand.Rand, weights []int64, counts []int, k int) {
+	var total int64
+	for _, w := range weights {
+		total += w
+	}
+	for i, w := range weights {
+		if w == total {
+			counts[i] = k
+			return
+		}
+	}
+	for t := 0; t < k; t++ {
+		u := rng.Int63n(total)
+		for i := range weights {
+			if u < weights[i] {
+				counts[i]++
+				weights[i]--
+				break
+			}
+			u -= weights[i]
+		}
+		total--
+	}
+}
+
+// mergeWindowLocked merges sliding windows by per-shard arrival order:
+// each shard contributes its newest rows, oldest-to-newest, with row
+// counts allocated proportionally to shard occupancy by largest
+// remainder (deterministic, no RNG — recency, not uniformity, is the
+// window contract). With balanced round-robin traffic this is the
+// newest ~capacity rows of the union stream. Callers hold all shard
+// locks; held is the total occupancy (> 0).
+func (ing *Ingestor) mergeWindowLocked(held int) *points.Store {
+	m := min(ing.capacity, held)
+	take := make([]int, len(ing.shards))
+	if m == held {
+		for i, sh := range ing.shards {
+			take[i] = sh.n
+		}
+	} else {
+		// Largest-remainder allocation of m over shard occupancies: floor
+		// the proportional quotas, then hand the leftover rows to the
+		// largest fractional parts (ties to the lower shard id). A quota
+		// can only have a remainder when it is strictly below the shard's
+		// occupancy, so no shard is ever asked for more than it holds.
+		rem := make([]int64, len(ing.shards))
+		given := 0
+		for i, sh := range ing.shards {
+			q := int64(m) * int64(sh.n)
+			take[i] = int(q / int64(held))
+			rem[i] = q % int64(held)
+			given += take[i]
+		}
+		for ; given < m; given++ {
+			best := -1
+			for i := range rem {
+				if rem[i] > 0 && (best == -1 || rem[i] > rem[best]) {
+					best = i
+				}
+			}
+			take[best]++
+			rem[best] = 0
+		}
+	}
+	dim := ing.Dim()
+	out := points.New(m, dim)
+	row := 0
+	for i, sh := range ing.shards {
+		if take[i] > 0 {
+			ing.copyNewestLocked(sh, out.Data[row*dim:(row+take[i])*dim], take[i])
+			row += take[i]
+		}
+	}
+	return out
+}
+
+// copyNewestLocked copies the newest m rows of a window-mode shard into
+// dst in arrival order (oldest of the m first). Callers hold sh.mu and
+// size dst to m*dim.
+func (ing *Ingestor) copyNewestLocked(sh *shard, dst []float64, m int) {
+	dim := ing.Dim()
+	if sh.n < ing.capacity {
+		copy(dst, sh.buf.Data[(sh.n-m)*dim:sh.n*dim])
+		return
+	}
+	// Full ring: the slot of the oldest held row is seen mod cap, so
+	// arrival rank r lives at slot (head+r) mod cap. The newest m rows
+	// are ranks cap-m .. cap-1, a wrapped contiguous run.
+	head := int(sh.seen % int64(ing.capacity))
+	start := (head + ing.capacity - m) % ing.capacity
+	if start+m <= ing.capacity {
+		copy(dst, sh.buf.Data[start*dim:(start+m)*dim])
+		return
+	}
+	k := copy(dst, sh.buf.Data[start*dim:])
+	copy(dst[k:], sh.buf.Data[:(m-(ing.capacity-start))*dim])
 }
 
 // sampleSlots visits k distinct uniformly drawn slots of [0, n), k ≤ n,
@@ -334,33 +543,61 @@ func sampleSlots(rng *rand.Rand, n, k int, visit func(slot int)) {
 	}
 }
 
-// Seen returns the total number of rows ever ingested.
-func (i *Ingestor) Seen() int64 {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return i.seen
+// Seen returns the total number of rows ever ingested. Shards are read
+// one at a time, so under concurrent ingest the total is advisory, not
+// an atomic cut.
+func (ing *Ingestor) Seen() int64 {
+	var total int64
+	for _, sh := range ing.shards {
+		sh.mu.Lock()
+		total += sh.seen
+		sh.mu.Unlock()
+	}
+	return total
 }
 
-// Len returns the number of rows currently held (≤ Capacity).
-func (i *Ingestor) Len() int {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return i.n
+// Len returns the sample's current size: min(Capacity, rows held across
+// shards), the number of rows Snapshot returns. Shards are read one at
+// a time, like Seen.
+func (ing *Ingestor) Len() int {
+	held := 0
+	for _, sh := range ing.shards {
+		sh.mu.Lock()
+		held += sh.n
+		sh.mu.Unlock()
+	}
+	return min(ing.capacity, held)
 }
 
 // Dim returns the row width, or 0 before the first row arrives. It is
-// one atomic load — the Add fast path reads it before validating a
-// batch, so it must not (and does not) touch the ingest mutex.
-func (i *Ingestor) Dim() int {
-	return int(i.dim.Load())
+// one atomic load — Add reads it before validating a batch, so it must
+// not (and does not) touch a shard mutex.
+func (ing *Ingestor) Dim() int {
+	return int(ing.dim.Load())
 }
 
 // Capacity returns the sample bound.
-func (i *Ingestor) Capacity() int { return i.capacity }
+func (ing *Ingestor) Capacity() int { return ing.capacity }
 
 // WindowMode reports whether the ingestor keeps a sliding window rather
 // than a reservoir.
-func (i *Ingestor) WindowMode() bool { return i.window }
+func (ing *Ingestor) WindowMode() bool { return ing.window }
+
+// Shards returns the shard count K.
+func (ing *Ingestor) Shards() int { return len(ing.shards) }
+
+// ShardFills reports each shard's occupancy as a fraction of its
+// capacity — the per-shard fill gauges on /metrics. Shards are read one
+// at a time, like Seen.
+func (ing *Ingestor) ShardFills() []float64 {
+	fills := make([]float64, len(ing.shards))
+	for i, sh := range ing.shards {
+		sh.mu.Lock()
+		fills[i] = float64(sh.n) / float64(ing.capacity)
+		sh.mu.Unlock()
+	}
+	return fills
+}
 
 // errEmpty reports a retrain attempted before any rows arrived.
 var errEmpty = errors.New("stream: no ingested rows to retrain on")

@@ -23,10 +23,10 @@ type Config struct {
 	// retraining are deterministic for a fixed seed and batch sequence.
 	Seed int64
 	// Shards lock-stripes the ingest path over this many independent
-	// reservoirs, merged deterministically at snapshot time (see
-	// ShardedIngestor). 0 and 1 both mean one shard — the unsharded code
-	// path, bit-identical to earlier releases and to batch training via
-	// the determinism bridge. Samples are reproducible for a fixed shard
+	// reservoirs, drawn from deterministically at snapshot time (see
+	// Ingestor). 0 and 1 both mean one shard, whose samples are
+	// bit-identical to earlier releases and to batch training via the
+	// determinism bridge. Samples are reproducible for a fixed shard
 	// count and batch→shard assignment, but differ across shard counts.
 	Shards int
 
@@ -125,7 +125,7 @@ type Stats struct {
 type Service struct {
 	cfg      Config
 	trainCfg core.Config
-	ing      *ShardedIngestor
+	ing      *Ingestor
 	model    *Model
 	rec      telemetry.Recorder
 
@@ -174,7 +174,7 @@ func NewService(initial *core.Classifier, cfg Config) (*Service, error) {
 		return nil, fmt.Errorf("stream: negative Capacity or RetrainEvery")
 	}
 	if cfg.Shards == 0 {
-		// Default to one shard, not GOMAXPROCS: the unsharded path is
+		// Default to one shard, not GOMAXPROCS: one shard's samples are
 		// bit-identical to earlier releases, so existing deployments and
 		// the determinism bridge are unaffected unless sharding is asked
 		// for explicitly.
@@ -223,7 +223,7 @@ func NewService(initial *core.Classifier, cfg Config) (*Service, error) {
 func (s *Service) Model() *Model { return s.model }
 
 // Ingestor exposes the bounded sample, mainly for tests and stats.
-func (s *Service) Ingestor() *ShardedIngestor { return s.ing }
+func (s *Service) Ingestor() *Ingestor { return s.ing }
 
 // Ingest validates and ingests a batch of rows, returning how many were
 // accepted. The batch is rejected whole on the first malformed row.

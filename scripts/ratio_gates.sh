@@ -14,10 +14,10 @@
 #   telemetry-overhead  Score with a registry and a switched-off flight
 #                       recorder (the production hot path when
 #                       -trace-slow is not set) against no recorder.
-#   sharded-ingest-k1   single-threaded 64-row batch ingest through the
-#                       K=1 ShardedIngestor delegation wrapper against
-#                       the bare ingestor; the wrapper adds one method
-#                       call and one length check.
+#   sharded-ingest-k1   64-row batch ingest through Ingestor.Add at K=1
+#                       against one bare shard (validate, lock, ingest
+#                       loop); Add adds the row-width check and the
+#                       ticket-counter shard pick.
 #
 # The exit status is 1 when a benchmark run fails, a sub-benchmark is
 # missing from its output, or a ratio exceeds its bound.
