@@ -22,7 +22,9 @@ type DensityBackend interface {
 	// (fl > tu or fu < tl), the tolerance rule (fu−fl < tolCut), or the
 	// backend's budget stops it, returning fl ≤ est ≤ fu. est is the
 	// backend's best point estimate of f(x); classification compares est
-	// to the threshold.
+	// to the threshold. An answer the sampling backend's certified
+	// envelope decides without a sample reports the bound on its decided
+	// side instead: fl when fl > tu, fu when fu < tl.
 	BoundDensity(x []float64, tl, tu, tolCut float64, stats *QueryStats) (fl, fu, est float64)
 	// EstimateDensity tightens bounds to relative precision rel
 	// (fu − fl ≤ rel·fl) regardless of any threshold; rel ≤ 0 demands an

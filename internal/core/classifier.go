@@ -49,8 +49,12 @@ type Result struct {
 	Lower, Upper float64
 	// Density is the backend's point estimate of the density — the value
 	// the label was decided on. The tree backend reports the bound
-	// midpoint (fl+fu)/2; the sampling backend its unbiased split
-	// estimate; grid hits report the grid's lower bound.
+	// midpoint (fl+fu)/2; grid hits report the grid's lower bound. The
+	// sampling backend reports its unbiased split estimate when it drew a
+	// far-field sample; when its certified envelope decided the query
+	// without one, it reports the bound on the decided side (Lower for
+	// HIGH, Upper for LOW, the midpoint when only the tolerance rule
+	// fired), and Lower and Upper are then certified.
 	Density float64
 	Stats   QueryStats
 }

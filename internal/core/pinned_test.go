@@ -155,16 +155,16 @@ func TestPinnedWork(t *testing.T) {
 			DensityBits: [3]uint64{0x6515efb0fd8ac52, 0x3b1745a7826a0a5e, 0x57783ceecfbc50f4},
 		}},
 		{"sampling/d27", samplingData, samplingQueries, sampling, pinnedModel{
-			TrainKernels: 4516972, BootstrapRounds: 3,
-			Threshold: 0x3b82fee2924ce4c0, ThresholdLow: 0x3b7af88e1ba80780, ThresholdHigh: 0x3b89bb2df61107a0,
-			Score:     Counters{Queries: 64, GridHits: 0, PointKernels: 75278, BoundKernels: 1102, NodesVisited: 7036, SamplingRounds: 65, SampledPoints: 17920},
-			ScoreBits: 0x23b54252a24e5d67,
+			TrainKernels: 1869614, BootstrapRounds: 3,
+			Threshold: 0x3b82fee2924ce4c0, ThresholdLow: 0x3b7af88e1ba80780, ThresholdHigh: 0x3b8977f838a480a0,
+			Score:     Counters{Queries: 64, GridHits: 0, PointKernels: 9338, BoundKernels: 1243, NodesVisited: 914, SamplingRounds: 19, SampledPoints: 6144},
+			ScoreBits: 0x3ff3e84e5667cfe5,
 			Density: [3]Counters{
-				{Queries: 128, GridHits: 0, PointKernels: 204216, BoundKernels: 2204, NodesVisited: 14072, SamplingRounds: 183, SampledPoints: 80640},
-				{Queries: 192, GridHits: 0, PointKernels: 417474, BoundKernels: 3306, NodesVisited: 21108, SamplingRounds: 387, SampledPoints: 216064},
-				{Queries: 256, GridHits: 0, PointKernels: 513474, BoundKernels: 4408, NodesVisited: 28144, SamplingRounds: 387, SampledPoints: 216064},
+				{Queries: 128, GridHits: 0, PointKernels: 134709, BoundKernels: 3447, NodesVisited: 7950, SamplingRounds: 130, SampledPoints: 67072},
+				{Queries: 192, GridHits: 0, PointKernels: 347685, BoundKernels: 5651, NodesVisited: 14986, SamplingRounds: 334, SampledPoints: 202496},
+				{Queries: 256, GridHits: 0, PointKernels: 443685, BoundKernels: 7855, NodesVisited: 22022, SamplingRounds: 334, SampledPoints: 202496},
 			},
-			DensityBits: [3]uint64{0x3f13ed680ce19c01, 0x47572722228e91ee, 0xe5bd9483b164dd09},
+			DensityBits: [3]uint64{0x7bb5f233646c62f6, 0xd46532bd498e4bde, 0xe5bd9483b164dd09},
 		}},
 		{"tree/tmy3-retry", retryData, retryQueries, retry, pinnedModel{
 			TrainKernels: 399272, BootstrapRounds: 5,

@@ -13,8 +13,16 @@
 // its cost stays bounded even in high dimensions, where distance bounds
 // degenerate and an uncapped range query would scan every point. The
 // frontier left when the traversal stops becomes the far field: a set of
-// disjoint row ranges, each carrying the certified per-point value bound
-// K(dmin) of its node.
+// disjoint row ranges, each carrying the certified per-point value
+// bounds K(dmax) ≤ k ≤ K(dmin) of its node.
+//
+// The near sum and the far field's bounds give a certified envelope
+// [(sumNear + Σ count·K(dmax))/n, (sumNear + Σ count·K(dmin))/n], and
+// the stopping rules of tKDC's Algorithm 2 are tested on it at every
+// step, as the tree traversal tests its bounds: the near phase stops as
+// soon as its lower bound clears the threshold (the query's own leaf
+// usually does, since it holds the self term K(0)/n), and the far field
+// is sampled only when the envelope decides nothing.
 //
 // The far field is estimated by uniform with-replacement sampling over
 // its rows (not the whole dataset, so near-field mass is never double
@@ -26,8 +34,7 @@
 // when the far field is homogeneous (the usual high-dimensional case)
 // and still covers heavy skew through the R/m term. Unlike the tree
 // traversal's bounds the band is probabilistic, not certified; the
-// certified envelope [sumNear/n, sumNear/n + Σ count·K(dmin)/n] always
-// holds and clamps the band.
+// certified envelope always holds and clamps the band.
 //
 // Sampling is deterministically seeded per query — the seed mixes the
 // estimator's base seed with the query coordinates — so retrained models
@@ -183,6 +190,7 @@ type farField struct {
 	count  int     // total far rows
 	rmax   float64 // certified bound on any far point's kernel value
 	uSum   float64 // Σ count·K(dmin): certified far-field upper mass
+	lSum   float64 // Σ count·K(dmax): certified far-field lower mass
 }
 
 // Sampler estimates kernel densities over one immutable index by a
@@ -292,7 +300,12 @@ func querySeed(seed int64, x []float64) int64 {
 // kernel sum over every resolved row and leaves s.far describing the
 // unresolved remainder. Rows in nodes wholly beyond the kernel's support
 // contribute an exact zero and appear in neither.
-func (s *Sampler) nearPhase(x []float64, w *Work) (sumNear float64) {
+//
+// A finite tu arms Algorithm 2's threshold rule on the HIGH side: the
+// traversal stops as soon as its certified lower bound exceeds tu (see
+// resolve), and the frontier it leaves joins the far field, whose
+// envelope then decides the query without a sample.
+func (s *Sampler) nearPhase(x []float64, tu float64, w *Work) (sumNear float64) {
 	var stageStart time.Time
 	var nodes0, pts0, bounds0 int64
 	if w.Trace != nil {
@@ -307,6 +320,7 @@ func (s *Sampler) nearPhase(x []float64, w *Work) (sumNear float64) {
 	s.far.count = 0
 	s.far.rmax = 0
 	s.far.uSum = 0
+	s.far.lSum = 0
 
 	// Greedy descent to the leaf nearest the query first, pushing the
 	// off-path sibling at each level. Near the data's center the shallow
@@ -315,6 +329,7 @@ func (s *Sampler) nearPhase(x []float64, w *Work) (sumNear float64) {
 	// before any leaf resolves; the descent guarantees the query's own
 	// leaf — and with it a training row's own kernel contribution — is
 	// summed exactly for O(depth) extra bound evaluations, at any budget.
+	decided := false
 	dmin, dmax := t.BoundsSqDist(0, x, s.invH2)
 	it := nearItem{dmin: dmin, dmax: dmax, id: 0, count: int32(t.Size)}
 	for {
@@ -326,8 +341,7 @@ func (s *Sampler) nearPhase(x []float64, w *Work) (sumNear float64) {
 		}
 		m := &t.Meta[it.id]
 		if it.dmax <= s.nearSq || m.Left < 0 {
-			sumNear += kernel.Sum(s.kern, x, t.Pts.Slab(int(m.Lo), int(m.Hi)))
-			w.PointKernels += int64(it.count)
+			decided = s.resolve(x, it, tu, &sumNear, w)
 			break
 		}
 		lmin, lmax := t.BoundsSqDist(m.Left, x, s.invH2)
@@ -344,7 +358,7 @@ func (s *Sampler) nearPhase(x []float64, w *Work) (sumNear float64) {
 	}
 
 	budget := s.nearNodes
-	for s.heap.len() > 0 {
+	for !decided && s.heap.len() > 0 {
 		it := s.heap.pop()
 		w.NodesVisited++
 		if it.dmin > s.nearSq {
@@ -355,8 +369,7 @@ func (s *Sampler) nearPhase(x []float64, w *Work) (sumNear float64) {
 		if it.dmax <= s.nearSq || m.Left < 0 {
 			// Wholly inside the near radius, or a leaf touching it:
 			// one contiguous exact sweep.
-			sumNear += kernel.Sum(s.kern, x, t.Pts.Slab(int(m.Lo), int(m.Hi)))
-			w.PointKernels += int64(it.count)
+			decided = s.resolve(x, it, tu, &sumNear, w)
 			continue
 		}
 		if budget == 0 {
@@ -368,6 +381,10 @@ func (s *Sampler) nearPhase(x []float64, w *Work) (sumNear float64) {
 			cmin, cmax := t.BoundsSqDist(child, x, s.invH2)
 			s.heap.push(nearItem{dmin: cmin, dmax: cmax, id: child, count: int32(t.Count(child))})
 		}
+	}
+	// A decided traversal leaves its frontier unresolved.
+	for _, it := range s.heap.items {
+		s.addFar(it, w)
 	}
 	if w.Trace != nil {
 		w.Trace.AddStage(telemetry.TraceStage{
@@ -383,10 +400,33 @@ func (s *Sampler) nearPhase(x []float64, w *Work) (sumNear float64) {
 	return sumNear
 }
 
+// resolve sums a node the near phase resolves exactly (one wholly inside
+// the near radius, or a leaf touching it) into *sumNear, and reports
+// whether the near phase's certified lower bound now exceeds tu. A
+// finite tu is first tested against the lower bound the node's own
+// K(dmax) mass adds: when that already clears tu the node is left
+// unsummed and joins the far field. Testing before the sum matters at
+// low d, where the first node inside the near radius can hold thousands
+// of rows.
+func (s *Sampler) resolve(x []float64, it nearItem, tu float64, sumNear *float64, w *Work) bool {
+	if !math.IsInf(tu, 1) {
+		lower := float64(it.count) * s.kern.FromScaledSqDist(it.dmax)
+		w.BoundKernels++
+		if (*sumNear+lower)/s.n > tu {
+			s.addFar(it, w)
+			return true
+		}
+	}
+	m := &s.tree.Meta[it.id]
+	*sumNear += kernel.Sum(s.kern, x, s.tree.Pts.Slab(int(m.Lo), int(m.Hi)))
+	w.PointKernels += int64(it.count)
+	return *sumNear/s.n > tu
+}
+
 // addFar moves an unresolved node into the far-field population with its
-// certified per-point value bound K(dmin). A zero bound means every
-// point in the node lies beyond the kernel's support — an exact zero
-// contribution, excluded from the population entirely.
+// certified per-point value bounds K(dmin) and K(dmax). A zero upper
+// bound means every point in the node lies beyond the kernel's support —
+// an exact zero contribution, excluded from the population entirely.
 func (s *Sampler) addFar(it nearItem, w *Work) {
 	k := s.kern.FromScaledSqDist(it.dmin)
 	w.BoundKernels++
@@ -400,6 +440,8 @@ func (s *Sampler) addFar(it nearItem, w *Work) {
 	s.far.ranges = append(s.far.ranges, farRange{lo: m.Lo, hi: m.Hi, cum: s.far.count})
 	s.far.count += int(it.count)
 	s.far.uSum += float64(it.count) * k
+	s.far.lSum += float64(it.count) * s.kern.FromScaledSqDist(it.dmax)
+	w.BoundKernels++
 }
 
 // farRow maps a uniform index in [0, far.count) to a row index of the
@@ -466,15 +508,13 @@ func (s *Sampler) sampleTo(st *farState, x []float64, target int, w *Work) {
 	}
 }
 
-// bounds converts the certified envelope and the far-field sample into
-// density bounds and a point estimate. est is the unbiased split
-// estimate; fl and fu are the empirical-Bernstein band around it,
-// clamped into the certified envelope.
-func (s *Sampler) bounds(sumNear float64, st *farState) (fl, fu, est float64) {
-	flCert := sumNear / s.n
-	fuCert := (sumNear + s.far.uSum) / s.n
+// bounds converts the near sum and the far-field sample into density
+// bounds and a point estimate. est is the unbiased split estimate; fl and
+// fu are the empirical-Bernstein band around it, clamped into the
+// certified envelope [flCert, fuCert].
+func (s *Sampler) bounds(sumNear, flCert, fuCert float64, st *farState) (fl, fu, est float64) {
 	frac := float64(s.far.count) / s.n
-	est = flCert + frac*st.mean
+	est = sumNear/s.n + frac*st.mean
 	variance := 0.0
 	if st.m > 1 {
 		variance = st.m2 / float64(st.m-1)
@@ -523,18 +563,62 @@ func (s *Sampler) exact(x []float64, w *Work) float64 {
 	return v
 }
 
+// verdict is the stopping rule a density interval [fl, fu] meets, if
+// any.
+type verdict uint8
+
+const (
+	undecided   verdict = iota
+	decidedHigh         // threshold rule: fl > tu
+	decidedLow          // threshold rule: fu < tl
+	precise             // tolerance or relative rule
+)
+
+// rules are one query's stopping rules, those of the tree traversal: the
+// threshold rule fl > tu or fu < tl, the tolerance rule fu − fl < tolCut,
+// and the relative rule fu − fl ≤ rel·fl when rel > 0. A rule that must
+// not fire gets tl = −Inf, tu = +Inf, tolCut ≤ 0 or rel ≤ 0.
+type rules struct {
+	tl, tu, tolCut, rel float64
+}
+
+func (r rules) verdict(fl, fu float64) verdict {
+	switch {
+	case fl > r.tu:
+		return decidedHigh
+	case fu < r.tl:
+		return decidedLow
+	case fu-fl < r.tolCut, r.rel > 0 && fu-fl <= r.rel*fl:
+		return precise
+	}
+	return undecided
+}
+
 // BoundDensity estimates the density at x under the threshold/tolerance
-// stopping rules of tKDC's Algorithm 2: the far-field sample budget
-// doubles from MinSamples until the confidence band clears [tl, tu] on
-// one side (the classification is decided), the band is narrower than
-// tolCut, or MaxSamples is reached. The returned fl ≤ est ≤ fu satisfy
-// fl ≤ f(x) ≤ fu with probability ≥ 1−δ (with certainty, when the near
-// phase resolved the whole dataset); est is the unbiased split estimate.
+// stopping rules of tKDC's Algorithm 2, tested on the certified envelope
+// first and then on each sampling round's band: the near phase stops once
+// its lower bound exceeds tu, the far field is sampled only when the
+// envelope meets no rule, and the sample budget doubles from MinSamples
+// until the band clears [tl, tu] on one side (the classification is
+// decided), the band is narrower than tolCut, or MaxSamples is reached.
+//
+// The returned fl ≤ est ≤ fu satisfy fl ≤ f(x) ≤ fu with certainty when
+// no sample was drawn (the envelope decided, or the far field was summed
+// exactly) and with probability ≥ 1−δ otherwise. est is the unbiased
+// split estimate of a sampled answer. An answer the envelope decides
+// reports the certified bound on its decided side instead: fl when it
+// lies above tu, fu when it lies below tl, and the midpoint when the
+// tolerance rule fired. A point estimate inside a wide envelope would
+// overstate how far the density lies from the threshold.
 func (s *Sampler) BoundDensity(x []float64, tl, tu, tolCut float64, w *Work) (fl, fu, est float64) {
-	return s.refine(x, true, false, func(fl, fu float64) bool {
-		return !s.disableThreshold && (fl > tu || fu < tl) ||
-			!s.disableTolerance && tolCut > 0 && fu-fl < tolCut
-	}, w)
+	r := rules{tl: tl, tu: tu, tolCut: tolCut}
+	if s.disableThreshold {
+		r.tl, r.tu = math.Inf(-1), math.Inf(1)
+	}
+	if s.disableTolerance {
+		r.tolCut = 0
+	}
+	return s.refine(x, r, true, false, w)
 }
 
 // EstimateDensity estimates the density to relative precision rel
@@ -543,34 +627,47 @@ func (s *Sampler) BoundDensity(x []float64, tl, tu, tolCut float64, w *Work) (fl
 // falls back to exhausting the far field exactly, so the returned
 // precision always honors the contract.
 func (s *Sampler) EstimateDensity(x []float64, rel float64, w *Work) (fl, fu, est float64) {
-	return s.refine(x, rel > 0, true, func(fl, fu float64) bool {
-		return fu-fl <= rel*fl
-	}, w)
+	return s.refine(x, rules{tl: math.Inf(-1), tu: math.Inf(1), rel: rel}, rel > 0, true, w)
 }
 
 // refine is the one estimation path behind BoundDensity and
-// EstimateDensity. It seeds the query's sampler, sums small datasets
-// exactly, runs the near phase, and then, when sample allows it and the
-// far field is large enough, doubles the far-field sample from
-// MinSamples to MaxSamples. stop runs once per round on the round's band
-// and ends the doubling. When the budget runs out first, exhaust
-// replaces the band by the exact far-field sum; otherwise the last band
-// is returned. A far field too small to sample, or one the caller does
-// not let it sample, is summed exactly.
-func (s *Sampler) refine(x []float64, sample, exhaust bool, stop func(fl, fu float64) bool, w *Work) (fl, fu, est float64) {
-	s.src.Seed(querySeed(s.seed, x))
+// EstimateDensity. It sums small datasets exactly and otherwise runs the
+// near phase, which stops early once its lower bound exceeds r.tu. It
+// then tests r on the certified envelope
+// [(sumNear + Σ count·K(dmax))/n, (sumNear + Σ count·K(dmin))/n] and
+// returns the envelope when a rule fires. Otherwise, when sample allows
+// it and the far field is large enough, it seeds the query's sampler and
+// doubles the far-field sample from MinSamples to MaxSamples, testing r
+// once per round on the round's band. When the budget runs out first,
+// exhaust replaces the band by the exact far-field sum; otherwise the
+// last band is returned. A far field too small to sample, or one the
+// caller does not let it sample, is summed exactly.
+func (s *Sampler) refine(x []float64, r rules, sample, exhaust bool, w *Work) (fl, fu, est float64) {
 	if s.tree.Size <= 2*s.minSamples {
 		v := s.exact(x, w)
 		return v, v, v
 	}
-	sumNear := s.nearPhase(x, w)
+	sumNear := s.nearPhase(x, r.tu, w)
 	if s.far.count == 0 {
 		v := sumNear / s.n
 		return v, v, v
 	}
+	flCert := (sumNear + s.far.lSum) / s.n
+	fuCert := (sumNear + s.far.uSum) / s.n
+	switch r.verdict(flCert, fuCert) {
+	case decidedHigh:
+		return flCert, fuCert, flCert
+	case decidedLow:
+		return flCert, fuCert, fuCert
+	case precise:
+		return flCert, fuCert, 0.5 * (flCert + fuCert)
+	}
 	// Sampling with replacement from a population of at most MinSamples
 	// costs more than exhausting it.
 	if sample && s.far.count > s.minSamples {
+		// Seeding fills math/rand's 607-word state, so it waits until a
+		// round is drawn; the draws are the same as seeding up front.
+		s.src.Seed(querySeed(s.seed, x))
 		var st farState
 		met := false
 		for target := s.minSamples; ; target = min(2*target, s.maxSamples) {
@@ -579,7 +676,7 @@ func (s *Sampler) refine(x []float64, sample, exhaust bool, stop func(fl, fu flo
 				roundStart = time.Now()
 			}
 			s.sampleTo(&st, x, target, w)
-			fl, fu, est = s.bounds(sumNear, &st)
+			fl, fu, est = s.bounds(sumNear, flCert, fuCert, &st)
 			w.FarRounds++
 			if w.Trace != nil {
 				w.Trace.AddStage(telemetry.TraceStage{
@@ -591,7 +688,7 @@ func (s *Sampler) refine(x []float64, sample, exhaust bool, stop func(fl, fu flo
 					Band:     fu - fl,
 				})
 			}
-			if met = stop(fl, fu); met || target >= s.maxSamples {
+			if met = r.verdict(fl, fu) != undecided; met || target >= s.maxSamples {
 				break
 			}
 		}

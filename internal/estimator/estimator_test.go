@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"tkdc/internal/kdtree"
@@ -269,7 +270,7 @@ func TestNearPhasePartition(t *testing.T) {
 				q[j] = rng.NormFloat64()
 			}
 			var w Work
-			sumNear := s.nearPhase(q, &w)
+			sumNear := s.nearPhase(q, math.Inf(1), &w)
 
 			farTrue := 0.0
 			kmax := 0.0
@@ -379,5 +380,83 @@ func TestFarRoundAccountingAndTrace(t *testing.T) {
 	if w2.FarRounds != w.FarRounds || w2.FarSamples != w.FarSamples {
 		t.Fatalf("untraced accounting differs: rounds %d vs %d, samples %d vs %d",
 			w2.FarRounds, w.FarRounds, w2.FarSamples, w.FarSamples)
+	}
+}
+
+// TestEnvelopeDecidedAnswersCertified checks the answers the certified
+// envelope decides without a sample. Queries are half training rows,
+// half fresh draws; thresholds sit at the 1st, 50th and 99th percentile
+// of their exact densities and at one query's own exact density, where no
+// certified interval can decide. Every answer that drew no sample must
+// bracket the exact density, whatever the far field's size, and report
+// its decided side's bound: fl above tu, fu below tl, the midpoint when
+// only the tolerance rule fired. Some answers must come from a far field
+// larger than MinSamples, the population that was sampled before the
+// envelope was tested.
+func TestEnvelopeDecidedAnswersCertified(t *testing.T) {
+	for _, d := range []int{2, 8, 27} {
+		tree, kern := buildIndex(t, 5, 4000, d)
+		s := New(tree, kern, Options{Seed: 1, Delta: 0.05})
+		rng := rand.New(rand.NewSource(9))
+		queries := make([][]float64, 200)
+		for i := range queries {
+			if i%2 == 0 {
+				queries[i] = tree.Pts.Row(rng.Intn(tree.Size))
+				continue
+			}
+			q := make([]float64, d)
+			for j := range q {
+				q[j] = 1.5 * rng.NormFloat64()
+			}
+			queries[i] = q
+		}
+		exacts := make([]float64, len(queries))
+		for i, q := range queries {
+			exacts[i] = exact(tree, kern, q)
+		}
+		sorted := append([]float64(nil), exacts...)
+		sort.Float64s(sorted)
+		thresholds := []float64{sorted[1], sorted[99], sorted[197], exacts[1]}
+
+		decided := 0
+		for _, th := range thresholds {
+			tolCut := 0.01 * th
+			for i, q := range queries {
+				var w Work
+				fl, fu, est := s.BoundDensity(q, th, th, tolCut, &w)
+				if w.FarSamples != 0 {
+					continue
+				}
+				if s.far.count > s.minSamples {
+					decided++
+				}
+				f := exacts[i]
+				if tol := 1e-9 * f; fl > f+tol || f > fu+tol {
+					t.Fatalf("d=%d t=%g query %d: unsampled [%g, %g] misses exact %g", d, th, i, fl, fu, f)
+				}
+				switch {
+				case fl == fu:
+					// Summed exactly: nothing left to decide.
+				case fl > th:
+					if est != fl {
+						t.Fatalf("d=%d t=%g query %d: HIGH by envelope, est %g != fl %g", d, th, i, est, fl)
+					}
+				case fu < th:
+					if est != fu {
+						t.Fatalf("d=%d t=%g query %d: LOW by envelope, est %g != fu %g", d, th, i, est, fu)
+					}
+				case fu-fl < tolCut:
+					if est != 0.5*(fl+fu) {
+						t.Fatalf("d=%d t=%g query %d: tolerance stop, est %g != midpoint of [%g, %g]", d, th, i, est, fl, fu)
+					}
+				default:
+					t.Fatalf("d=%d t=%g query %d: no sample and no rule met by [%g, %g]", d, th, i, fl, fu)
+				}
+			}
+		}
+		t.Logf("d=%d: %d envelope-decided answers over a far field > MinSamples", d, decided)
+		if decided == 0 {
+			t.Fatalf("d=%d: the envelope decided no query whose far field exceeds MinSamples", d)
+		}
 	}
 }

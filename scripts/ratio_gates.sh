@@ -4,10 +4,10 @@
 #   scripts/ratio_gates.sh
 #
 # Each gate names a package, two sibling sub-benchmarks ("base" and
-# "test"), -benchtime, -count and a bound. Both run in one go test
-# invocation, so they share the machine and the job; the gate passes
-# when the median ns/op of test over its runs, divided by the median of
-# base, is at most the bound. The gates are generous (shared CI hardware
+# "test"), -benchtime, -count, an optional -cpu list and a bound. Both
+# run in one go test invocation, so they share the machine and the job;
+# the gate passes when the median ns/op of test over its runs, divided
+# by the median of base, is at most the bound. The gates are generous (shared CI hardware
 # is noisy): they exist to catch a path that should cost nothing growing
 # real work, such as an allocation or a lock.
 #
@@ -17,7 +17,9 @@
 #   sharded-ingest-k1   64-row batch ingest through Ingestor.Add at K=1
 #                       against one bare shard (validate, lock, ingest
 #                       loop); Add adds the row-width check and the
-#                       ticket-counter shard pick.
+#                       ticket-counter shard pick. It runs at -cpu 1:
+#                       with more procs both variants contend on one
+#                       mutex and the ratio swings with the scheduler.
 #
 # The exit status is 1 when a benchmark run fails, a sub-benchmark is
 # missing from its output, or a ratio exceeds its bound.
@@ -36,7 +38,10 @@ for name, g in json.load(open(sys.argv[1])).items():
         sys.exit(f"{name}: base and test must be sub-benchmarks of one benchmark")
     pattern = "/".join(base[:-1]) + f"/({base[-1]}|{test[-1]})$"
     cmd = ["go", "test", "-run", "^$", "-bench", pattern,
-           "-benchtime", g["benchtime"], "-count", str(g["count"]), g["package"]]
+           "-benchtime", g["benchtime"], "-count", str(g["count"])]
+    if "cpu" in g:
+        cmd += ["-cpu", str(g["cpu"])]
+    cmd.append(g["package"])
     print("$", " ".join(cmd), flush=True)
     run = subprocess.run(cmd, capture_output=True, text=True)
     print(run.stdout, run.stderr, sep="", end="", flush=True)
