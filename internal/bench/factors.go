@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"tkdc/internal/core"
 	"tkdc/internal/dataset"
@@ -28,31 +27,18 @@ func factorData(opts Options) ([][]float64, error) {
 func measureFactor(data [][]float64, opts Options, mut func(*core.Config)) (pointsPerSec, kernelsPerPoint float64, err error) {
 	cfg := opts.config()
 	mut(&cfg)
-	clf, err := core.Train(data, cfg)
+	q := opts.MaxQueries
+	// The no-pruning configurations are Θ(n) per query; cap harder.
+	if cfg.DisableThresholdRule {
+		q = min(q, 300)
+	}
+	m, err := MeasureTKDC(data, cfg, q)
 	if err != nil {
 		return 0, 0, err
 	}
-	q := opts.MaxQueries
-	if q > len(data) {
-		q = len(data)
-	}
-	// The no-pruning configurations are Θ(n) per query; cap harder.
-	if cfg.DisableThresholdRule && q > 300 {
-		q = 300
-	}
-	before := clf.Stats()
-	start := time.Now()
-	for i := 0; i < q; i++ {
-		if _, err := clf.Score(data[i]); err != nil {
-			return 0, 0, err
-		}
-	}
-	elapsed := time.Since(start).Seconds()
-	after := clf.Stats()
 	// Grid hits perform no kernel evaluations; they still count as
 	// classified points.
-	kernels := float64(after.Kernels() - before.Kernels())
-	return float64(q) / elapsed, kernels / float64(q), nil
+	return m.QueryThroughput(), m.KernelsPerQuery, nil
 }
 
 // Figure12 is the cumulative factor analysis: optimizations are enabled

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"tkdc/internal/estimator"
 	"tkdc/internal/kdtree"
 	"tkdc/internal/kernel"
 )
@@ -56,9 +55,12 @@ const (
 )
 
 // AutoTreeMaxDim is the largest dimensionality at which BackendAuto
-// keeps the tree traversal. Above it the tree's distance bounds
-// degenerate toward a linear scan (BENCH_core.json: ~5 nodes/op at d=1
-// versus ~154 at d=8, worse beyond) and sampling wins.
+// keeps the tree traversal. The tree's answers are certified on every
+// query, the sampler's only where its envelope decided.
+// BenchmarkBackendHeadToHead (BENCH_core.json) has the sampler answering
+// faster at every d from 4 to 32, so the cut marks no measured
+// crossover; it stands until the backend is chosen from measured work
+// (the ROADMAP's backend item).
 const AutoTreeMaxDim = 8
 
 // Backends lists the valid Config.Backend values.
@@ -87,20 +89,16 @@ func resolveBackend(name string, dim int) string {
 	return name
 }
 
-// newQueryBackend constructs the configured density backend over a built
+// NewBackend constructs the configured density backend over a built
 // index. Every query path in the package — serving, the training
 // refinement pass, the threshold bootstrap's mini-KDEs, the drift probe —
 // builds backends through here, so one Config selects the engine
-// everywhere.
-func newQueryBackend(tree *kdtree.Tree, kern kernel.Kernel, cfg Config) DensityBackend {
+// everywhere; the nocut baseline builds its tree backend here too. cfg
+// must be valid (normalized and validated, as DefaultConfig is).
+func NewBackend(tree *kdtree.Tree, kern kernel.Kernel, cfg Config) DensityBackend {
 	switch resolveBackend(cfg.Backend, tree.Dim) {
 	case BackendSampling:
-		return &samplingBackend{s: estimator.New(tree, kern, estimator.Options{
-			Seed:             cfg.Seed,
-			Delta:            cfg.Delta,
-			DisableThreshold: cfg.DisableThresholdRule,
-			DisableTolerance: cfg.DisableToleranceRule,
-		})}
+		return newSampler(tree, kern, cfg)
 	default:
 		return newDensityEstimator(tree, kern, cfg.DisableThresholdRule, cfg.DisableToleranceRule)
 	}
@@ -140,49 +138,6 @@ func (e *densityEstimator) Recycle() {
 	if cap(e.heap.items) > maxPooledHeapItems {
 		e.heap.items = nil
 	}
-}
-
-// --- sampling backend -------------------------------------------------
-
-// samplingBackend adapts estimator.Sampler to the DensityBackend
-// contract, translating its work counters into QueryStats. The package
-// split keeps internal/estimator free of core types (it depends only on
-// the kdtree arena and the kernel), so further backends can follow the
-// same shape.
-type samplingBackend struct {
-	s *estimator.Sampler
-}
-
-func (b *samplingBackend) BoundDensity(x []float64, tl, tu, tolCut float64, stats *QueryStats) (fl, fu, est float64) {
-	w := estimator.Work{Trace: stats.Trace}
-	fl, fu, est = b.s.BoundDensity(x, tl, tu, tolCut, &w)
-	addWork(stats, w)
-	return fl, fu, est
-}
-
-func (b *samplingBackend) EstimateDensity(x []float64, rel float64, stats *QueryStats) (fl, fu, est float64) {
-	w := estimator.Work{Trace: stats.Trace}
-	fl, fu, est = b.s.EstimateDensity(x, rel, &w)
-	addWork(stats, w)
-	return fl, fu, est
-}
-
-// Name returns BackendSampling.
-func (b *samplingBackend) Name() string { return BackendSampling }
-
-// Certified reports false: the bounds hold with probability ≥ 1−δ.
-func (b *samplingBackend) Certified() bool { return false }
-
-// Recycle is a no-op: the sampler's scratch (near-phase heap and
-// far-range table) is bounded by its node budget.
-func (b *samplingBackend) Recycle() {}
-
-func addWork(stats *QueryStats, w estimator.Work) {
-	stats.PointKernels += w.PointKernels
-	stats.BoundKernels += w.BoundKernels
-	stats.NodesVisited += w.NodesVisited
-	stats.SamplingRounds += w.FarRounds
-	stats.SampledPoints += w.FarSamples
 }
 
 // backendError builds the rejection for an unknown Config.Backend.

@@ -106,7 +106,7 @@ func BenchmarkBackendHeadToHead(b *testing.B) {
 				}
 				cfg := DefaultConfig()
 				cfg.Backend = backend
-				be := newQueryBackend(st.tree, st.kern, cfg)
+				be := NewBackend(st.tree, st.kern, cfg)
 				n := st.pts.Len()
 				tolCut := 0.01 * st.t
 				var qs QueryStats

@@ -389,7 +389,7 @@ func assemble(data *points.Store, cfg Config) (*Classifier, error) {
 		rec:         rec,
 	}
 	c.estPool.New = func() any {
-		return &pooledBackend{DensityBackend: newQueryBackend(c.tree, c.kern, cfg)}
+		return &pooledBackend{DensityBackend: NewBackend(c.tree, c.kern, cfg)}
 	}
 	if !cfg.DisableGrid && c.dim <= cfg.MaxGridDim {
 		g, err := grid.NewWorkers(data, kern.Bandwidths(), cfg.Workers)

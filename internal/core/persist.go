@@ -12,7 +12,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"tkdc/internal/estimator"
 	"tkdc/internal/points"
 )
 
@@ -121,9 +120,9 @@ func (c *Classifier) Save(w io.Writer) error {
 		Train:     c.train,
 		Backend:   c.backend,
 		Sampler: samplerParams{
-			NearCut:    estimator.DefaultNearCut,
-			MinSamples: estimator.DefaultMinSamples,
-			MaxSamples: estimator.DefaultMaxSamples,
+			NearCut:    samplerNearCut,
+			MinSamples: samplerMinSamples,
+			MaxSamples: samplerMaxSamples,
 		},
 	}
 	if err := gob.NewEncoder(w).Encode(&snap); err != nil {

@@ -84,7 +84,7 @@ func ProbeThreshold(data *points.Store, cfg Config, refRows, probes int, seed in
 	// same seed stay bit-identical regardless of the training seed.
 	beCfg := cfg
 	beCfg.Seed = seed
-	be := newQueryBackend(tree, kern, beCfg)
+	be := NewBackend(tree, kern, beCfg)
 	var qs QueryStats
 	densities := make([]float64, probes)
 	for i := range densities {

@@ -81,7 +81,7 @@ func boundThreshold(data *points.Store, cfg Config, rng *rand.Rand) (thresholdBo
 		}
 		densities = densities[:sEff]
 		res.queries.add(forEachChunk(cfg.Workers, sEff, func(lo, hi int, qs *QueryStats) {
-			est := newQueryBackend(rtree, rkern, cfg)
+			est := NewBackend(rtree, rkern, cfg)
 			for i := lo; i < hi; i++ {
 				_, _, f := est.BoundDensity(xs.Row(i), res.lo+selfContrib, res.hi+selfContrib, tolCut, qs)
 				densities[i] = f - selfContrib

@@ -160,7 +160,8 @@ func TestScoreTraceSamplingBackend(t *testing.T) {
 		}
 	}
 	// The registry's sampling counters and the trace-visible rounds come
-	// from the same Work bookkeeping; with rounds seen, counters move.
+	// from the same QueryStats bookkeeping; with rounds seen, counters
+	// move.
 	if sawRound {
 		ms := reg.Snapshot()
 		if ms.SamplingRounds <= 0 || ms.SampledPoints <= 0 {

@@ -25,7 +25,7 @@ import (
 )
 
 // Grid counts dataset points per hypercube cell. It is immutable after
-// New and safe for concurrent readers.
+// NewWorkers and safe for concurrent readers.
 type Grid struct {
 	widths []float64
 	inv    []float64
@@ -33,16 +33,12 @@ type Grid struct {
 	n      int
 }
 
-// New builds a grid over a flat point store with the given per-dimension
-// cell widths (the paper sets them equal to the bandwidths). All widths
-// must be positive and finite.
-func New(pts *points.Store, cellWidths []float64) (*Grid, error) {
-	return NewWorkers(pts, cellWidths, 1)
-}
-
-// NewWorkers builds the same grid as New, filling the per-cell counts
-// with the given number of goroutines: each worker counts a contiguous
-// row range into a private map and the partials are merged afterwards.
+// NewWorkers builds a grid over a flat point store with the given
+// per-dimension cell widths (the paper sets them equal to the
+// bandwidths). All widths must be positive and finite. It fills the
+// per-cell counts with the given number of goroutines: each worker
+// counts a contiguous row range into a private map and the partials are
+// merged afterwards.
 // Cell counts are sums, so the merged map is identical to a sequential
 // fill at any worker count. Values below 2 fill single-threaded; the
 // count is clamped to a small multiple of GOMAXPROCS.

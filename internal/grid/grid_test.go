@@ -21,19 +21,19 @@ func storeOf(tb testing.TB, rows [][]float64) *points.Store {
 
 func TestNewValidation(t *testing.T) {
 	pts := storeOf(t, [][]float64{{1, 2}})
-	if _, err := New(nil, []float64{1}); err == nil {
+	if _, err := NewWorkers(nil, []float64{1}, 1); err == nil {
 		t.Fatal("empty points should error")
 	}
-	if _, err := New(pts, nil); err == nil {
+	if _, err := NewWorkers(pts, nil, 1); err == nil {
 		t.Fatal("empty widths should error")
 	}
-	if _, err := New(pts, []float64{1, 0}); err == nil {
+	if _, err := NewWorkers(pts, []float64{1, 0}, 1); err == nil {
 		t.Fatal("zero width should error")
 	}
-	if _, err := New(pts, []float64{1, math.NaN()}); err == nil {
+	if _, err := NewWorkers(pts, []float64{1, math.NaN()}, 1); err == nil {
 		t.Fatal("NaN width should error")
 	}
-	if _, err := New(pts, []float64{1}); err == nil {
+	if _, err := NewWorkers(pts, []float64{1}, 1); err == nil {
 		t.Fatal("dimension mismatch should error")
 	}
 }
@@ -44,7 +44,7 @@ func TestCountBasics(t *testing.T) {
 		{1.5, 0.5},   // cell (1,0)
 		{-0.5, -0.5}, // cell (-1,-1)
 	})
-	g, err := New(pts, []float64{1, 1})
+	g, err := NewWorkers(pts, []float64{1, 1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestCountBasics(t *testing.T) {
 
 func TestNegativeCoordinateCells(t *testing.T) {
 	// floor semantics: -0.5 with width 1 lands in cell -1, not 0.
-	g, err := New(storeOf(t, [][]float64{{-0.5}}), []float64{1})
+	g, err := NewWorkers(storeOf(t, [][]float64{{-0.5}}), []float64{1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestDiagSqScaledEqualsDimWhenWidthsAreBandwidths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := New(storeOf(t, [][]float64{{0, 0, 0}}), h)
+	g, err := NewWorkers(storeOf(t, [][]float64{{0, 0, 0}}), h, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestLowerBoundDensityIsLowerBound(t *testing.T) {
 		for i := range pts.Data {
 			pts.Data[i] = rng.NormFloat64()
 		}
-		g, err := New(pts, h)
+		g, err := NewWorkers(pts, h, 1)
 		if err != nil {
 			return false
 		}
@@ -143,7 +143,7 @@ func TestDenseClusterTriggersBound(t *testing.T) {
 	}
 	h := []float64{1, 1}
 	k, _ := kernel.NewGaussian(h)
-	g, err := New(pts, h)
+	g, err := NewWorkers(pts, h, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func BenchmarkGridBuild(b *testing.B) {
 	h := []float64{0.05, 0.05}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := New(pts, h); err != nil {
+		if _, err := NewWorkers(pts, h, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -176,7 +176,7 @@ func BenchmarkGridCount(b *testing.B) {
 	for i := range pts.Data {
 		pts.Data[i] = rng.NormFloat64()
 	}
-	g, err := New(pts, []float64{0.05, 0.05})
+	g, err := NewWorkers(pts, []float64{0.05, 0.05}, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestNewWorkersMatchesSequential(t *testing.T) {
 			for j := range widths {
 				widths[j] = 0.5 + rng.Float64()
 			}
-			ref, err := New(pts, widths)
+			ref, err := NewWorkers(pts, widths, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -339,8 +339,10 @@ func (ing *Ingestor) Snapshot() (*points.Store, int64) {
 // fresh store — the drift probe's input — using a private generator
 // seeded with seed, so the draw is reproducible and leaves the
 // reservoirs untouched. It returns at most Len() rows, weighted across
-// shards as Snapshot's draw is in reservoir mode (by rows seen) and by
-// rows held in window mode. Returns nil while empty.
+// shards as Snapshot's draw is in reservoir mode (by rows seen). In
+// window mode it draws from the rows Snapshot returns, each shard's
+// newest rows, so the probe reads the data a retrain sees. Returns nil
+// while empty.
 func (ing *Ingestor) Sample(k int, seed int64) *points.Store {
 	_, held := ing.lockAll()
 	defer ing.unlockAll()
@@ -355,10 +357,12 @@ func (ing *Ingestor) Sample(k int, seed int64) *points.Store {
 // a fresh store. It allocates the k slots across shards by the
 // multivariate hypergeometric over per-shard weights — rows seen in
 // reservoir mode, which makes the draw a uniform k-subset of the whole
-// stream, or rows held in window mode — and then draws each shard's
-// count of rows within it by sparse Fisher–Yates, both from one
-// generator seeded with seed. A shard's count never exceeds
-// min(weight, k), which it holds.
+// stream, or in window mode the rows the window merge keeps — and then
+// draws each shard's count of rows within it by sparse Fisher–Yates,
+// both from one generator seeded with seed. A shard's count never
+// exceeds min(weight, k), which it holds. A window-mode shard that the
+// merge cuts draws arrival ranks among its newest rows instead of
+// slots.
 //
 // Two cases make no allocation draw. When every held row goes out (the
 // fill phase, or one full shard) the shards are copied whole in index
@@ -368,6 +372,10 @@ func (ing *Ingestor) Sample(k int, seed int64) *points.Store {
 // seed (TestIngestorDigests pins both). Callers hold every shard lock.
 func (ing *Ingestor) drawLocked(k, held int, seed int64) *points.Store {
 	counts := make([]int, len(ing.shards))
+	var take []int
+	if ing.window {
+		take = ing.windowTakeLocked(held)
+	}
 	var rng *rand.Rand
 	if k == held {
 		for i, sh := range ing.shards {
@@ -379,7 +387,7 @@ func (ing *Ingestor) drawLocked(k, held int, seed int64) *points.Store {
 		for i, sh := range ing.shards {
 			weights[i] = sh.seen
 			if ing.window {
-				weights[i] = int64(sh.n)
+				weights[i] = int64(take[i])
 			}
 		}
 		allocate(rng, weights, counts, k)
@@ -393,6 +401,12 @@ func (ing *Ingestor) drawLocked(k, held int, seed int64) *points.Store {
 		case c == sh.n:
 			copy(out.Data[row*dim:], sh.buf.Data[:c*dim])
 			row += c
+		case ing.window && take[i] < sh.n:
+			oldest := sh.n - take[i]
+			sampleSlots(rng, take[i], c, func(r int) {
+				copy(out.Row(row), sh.buf.Row(ing.rankSlotLocked(sh, oldest+r)))
+				row++
+			})
 		default:
 			sampleSlots(rng, sh.n, c, func(slot int) {
 				copy(out.Row(row), sh.buf.Row(slot))
@@ -434,13 +448,30 @@ func allocate(rng *rand.Rand, weights []int64, counts []int, k int) {
 }
 
 // mergeWindowLocked merges sliding windows by per-shard arrival order:
-// each shard contributes its newest rows, oldest-to-newest, with row
-// counts allocated proportionally to shard occupancy by largest
-// remainder (deterministic, no RNG — recency, not uniformity, is the
-// window contract). With balanced round-robin traffic this is the
+// each shard contributes its newest windowTakeLocked rows,
+// oldest-to-newest. With balanced round-robin traffic this is the
 // newest ~capacity rows of the union stream. Callers hold all shard
 // locks; held is the total occupancy (> 0).
 func (ing *Ingestor) mergeWindowLocked(held int) *points.Store {
+	take := ing.windowTakeLocked(held)
+	dim := ing.Dim()
+	out := points.New(min(ing.capacity, held), dim)
+	row := 0
+	for i, sh := range ing.shards {
+		if take[i] > 0 {
+			ing.copyNewestLocked(sh, out.Data[row*dim:(row+take[i])*dim], take[i])
+			row += take[i]
+		}
+	}
+	return out
+}
+
+// windowTakeLocked splits the window merge's min(capacity, held) rows
+// over the shards in proportion to their occupancy, by largest
+// remainder (deterministic, no RNG — recency, not uniformity, is the
+// window contract). Callers hold all shard locks; held is the total
+// occupancy (> 0).
+func (ing *Ingestor) windowTakeLocked(held int) []int {
 	m := min(ing.capacity, held)
 	take := make([]int, len(ing.shards))
 	if m == held {
@@ -472,38 +503,29 @@ func (ing *Ingestor) mergeWindowLocked(held int) *points.Store {
 			rem[best] = 0
 		}
 	}
-	dim := ing.Dim()
-	out := points.New(m, dim)
-	row := 0
-	for i, sh := range ing.shards {
-		if take[i] > 0 {
-			ing.copyNewestLocked(sh, out.Data[row*dim:(row+take[i])*dim], take[i])
-			row += take[i]
-		}
+	return take
+}
+
+// rankSlotLocked returns the buffer slot of a window-mode shard's held
+// row of arrival rank r (0 is the oldest held row). Rows land in
+// arrival order, and once the ring is full the oldest sits at slot
+// seen mod cap. Callers hold sh.mu.
+func (ing *Ingestor) rankSlotLocked(sh *shard, r int) int {
+	if sh.n < ing.capacity {
+		return r
 	}
-	return out
+	return (int(sh.seen%int64(ing.capacity)) + r) % ing.capacity
 }
 
 // copyNewestLocked copies the newest m rows of a window-mode shard into
-// dst in arrival order (oldest of the m first). Callers hold sh.mu and
-// size dst to m*dim.
+// dst in arrival order (oldest of the m first). They are ranks n-m ..
+// n-1, a run from rank n-m's slot that wraps past the ring's end at most
+// once. Callers hold sh.mu and size dst to m*dim.
 func (ing *Ingestor) copyNewestLocked(sh *shard, dst []float64, m int) {
 	dim := ing.Dim()
-	if sh.n < ing.capacity {
-		copy(dst, sh.buf.Data[(sh.n-m)*dim:sh.n*dim])
-		return
-	}
-	// Full ring: the slot of the oldest held row is seen mod cap, so
-	// arrival rank r lives at slot (head+r) mod cap. The newest m rows
-	// are ranks cap-m .. cap-1, a wrapped contiguous run.
-	head := int(sh.seen % int64(ing.capacity))
-	start := (head + ing.capacity - m) % ing.capacity
-	if start+m <= ing.capacity {
-		copy(dst, sh.buf.Data[start*dim:(start+m)*dim])
-		return
-	}
-	k := copy(dst, sh.buf.Data[start*dim:])
-	copy(dst[k:], sh.buf.Data[:(m-(ing.capacity-start))*dim])
+	start := ing.rankSlotLocked(sh, sh.n-m)
+	k := copy(dst, sh.buf.Data[start*dim:min(start+m, ing.capacity)*dim])
+	copy(dst[k:], sh.buf.Data)
 }
 
 // sampleSlots visits k distinct uniformly drawn slots of [0, n), k ≤ n,

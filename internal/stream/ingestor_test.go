@@ -85,9 +85,11 @@ func digest(s *points.Store, seen int64) string {
 // in 37-row batches. At K = 1 Snapshot and both Samples must match in
 // both modes — the determinism bridge and every retrain input rest on
 // it. At K > 1 Snapshot must match; K > 1 Sample is pinned only where
-// it did not move (the fill phase, and window mode's Sample(50, 99),
-// whose weights and size are unchanged), because Sample now weights
-// reservoir shards by rows seen and returns at most Len() rows.
+// it did not move (the fill phase, and window mode's Sample(50, 99)),
+// because Sample now weights reservoir shards by rows seen and returns
+// at most Len() rows. Window mode's K > 1 Sample(50, 99) after eviction
+// was re-recorded when Sample began drawing from the rows Snapshot
+// keeps rather than every held row.
 func TestIngestorDigests(t *testing.T) {
 	cases := []struct {
 		shards              int
@@ -102,11 +104,11 @@ func TestIngestorDigests(t *testing.T) {
 		{2, false, 100, "ca17166f60208f11", "87202bcf1d45b51d", "b4209a4cbc33571d"},
 		{2, false, 3000, "d07ec33beb497acf", "", ""},
 		{2, true, 100, "ca17166f60208f11", "87202bcf1d45b51d", "b4209a4cbc33571d"},
-		{2, true, 3000, "820bd5f9cafeba73", "cf378678332de3bc", ""},
+		{2, true, 3000, "820bd5f9cafeba73", "15eb4c5808cb872d", ""},
 		{3, false, 100, "54daffbd961a16d9", "18bded97e79cf1c1", "a97563b3cf6a28d5"},
 		{3, false, 3000, "b6d6e14a5dfaf557", "", ""},
 		{3, true, 100, "54daffbd961a16d9", "18bded97e79cf1c1", "a97563b3cf6a28d5"},
-		{3, true, 3000, "fe4769f2a0623466", "c0de39e880511379", ""},
+		{3, true, 3000, "fe4769f2a0623466", "01b267b4332bfa30", ""},
 	}
 	for _, c := range cases {
 		t.Run(fmt.Sprintf("K=%d/window=%v/rows=%d", c.shards, c.window, c.rows), func(t *testing.T) {
@@ -368,6 +370,28 @@ func TestShardedWindowMerge(t *testing.T) {
 	for i := 1; i < cap/shards; i++ {
 		if snap.Row(i)[0] <= snap.Row(i - 1)[0] {
 			t.Fatalf("shard run not in arrival order at merged row %d", i)
+		}
+	}
+
+	// The drift probe must read the rows a retrain sees: after eviction,
+	// every Sample row is a Snapshot row, though each shard holds more
+	// rows than the merged window keeps.
+	for _, k := range []int{2, 3} {
+		s, err := NewShardedIngestor(cap, 1, 9, true, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		feedBatches(t, s.Add, indexRows(0, 1000), 1)
+		snap, _ := s.Snapshot()
+		inSnap := make(map[float64]bool, snap.Len())
+		for i := 0; i < snap.Len(); i++ {
+			inSnap[snap.Row(i)[0]] = true
+		}
+		sample := s.Sample(100, 3)
+		for i := 0; i < sample.Len(); i++ {
+			if v := sample.Row(i)[0]; !inSnap[v] {
+				t.Fatalf("K=%d: Sample row %v is not in Snapshot", k, v)
+			}
 		}
 	}
 }
