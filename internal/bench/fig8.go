@@ -13,10 +13,12 @@ import (
 )
 
 // Figure8 evaluates classification accuracy against exact-KDE ground
-// truth: every point is labelled by whether its exact (self-contribution
-// corrected) density falls below the exact t(p); each algorithm estimates
-// densities, derives its own threshold the same way, classifies, and is
-// scored by F1 on the below-threshold class (p = 0.01, as in the paper).
+// truth in Algorithm 1's convention (see exactGroundTruth): the exact
+// t(p) is the p-quantile of the self-contribution corrected densities,
+// and every point is labelled by whether its plain exact density, own
+// kernel included, falls below it. Each algorithm estimates densities,
+// derives its own threshold the same way, classifies, and is scored by
+// F1 on the below-threshold class (p = 0.01, as in the paper).
 func Figure8(opts Options) ([]Table, error) {
 	opts = opts.normalized()
 	const p = 0.01

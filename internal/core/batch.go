@@ -33,9 +33,11 @@ func (c *Classifier) ClassifyFlat(flat []float64, n int) ([]Label, error) {
 		return nil, err
 	}
 	out := make([]Label, n)
-	forEachChunk(c.cfg.Workers, n, func(lo, hi int, _ *QueryStats) {
-		for i := lo; i < hi; i++ {
-			out[i] = c.scoreChecked(flat[i*c.dim : (i+1)*c.dim]).Label
+	forEachChunk(c.cfg.Workers, n, func(next func() (int, int), _ *QueryStats) {
+		for lo, hi := next(); lo < hi; lo, hi = next() {
+			for i := lo; i < hi; i++ {
+				out[i] = c.scoreChecked(flat[i*c.dim : (i+1)*c.dim]).Label
+			}
 		}
 	})
 	return out, nil
@@ -50,9 +52,11 @@ func (c *Classifier) ScoreFlat(flat []float64, n int) ([]Result, error) {
 		return nil, err
 	}
 	out := make([]Result, n)
-	forEachChunk(c.cfg.Workers, n, func(lo, hi int, _ *QueryStats) {
-		for i := lo; i < hi; i++ {
-			out[i] = c.scoreChecked(flat[i*c.dim : (i+1)*c.dim])
+	forEachChunk(c.cfg.Workers, n, func(next func() (int, int), _ *QueryStats) {
+		for lo, hi := next(); lo < hi; lo, hi = next() {
+			for i := lo; i < hi; i++ {
+				out[i] = c.scoreChecked(flat[i*c.dim : (i+1)*c.dim])
+			}
 		}
 	})
 	return out, nil

@@ -169,7 +169,9 @@ type TrainStats struct {
 	// bootstrap round ("bootstrap/round-NN"), and one span per
 	// full-size pass ("refine/pass-N") — the §3.6 retries with a
 	// widened window appear as extra refine passes. Span kernel counts
-	// sum to TrainKernels.
+	// sum to TrainKernels. Snapshots keep each phase's name, kernels,
+	// items and workers but not its Duration, so a loaded model's
+	// phases carry no durations.
 	Phases []telemetry.Span
 }
 
@@ -415,33 +417,49 @@ func effectiveWorkers(w int) int {
 	return w
 }
 
-// forEachChunk runs body over [0, n) in contiguous index chunks, one
-// goroutine per chunk across the effective worker budget, and waits for
-// them; below two workers, or when n is too small to amortize goroutine
-// start-up, it runs one chunk on the calling goroutine. Every fan-out in
-// the package goes through here: the batch sweeps, the refinement pass
-// and the threshold bootstrap. Each chunk counts its work into its own
-// QueryStats and forEachChunk returns their sum; the counters are plain
-// sums, so the total is the same at any worker count.
-func forEachChunk(workers, n int, body func(lo, hi int, qs *QueryStats)) QueryStats {
+// forEachChunk runs body over the indices [0, n) across the effective
+// worker budget and waits for it. Each goroutine calls body once, and
+// body asks next for index blocks [lo, hi) until next returns an empty
+// one. The blocks come from a shared atomic cursor, so a goroutine the
+// scheduler holds back (the serving reader shares the cores) delays at
+// most one block of the pass, not its own fixed share. Below two
+// workers, or when n is too small to amortize goroutine start-up, body
+// runs on the calling goroutine and next hands out [0, n) once. Every
+// fan-out in the package goes through here: the batch sweeps, the
+// refinement pass and the threshold bootstrap. Each goroutine counts
+// its work into its own QueryStats and forEachChunk returns their sum;
+// the counters are plain sums, so the total is the same at any worker
+// count and block assignment.
+func forEachChunk(workers, n int, body func(next func() (lo, hi int), qs *QueryStats)) QueryStats {
 	workers = effectiveWorkers(workers)
-	if workers < 2 || n < 2*workers {
+	inline := workers < 2 || n < 2*workers
+	block := n
+	if !inline {
+		// Sixteen blocks per worker balance the pass without making
+		// the cursor a hot spot.
+		block = max(8, n/(16*workers))
+	}
+	var cursor atomic.Int64
+	next := func() (int, int) {
+		lo := min(int(cursor.Add(int64(block)))-block, n)
+		return lo, min(lo+block, n)
+	}
+	if inline {
 		var qs QueryStats
-		body(0, n, &qs)
+		body(next, &qs)
 		return qs
 	}
-	chunk := (n + workers - 1) / workers
-	stats := make([]QueryStats, (n+chunk-1)/chunk)
+	stats := make([]QueryStats, workers)
 	var wg sync.WaitGroup
+	wg.Add(workers)
 	for w := range stats {
-		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			// A local per goroutine: adjacent slots of stats would share
 			// a cache line, and the tree traversal bumps its counters
 			// once per node.
 			var qs QueryStats
-			body(w*chunk, min((w+1)*chunk, n), &qs)
+			body(next, &qs)
 			stats[w] = qs
 		}()
 	}
@@ -457,11 +475,13 @@ func forEachChunk(workers, n int, body func(lo, hi int, qs *QueryStats)) QuerySt
 // (tl, tu), returning self-contribution-corrected density estimates.
 func (c *Classifier) trainingDensities(tl, tu float64) ([]float64, QueryStats) {
 	densities := make([]float64, c.data.Len())
-	total := forEachChunk(c.cfg.Workers, len(densities), func(lo, hi int, qs *QueryStats) {
+	total := forEachChunk(c.cfg.Workers, len(densities), func(next func() (int, int), qs *QueryStats) {
 		est := c.getEstimator()
 		defer c.putEstimator(est)
-		for i := lo; i < hi; i++ {
-			densities[i] = c.trainingDensityOne(est.DensityBackend, c.data.Row(i), tl, tu, qs)
+		for lo, hi := next(); lo < hi; lo, hi = next() {
+			for i := lo; i < hi; i++ {
+				densities[i] = c.trainingDensityOne(est.DensityBackend, c.data.Row(i), tl, tu, qs)
+			}
 		}
 	})
 	return densities, total
@@ -621,9 +641,11 @@ func (c *Classifier) ClassifyAll(queries [][]float64) ([]Label, error) {
 		}
 	}
 	out := make([]Label, len(queries))
-	forEachChunk(c.cfg.Workers, len(queries), func(lo, hi int, _ *QueryStats) {
-		for i := lo; i < hi; i++ {
-			out[i] = c.scoreChecked(queries[i]).Label
+	forEachChunk(c.cfg.Workers, len(queries), func(next func() (int, int), _ *QueryStats) {
+		for lo, hi := next(); lo < hi; lo, hi = next() {
+			for i := lo; i < hi; i++ {
+				out[i] = c.scoreChecked(queries[i]).Label
+			}
 		}
 	})
 	return out, nil

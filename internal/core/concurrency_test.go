@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -107,5 +108,47 @@ func TestParallelTrainWhileServingHammer(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestForEachChunkCoversEachIndexOnce checks the fan-out every parallel
+// pass shares: at 1–7 workers and at sizes around the inline cut-off,
+// body sees every index of [0, n) exactly once, blocks stay in range,
+// and the returned QueryStats is the per-index sum whichever goroutine
+// ran which block. CI runs it under -race.
+func TestForEachChunkCoversEachIndexOnce(t *testing.T) {
+	for w := 1; w <= 7; w++ {
+		ew := effectiveWorkers(w)
+		for _, n := range []int{0, 1, 3, 2*ew - 1, 2 * ew, 1000, 10007} {
+			hits := make([]atomic.Int32, n)
+			total := forEachChunk(w, n, func(next func() (int, int), qs *QueryStats) {
+				for lo, hi := next(); lo < hi; lo, hi = next() {
+					if lo < 0 || hi > n {
+						t.Errorf("workers=%d n=%d: block [%d, %d) out of range", w, n, lo, hi)
+						return
+					}
+					for i := lo; i < hi; i++ {
+						hits[i].Add(1)
+						qs.PointKernels += int64(i)
+						qs.BoundKernels++
+						qs.SampledPoints += int64(i % 7)
+						if i == n-1 {
+							qs.GridHit = true
+						}
+					}
+				}
+			})
+			var sevens int64
+			for i := range hits {
+				if got := hits[i].Load(); got != 1 {
+					t.Fatalf("workers=%d n=%d: index %d ran %d times", w, n, i, got)
+				}
+				sevens += int64(i % 7)
+			}
+			want := QueryStats{PointKernels: int64(n) * int64(n-1) / 2, BoundKernels: int64(n), SampledPoints: sevens, GridHit: n > 0}
+			if total != want {
+				t.Fatalf("workers=%d n=%d: stats %+v, want %+v", w, n, total, want)
+			}
+		}
 	}
 }

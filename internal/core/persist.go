@@ -11,6 +11,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"tkdc/internal/points"
 )
@@ -109,6 +110,15 @@ func (c *Classifier) Save(w io.Writer) error {
 	// registration). Load-ed models start with telemetry off; reattach
 	// with SetRecorder.
 	cfg.Recorder = nil
+	// Phase durations are wall-clock readings, not model state: two
+	// trainings of the same store, config and seed must encode to the
+	// same bytes (and so the same content address). Zero them in a
+	// copy; the live TrainStats keeps its timings.
+	train := c.train
+	train.Phases = slices.Clone(train.Phases)
+	for i := range train.Phases {
+		train.Phases[i].Duration = 0
+	}
 	snap := modelSnapshot{
 		Version:   modelVersion,
 		Config:    cfg,
@@ -117,7 +127,7 @@ func (c *Classifier) Save(w io.Writer) error {
 		Threshold: c.threshold,
 		TLow:      c.tLow,
 		THigh:     c.tHigh,
-		Train:     c.train,
+		Train:     train,
 		Backend:   c.backend,
 		Sampler: samplerParams{
 			NearCut:    samplerNearCut,

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"tkdc/internal/points"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -187,6 +189,45 @@ func TestSaveLoadParallelBitIdentical(t *testing.T) {
 		}
 		if a.Label != b.Label || a.Lower != b.Lower || a.Upper != b.Upper {
 			t.Fatalf("query %d: sequential %+v, parallel-loaded %+v", trial, a, b)
+		}
+	}
+}
+
+// TestSnapshotBytesReproducible trains the same store, config and seed
+// twice: both models must encode to the same snapshot bytes, so a
+// snapshot's SHA-256 names the model rather than how long its training
+// phases took. Save zeroes the phase durations in the snapshot only; the
+// live model keeps its timings.
+func TestSnapshotBytesReproducible(t *testing.T) {
+	store, err := points.FromRows(gauss2D(rand.New(rand.NewSource(71)), 3000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig()
+	cfg.Workers = 2
+	var snaps [2][]byte
+	for run := range snaps {
+		c, err := TrainStore(store, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snaps[run], _, err = c.EncodeSnapshot(); err != nil {
+			t.Fatal(err)
+		}
+		if c.TrainStats().Phases[0].Duration <= 0 {
+			t.Fatal("encoding zeroed the live model's phase durations")
+		}
+	}
+	if !bytes.Equal(snaps[0], snaps[1]) {
+		t.Fatalf("two trainings encoded to different snapshots (%d and %d bytes)", len(snaps[0]), len(snaps[1]))
+	}
+	loaded, err := Load(bytes.NewReader(snaps[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sp := range loaded.TrainStats().Phases {
+		if sp.Duration != 0 || sp.Name == "" || sp.Items == 0 {
+			t.Fatalf("loaded phase %+v: want a name and items but no duration", sp)
 		}
 	}
 }

@@ -41,9 +41,10 @@ type thresholdBound struct {
 // (0, +Inf).
 //
 // Each round's score loop fans the sample rows out with forEachChunk,
-// one private density backend per chunk. Sampling (the only RNG
-// consumer) stays sequential and each chunk writes disjoint density
-// slots, so the bounds are bit-identical to a single-threaded run.
+// one private density backend per goroutine. Sampling (the only RNG
+// consumer) stays sequential, every row's density depends only on the
+// row, and each block writes disjoint density slots, so the bounds are
+// bit-identical to a single-threaded run.
 func boundThreshold(data *points.Store, cfg Config, rng *rand.Rand) (thresholdBound, error) {
 	n := data.Len()
 	res := thresholdBound{lo: 0, hi: math.Inf(1)}
@@ -80,11 +81,13 @@ func boundThreshold(data *points.Store, cfg Config, rng *rand.Rand) (thresholdBo
 			densities = make([]float64, sEff)
 		}
 		densities = densities[:sEff]
-		res.queries.add(forEachChunk(cfg.Workers, sEff, func(lo, hi int, qs *QueryStats) {
+		res.queries.add(forEachChunk(cfg.Workers, sEff, func(next func() (int, int), qs *QueryStats) {
 			est := NewBackend(rtree, rkern, cfg)
-			for i := lo; i < hi; i++ {
-				_, _, f := est.BoundDensity(xs.Row(i), res.lo+selfContrib, res.hi+selfContrib, tolCut, qs)
-				densities[i] = f - selfContrib
+			for lo, hi := next(); lo < hi; lo, hi = next() {
+				for i := lo; i < hi; i++ {
+					_, _, f := est.BoundDensity(xs.Row(i), res.lo+selfContrib, res.hi+selfContrib, tolCut, qs)
+					densities[i] = f - selfContrib
+				}
 			}
 		}))
 		sort.Float64s(densities)

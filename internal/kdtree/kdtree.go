@@ -40,7 +40,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -268,6 +270,9 @@ func Build(pts *points.Store, opts Options) (*Tree, error) {
 	// reproduces the sequential arena exactly.
 	workers := buildWorkers(opts.Workers)
 	var mids []int32
+	// One split-value buffer per worker, reused across levels and
+	// dropped with this call.
+	scratch := make([][]float64, workers)
 	for lvlStart, depth := 0, 0; lvlStart < len(t.Meta); depth++ {
 		lvlEnd := len(t.Meta)
 		t.levels = append(t.levels, int32(lvlStart))
@@ -280,7 +285,7 @@ func Build(pts *points.Store, opts Options) (*Tree, error) {
 			mids = make([]int32, lvlEnd-lvlStart)
 		}
 		mids = mids[:lvlEnd-lvlStart]
-		t.expandLevel(lvlStart, lvlEnd, depth, workers, mids)
+		t.expandLevel(lvlStart, lvlEnd, depth, workers, mids, scratch)
 
 		for id := lvlStart; id < lvlEnd; id++ {
 			mid := mids[id-lvlStart]
@@ -323,14 +328,14 @@ func buildWorkers(w int) int {
 // atomic cursor (node costs are skewed — an equi-width level can pair a
 // huge node with near-empty siblings — so static chunking would idle
 // workers).
-func (t *Tree) expandLevel(lvlStart, lvlEnd, depth, workers int, mids []int32) {
+func (t *Tree) expandLevel(lvlStart, lvlEnd, depth, workers int, mids []int32, scratch [][]float64) {
 	n := lvlEnd - lvlStart
 	if workers > n {
 		workers = n
 	}
 	if workers < 2 {
 		for i := 0; i < n; i++ {
-			mids[i] = t.expandOne(lvlStart+i, depth)
+			mids[i] = t.expandOne(lvlStart+i, depth, &scratch[0])
 		}
 		return
 	}
@@ -345,7 +350,7 @@ func (t *Tree) expandLevel(lvlStart, lvlEnd, depth, workers int, mids []int32) {
 				if i >= n {
 					return
 				}
-				mids[i] = t.expandOne(lvlStart+i, depth)
+				mids[i] = t.expandOne(lvlStart+i, depth, &scratch[w])
 			}
 		}()
 	}
@@ -354,13 +359,14 @@ func (t *Tree) expandLevel(lvlStart, lvlEnd, depth, workers int, mids []int32) {
 
 // expandOne computes node id's bounding box and, when the node splits,
 // partitions its rows, returning the boundary row (-1 for a leaf).
-func (t *Tree) expandOne(id, depth int) int32 {
+// scratch is the calling worker's split-value buffer.
+func (t *Tree) expandOne(id, depth int, scratch *[]float64) int32 {
 	lo, hi := int(t.Meta[id].Lo), int(t.Meta[id].Hi)
 	t.fillBox(id, lo, hi)
 	if hi-lo <= t.Opts.LeafSize {
 		return -1
 	}
-	mid, ok := t.splitRange(id, lo, hi, depth)
+	mid, ok := t.splitRange(id, lo, hi, depth, scratch)
 	if !ok {
 		return -1
 	}
@@ -370,10 +376,10 @@ func (t *Tree) expandOne(id, depth int) int32 {
 // splitRange selects the axis and partitions rows [lo, hi) for node id,
 // returning the boundary row, or ok=false when the node cannot split
 // (zero extent on every axis, or irreparably degenerate duplicates).
-// The axis selection, split value, and duplicate fallbacks are the
-// pointer-era build logic verbatim, so the reordered buffer is
-// bit-identical across the arena refactor.
-func (t *Tree) splitRange(id int, lo, hi, depth int) (mid int, ok bool) {
+// The axis selection, split value, and duplicate fallbacks reproduce the
+// pointer-era build logic (the split value by selection instead of a
+// full sort), so the reordered buffer is bit-identical to it.
+func (t *Tree) splitRange(id int, lo, hi, depth int, scratch *[]float64) (mid int, ok bool) {
 	// Cycle through the dimensions one per level (Section 3.1), skipping
 	// axes with zero extent. If every axis has zero extent the points are
 	// all identical and further splitting is pointless.
@@ -392,7 +398,7 @@ func (t *Tree) splitRange(id int, lo, hi, depth int) (mid int, ok bool) {
 		return 0, false
 	}
 
-	split := t.splitValue(lo, hi, dim)
+	split := t.splitValue(lo, hi, dim, scratch)
 	mid = t.partition(lo, hi, dim, split)
 	if mid == lo || mid == hi {
 		// Degenerate split (heavily duplicated coordinates): fall back to
@@ -430,21 +436,85 @@ func (s *rowSorter) Less(i, j int) bool { return s.pts.At(s.lo+i, s.dim) < s.pts
 func (s *rowSorter) Swap(i, j int)      { s.pts.Swap(s.lo+i, s.lo+j) }
 
 // splitValue returns the coordinate to split at along dim for rows
-// [lo, hi).
-func (t *Tree) splitValue(lo, hi, dim int) float64 {
-	vals := make([]float64, hi-lo)
+// [lo, hi). It copies the column into the worker's scratch (grown as
+// needed, so a worker allocates only when it meets a larger node than
+// before) and reads the order statistics by selection, which returns
+// the values a full sort would put at those ranks; the rows themselves
+// are left for partition to reorder.
+func (t *Tree) splitValue(lo, hi, dim int, scratch *[]float64) float64 {
+	n := hi - lo
+	if cap(*scratch) < n {
+		*scratch = make([]float64, n)
+	}
+	vals := (*scratch)[:n]
 	for i := range vals {
 		vals[i] = t.Pts.At(lo+i, dim)
 	}
-	sort.Float64s(vals)
 	switch t.Opts.Split {
 	case SplitMedian:
-		return vals[len(vals)/2]
+		return selectKth(vals, n/2)
 	default: // SplitEquiWidth
-		p10 := vals[int(0.10*float64(len(vals)-1))]
-		p90 := vals[int(0.90*float64(len(vals)-1))]
+		k10, k90 := int(0.10*float64(n-1)), int(0.90*float64(n-1))
+		p10 := selectKth(vals, k10)
+		// Everything after k10 is now ≥ p10, so the k90-th smallest of
+		// vals is the (k90−k10)-th smallest of that tail.
+		p90 := selectKth(vals[k10:], k90-k10)
 		return 0.5 * (p10 + p90)
 	}
+}
+
+// selectKth returns the value sort.Float64s would put at index k of
+// vals, and reorders vals so that every element before k is ≤ it and
+// every element after k is ≥ it. For finite values the result equals
+// the sorted one up to the sign of a zero, which no comparison sees.
+func selectKth(vals []float64, k int) float64 {
+	return introselect(vals, k, 2*bits.Len(uint(len(vals))))
+}
+
+// introselect is selectKth's engine: quickselect with a median-of-three
+// pivot and a Hoare partition. After the given number of partitioning
+// rounds it sorts what remains with slices.Sort, so a run of bad pivots
+// costs O(n log n) at worst instead of O(n²).
+func introselect(vals []float64, k, rounds int) float64 {
+	lo, hi := 0, len(vals)-1 // the closed range that holds rank k
+	for ; lo < hi; rounds-- {
+		if rounds == 0 {
+			slices.Sort(vals[lo : hi+1])
+			break
+		}
+		// Order vals[lo] ≤ vals[mid] ≤ vals[hi] and pivot on the middle.
+		// With the pivot at the lower middle index the partition below
+		// always leaves both sides non-empty.
+		mid := lo + (hi-lo)/2
+		if vals[mid] < vals[lo] {
+			vals[mid], vals[lo] = vals[lo], vals[mid]
+		}
+		if vals[hi] < vals[mid] {
+			vals[hi], vals[mid] = vals[mid], vals[hi]
+			if vals[mid] < vals[lo] {
+				vals[mid], vals[lo] = vals[lo], vals[mid]
+			}
+		}
+		pivot := vals[mid]
+		i, j := lo-1, hi+1
+		for {
+			for i++; vals[i] < pivot; i++ {
+			}
+			for j--; vals[j] > pivot; j-- {
+			}
+			if i >= j {
+				break
+			}
+			vals[i], vals[j] = vals[j], vals[i]
+		}
+		// vals[lo..j] ≤ pivot ≤ vals[j+1..hi]: keep the side holding k.
+		if k <= j {
+			hi = j
+		} else {
+			lo = j + 1
+		}
+	}
+	return vals[k]
 }
 
 // partition reorders rows [lo, hi) into (< split) then (≥ split) along
