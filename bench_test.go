@@ -60,6 +60,17 @@ func benchStore(b *testing.B, key string, data [][]float64) *points.Store {
 	})
 }
 
+// benchKernel is the Scott's-rule Gaussian over pts, cached under key.
+func benchKernel(b *testing.B, key string, pts *points.Store) *kernel.Gaussian {
+	return cached(b, "kern/"+key, func() (*kernel.Gaussian, error) {
+		h, err := kernel.ScottBandwidths(pts, 1)
+		if err != nil {
+			return nil, err
+		}
+		return kernel.NewGaussian(h)
+	})
+}
+
 func benchClassifier(b *testing.B, key string, data [][]float64, mut func(*tkdc.Config)) *tkdc.Classifier {
 	return cached(b, "clf/"+key, func() (*tkdc.Classifier, error) {
 		cfg := tkdc.DefaultConfig()
@@ -92,13 +103,7 @@ func BenchmarkTable2Algorithms(b *testing.B) {
 		scoreLoop(b, clf, data)
 	})
 	pts := benchStore(b, "tab2", data)
-	kern := cached(b, "tab2/kern", func() (kernel.Kernel, error) {
-		h, err := kernel.ScottBandwidths(pts, 1)
-		if err != nil {
-			return nil, err
-		}
-		return kernel.NewGaussian(h)
-	})
+	kern := benchKernel(b, "tab2", pts)
 	b.Run("simple", func(b *testing.B) {
 		s := baseline.NewSimple(pts, kern)
 		b.ResetTimer()
@@ -275,13 +280,7 @@ func BenchmarkFig7Throughput(b *testing.B) {
 func BenchmarkFig8Accuracy(b *testing.B) {
 	data := benchData(b, "tmy3", 2000, 4)
 	pts := benchStore(b, "fig8", data)
-	kern := cached(b, "fig8/kern", func() (kernel.Kernel, error) {
-		h, err := kernel.ScottBandwidths(pts, 1)
-		if err != nil {
-			return nil, err
-		}
-		return kernel.NewGaussian(h)
-	})
+	kern := benchKernel(b, "fig8", pts)
 	s := baseline.NewSimple(pts, kern)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -371,13 +370,7 @@ func BenchmarkFig12FactorAnalysis(b *testing.B) {
 func BenchmarkFig13RadiusSweep(b *testing.B) {
 	data := benchData(b, "tmy3", 15000, 4)
 	pts := benchStore(b, "fig13", data)
-	kern := cached(b, "fig13/kern", func() (kernel.Kernel, error) {
-		h, err := kernel.ScottBandwidths(pts, 1)
-		if err != nil {
-			return nil, err
-		}
-		return kernel.NewGaussian(h)
-	})
+	kern := benchKernel(b, "fig13", pts)
 	for _, radius := range []float64{0.5, 1, 2, 4} {
 		radius := radius
 		b.Run(fmt.Sprintf("r=%.1f", radius), func(b *testing.B) {
@@ -509,20 +502,6 @@ func BenchmarkHarnessSmoke(b *testing.B) {
 		if _, err := bench.Run("tab3", bench.Options{Scale: 0.001, MaxQueries: 10, Seed: 42}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkKernelFamilies is the kernel ablation: the finite-support
-// Epanechnikov kernel lets the threshold rule prune subtrees to an exact
-// zero contribution.
-func BenchmarkKernelFamilies(b *testing.B) {
-	data := benchData(b, "gauss", 20000, 2)
-	for _, fam := range []tkdc.KernelFamily{tkdc.KernelGaussian, tkdc.KernelEpanechnikov} {
-		fam := fam
-		b.Run(fam.String(), func(b *testing.B) {
-			clf := benchClassifier(b, "kern/"+fam.String(), data, func(c *tkdc.Config) { c.Kernel = fam })
-			scoreLoop(b, clf, data)
-		})
 	}
 }
 

@@ -38,12 +38,12 @@ type Estimator interface {
 // of the flat buffer.
 type Simple struct {
 	data    *points.Store
-	kern    kernel.Kernel
+	kern    *kernel.Gaussian
 	kernels int64
 }
 
 // NewSimple builds the naive estimator over data with the given kernel.
-func NewSimple(data *points.Store, kern kernel.Kernel) *Simple {
+func NewSimple(data *points.Store, kern *kernel.Gaussian) *Simple {
 	return &Simple{data: data, kern: kern}
 }
 
@@ -60,5 +60,5 @@ func (s *Simple) Kernels() int64 { return s.kernels }
 func (s *Simple) Density(x []float64) float64 {
 	n := s.data.Len()
 	s.kernels += int64(n)
-	return kernel.Sum(s.kern, x, s.data.Data) / float64(n)
+	return s.kern.Sum(x, s.data.Data) / float64(n)
 }

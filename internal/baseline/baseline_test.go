@@ -10,7 +10,7 @@ import (
 	"tkdc/internal/points"
 )
 
-func makeData(rng *rand.Rand, n, d int) (*points.Store, kernel.Kernel) {
+func makeData(rng *rand.Rand, n, d int) (*points.Store, *kernel.Gaussian) {
 	pts := points.New(n, d)
 	for i := range pts.Data {
 		pts.Data[i] = rng.NormFloat64() * 3
@@ -27,7 +27,7 @@ func makeData(rng *rand.Rand, n, d int) (*points.Store, kernel.Kernel) {
 }
 
 // exact computes the reference density by direct summation.
-func exact(pts *points.Store, kern kernel.Kernel, x []float64) float64 {
+func exact(pts *points.Store, kern *kernel.Gaussian, x []float64) float64 {
 	invH2 := kern.InvBandwidthsSq()
 	sum := 0.0
 	for i := 0; i < pts.Len(); i++ {

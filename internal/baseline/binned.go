@@ -26,7 +26,7 @@ const MaxBinnedDim = 4
 // binned sum) and carries no accuracy guarantee — error grows with bin
 // width, i.e. with dimension.
 type Binned struct {
-	kern    kernel.Kernel
+	kern    *kernel.Gaussian
 	invH2   []float64
 	n       int
 	dim     int
@@ -40,7 +40,7 @@ type Binned struct {
 }
 
 // NewBinned builds a binned estimator with ks-style default grid sizes.
-func NewBinned(data *points.Store, kern kernel.Kernel) (*Binned, error) {
+func NewBinned(data *points.Store, kern *kernel.Gaussian) (*Binned, error) {
 	d := kern.Dim()
 	if d > MaxBinnedDim {
 		return nil, fmt.Errorf("baseline: binned estimator supports at most %d dimensions, got %d", MaxBinnedDim, d)
@@ -50,7 +50,7 @@ func NewBinned(data *points.Store, kern kernel.Kernel) (*Binned, error) {
 
 // NewBinnedWithBins builds a binned estimator with binsPerDim grid nodes
 // along every dimension.
-func NewBinnedWithBins(data *points.Store, kern kernel.Kernel, binsPerDim int) (*Binned, error) {
+func NewBinnedWithBins(data *points.Store, kern *kernel.Gaussian, binsPerDim int) (*Binned, error) {
 	if data.Len() == 0 {
 		return nil, fmt.Errorf("baseline: binned estimator needs data")
 	}

@@ -23,7 +23,7 @@ type NoCut struct {
 
 // NewNoCut builds the tolerance-only estimator. eps is the relative error
 // target (0.01 in the paper's experiments); eps ≤ 0 computes exactly.
-func NewNoCut(data *points.Store, kern kernel.Kernel, eps float64) (*NoCut, error) {
+func NewNoCut(data *points.Store, kern *kernel.Gaussian, eps float64) (*NoCut, error) {
 	tree, err := kdtree.Build(data, kdtree.Options{})
 	if err != nil {
 		return nil, err

@@ -17,7 +17,7 @@ import (
 // K(radius) in scaled space.
 type RKDE struct {
 	tree     *kdtree.Tree
-	kern     kernel.Kernel
+	kern     *kernel.Gaussian
 	invH2    []float64
 	sqRadius float64
 	kernels  int64
@@ -26,7 +26,7 @@ type RKDE struct {
 // NewRKDE builds a radial estimator with the given cutoff radius,
 // expressed in bandwidth multiples (the x-axis of Figure 13). radius must
 // be positive.
-func NewRKDE(data *points.Store, kern kernel.Kernel, radius float64) (*RKDE, error) {
+func NewRKDE(data *points.Store, kern *kernel.Gaussian, radius float64) (*RKDE, error) {
 	if math.IsNaN(radius) || radius <= 0 {
 		return nil, fmt.Errorf("baseline: rkde radius = %v must be positive", radius)
 	}
@@ -47,9 +47,7 @@ func NewRKDE(data *points.Store, kern kernel.Kernel, radius float64) (*RKDE, err
 // excluded points contribute at most K(r) each, at most K(r) in total
 // density, so K(r) ≤ errAbs suffices. The paper sets errAbs = ε·t
 // ("the smallest possible radius with guaranteed error ε = 0.01t").
-// Only defined for the Gaussian kernel (unbounded support); finite-support
-// kernels should use their support radius.
-func RadiusForError(kern kernel.Kernel, errAbs float64) (float64, error) {
+func RadiusForError(kern *kernel.Gaussian, errAbs float64) (float64, error) {
 	if errAbs <= 0 {
 		return 0, fmt.Errorf("baseline: rkde error target %v must be positive", errAbs)
 	}
@@ -58,7 +56,7 @@ func RadiusForError(kern kernel.Kernel, errAbs float64) (float64, error) {
 		// Even fully excluded points meet the target; any tiny radius works.
 		return 1e-9, nil
 	}
-	// Gaussian: K(s) = K(0)·exp(−s/2) with s the scaled squared distance.
+	// K(s) = K(0)·exp(−s/2) with s the scaled squared distance.
 	s := -2 * math.Log(errAbs/k0)
 	return math.Sqrt(s), nil
 }

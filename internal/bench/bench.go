@@ -266,7 +266,7 @@ func NewBaseline(kind BaselineKind, data [][]float64, params BaselineParams) (ba
 }
 
 // sampleThreshold estimates t(p) from exact densities of a small sample.
-func sampleThreshold(pts *points.Store, kern kernel.Kernel, sample int, p float64) float64 {
+func sampleThreshold(pts *points.Store, kern *kernel.Gaussian, sample int, p float64) float64 {
 	n := pts.Len()
 	if sample > n {
 		sample = n
@@ -278,7 +278,7 @@ func sampleThreshold(pts *points.Store, kern kernel.Kernel, sample int, p float6
 	}
 	for i := 0; i < sample; i++ {
 		q := pts.Row(i * stride)
-		ds[i] = kernel.Sum(kern, q, pts.Data) / float64(n)
+		ds[i] = kern.Sum(q, pts.Data) / float64(n)
 	}
 	sort.Float64s(ds)
 	t, err := stats.SortedQuantile(ds, p)

@@ -159,7 +159,7 @@ func tkdcAccuracy(data [][]float64, p float64, seed int64, truth []bool) (float6
 // as exactGroundTruth: densities for all points, own corrected-quantile
 // threshold, plain densities classified against it, F1 against ground
 // truth.
-func estimatorAccuracy(est baseline.Estimator, pts *points.Store, kern kernel.Kernel, p float64, truth []bool) float64 {
+func estimatorAccuracy(est baseline.Estimator, pts *points.Store, kern *kernel.Gaussian, p float64, truth []bool) float64 {
 	n := pts.Len()
 	self := kern.AtZero() / float64(n)
 	ds := make([]float64, n)

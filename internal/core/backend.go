@@ -95,7 +95,7 @@ func resolveBackend(name string, dim int) string {
 // builds backends through here, so one Config selects the engine
 // everywhere; the nocut baseline builds its tree backend here too. cfg
 // must be valid (normalized and validated, as DefaultConfig is).
-func NewBackend(tree *kdtree.Tree, kern kernel.Kernel, cfg Config) DensityBackend {
+func NewBackend(tree *kdtree.Tree, kern *kernel.Gaussian, cfg Config) DensityBackend {
 	switch resolveBackend(cfg.Backend, tree.Dim) {
 	case BackendSampling:
 		return newSampler(tree, kern, cfg)

@@ -5,8 +5,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"tkdc/internal/kernel"
 )
 
 func TestResolveBackend(t *testing.T) {
@@ -111,7 +109,7 @@ func TestSamplingBoundsBracketHighDim(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f := kernel.Sum(c.kern, q, c.data.Data) / float64(c.data.Len())
+		f := exactDensity(c.data, c.kern, q)
 		// Queries the near phase resolves completely return an exact
 		// interval that differs from the flat-order reference only by
 		// summation order; tolerate that rounding at the interval ends.

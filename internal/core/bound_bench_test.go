@@ -17,7 +17,7 @@ import (
 // quantile, so the backends run under realistic pruning pressure.
 type boundBenchState struct {
 	tree    *kdtree.Tree
-	kern    kernel.Kernel
+	kern    *kernel.Gaussian
 	est     *densityEstimator
 	pts     *points.Store
 	t       float64

@@ -183,7 +183,7 @@ type Classifier struct {
 	data    *points.Store
 	backend string // resolved backend tag (BackendTree or BackendSampling)
 
-	kern        kernel.Kernel
+	kern        *kernel.Gaussian
 	tree        *kdtree.Tree
 	grid        *grid.Grid
 	gridKDiag   float64
@@ -256,7 +256,7 @@ func TrainStore(data *points.Store, cfg Config) (*Classifier, error) {
 
 	// Phase 1: the serving KDE — bandwidths, kernel, index and grid.
 	asmStart := time.Now()
-	c, err := assemble(data, cfg)
+	c, err := assemble(data, cfg, resolveBackend(cfg.Backend, data.Dim))
 	if err != nil {
 		return nil, err
 	}
@@ -349,15 +349,15 @@ func TrainStore(data *points.Store, cfg Config) (*Classifier, error) {
 }
 
 // buildKDE fits the kernel density estimate over data: Scott's-rule
-// bandwidths, the configured kernel, and the k-d tree index. It is the
+// bandwidths, the Gaussian kernel, and the k-d tree index. It is the
 // one place the package builds a KDE — for the serving model, for
 // Algorithm 3's subsampled rounds, and for the drift probe.
-func buildKDE(data *points.Store, cfg Config) (kernel.Kernel, *kdtree.Tree, error) {
+func buildKDE(data *points.Store, cfg Config) (*kernel.Gaussian, *kdtree.Tree, error) {
 	h, err := kernel.ScottBandwidths(data, cfg.BandwidthFactor)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: bandwidth: %w", err)
 	}
-	kern, err := newKernel(cfg.Kernel, h)
+	kern, err := kernel.NewGaussian(h)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -370,8 +370,10 @@ func buildKDE(data *points.Store, cfg Config) (kernel.Kernel, *kdtree.Tree, erro
 
 // assemble builds the deterministic serving machinery over a dataset —
 // the KDE, grid cache, and estimator pool — shared by training and
-// snapshot loading. Thresholds are left for the caller to fill in.
-func assemble(data *points.Store, cfg Config) (*Classifier, error) {
+// snapshot loading. backend is the resolved engine the pool builds and
+// Backend reports; cfg is kept as given, so Save writes the selector the
+// model was trained with. Thresholds are left for the caller to fill in.
+func assemble(data *points.Store, cfg Config, backend string) (*Classifier, error) {
 	kern, tree, err := buildKDE(data, cfg)
 	if err != nil {
 		return nil, err
@@ -384,14 +386,16 @@ func assemble(data *points.Store, cfg Config) (*Classifier, error) {
 		cfg:         cfg,
 		dim:         data.Dim,
 		data:        data,
-		backend:     resolveBackend(cfg.Backend, data.Dim),
+		backend:     backend,
 		kern:        kern,
 		tree:        tree,
 		selfContrib: kern.AtZero() / float64(data.Len()),
 		rec:         rec,
 	}
+	beCfg := cfg
+	beCfg.Backend = backend
 	c.estPool.New = func() any {
-		return &pooledBackend{DensityBackend: NewBackend(c.tree, c.kern, cfg)}
+		return &pooledBackend{DensityBackend: NewBackend(c.tree, c.kern, beCfg)}
 	}
 	if !cfg.DisableGrid && c.dim <= cfg.MaxGridDim {
 		g, err := grid.NewWorkers(data, kern.Bandwidths(), cfg.Workers)
@@ -700,8 +704,10 @@ func (c *Classifier) Bandwidths() []float64 { return c.kern.Bandwidths() }
 func (c *Classifier) Dim() int { return c.dim }
 
 // Config returns the configuration the classifier was trained (or
-// loaded) with, defaults filled in. The streaming lifecycle uses it to
-// rebuild models with identical parameters.
+// loaded) with, defaults filled in. Its Backend is the selector as
+// trained, BackendAuto included; Backend reports the resolved engine.
+// The streaming lifecycle uses it to rebuild models with identical
+// parameters.
 func (c *Classifier) Config() Config { return c.cfg }
 
 // Backend returns the resolved density backend tag (BackendTree or
@@ -799,16 +805,4 @@ func (c *Classifier) putEstimator(e *pooledBackend) {
 	e.Recycle()
 	e.qs = QueryStats{}
 	c.estPool.Put(e)
-}
-
-// newKernel builds the configured kernel family over bandwidths h.
-func newKernel(family KernelFamily, h []float64) (kernel.Kernel, error) {
-	switch family {
-	case KernelGaussian:
-		return kernel.NewGaussian(h)
-	case KernelEpanechnikov:
-		return kernel.NewEpanechnikov(h)
-	default:
-		return nil, fmt.Errorf("core: unknown kernel family %v", family)
-	}
 }

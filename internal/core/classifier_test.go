@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"sort"
+	"strings"
 	"testing"
 
 	"tkdc/internal/kdtree"
@@ -556,28 +557,15 @@ func TestConstantColumn(t *testing.T) {
 	}
 }
 
-func TestEpanechnikovKernelPath(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	data := gauss2D(rng, 1200)
+// TestTrainRejectsUnknownKernelFamily: earlier releases trained family 1
+// as an Epanechnikov kernel. A config that still names it must fail
+// loudly instead of training a Gaussian model under its name.
+func TestTrainRejectsUnknownKernelFamily(t *testing.T) {
 	cfg := testConfig()
-	cfg.Kernel = KernelEpanechnikov
-	c, err := Train(data, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := mustStore(data)
-	kern, _ := kernel.NewEpanechnikov(c.Bandwidths())
-	for trial := 0; trial < 100; trial++ {
-		q := []float64{rng.NormFloat64() * 2, rng.NormFloat64() * 2}
-		r, err := c.Score(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f := exactDensity(pts, kern, q)
-		slack := 1e-9*f + 1e-300
-		if !r.Stats.GridHit && (r.Lower > f+slack || r.Upper < f-slack) {
-			t.Fatalf("epanechnikov bounds [%g, %g] miss exact %g", r.Lower, r.Upper, f)
-		}
+	cfg.Kernel = 1
+	_, err := TrainStore(mustStore(gauss2D(rand.New(rand.NewSource(21)), 200)), cfg)
+	if err == nil || !strings.Contains(err.Error(), "unknown kernel family 1") {
+		t.Fatalf("TrainStore with Kernel = 1: err = %v, want unknown kernel family 1", err)
 	}
 }
 
@@ -652,12 +640,6 @@ func TestLabelString(t *testing.T) {
 	if Low.String() != "LOW" || High.String() != "HIGH" {
 		t.Fatal("label names wrong")
 	}
-	if KernelGaussian.String() != "gaussian" || KernelEpanechnikov.String() != "epanechnikov" {
-		t.Fatal("kernel family names wrong")
-	}
-	if KernelFamily(7).String() == "" {
-		t.Fatal("unknown family should render")
-	}
 }
 
 func TestResultEstimate(t *testing.T) {
@@ -690,29 +672,6 @@ func TestDeterministicTraining(t *testing.T) {
 	lo2, hi2 := b.ThresholdBounds()
 	if lo1 != lo2 || hi1 != hi2 {
 		t.Fatal("threshold bounds not deterministic")
-	}
-}
-
-func TestEpanechnikovWithGridTrains(t *testing.T) {
-	// The grid's cell diagonal in scaled space equals d, which is outside
-	// the Epanechnikov support (radius 1): the grid bound is always zero
-	// and must be harmless.
-	rng := rand.New(rand.NewSource(81))
-	data := gauss2D(rng, 800)
-	cfg := testConfig()
-	cfg.Kernel = KernelEpanechnikov
-	c, err := Train(data, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.TrainStats().GridEnabled {
-		t.Fatal("grid should still be built")
-	}
-	if _, err := c.Classify([]float64{0, 0}); err != nil {
-		t.Fatal(err)
-	}
-	if c.Stats().GridHits != 0 {
-		t.Fatal("epanechnikov grid bound can never certify beyond one cell diagonal")
 	}
 }
 

@@ -13,27 +13,12 @@ import (
 	"tkdc/internal/telemetry"
 )
 
-// KernelFamily selects the kernel used by the density estimate.
+// KernelFamily names the kernel of the density estimate. Every snapshot
+// records it in Config.Kernel; KernelGaussian is the only valid value.
 type KernelFamily int
 
-const (
-	// KernelGaussian is the paper's default (Equation 2).
-	KernelGaussian KernelFamily = iota
-	// KernelEpanechnikov is a finite-support alternative (extension).
-	KernelEpanechnikov
-)
-
-// String returns the family name.
-func (k KernelFamily) String() string {
-	switch k {
-	case KernelGaussian:
-		return "gaussian"
-	case KernelEpanechnikov:
-		return "epanechnikov"
-	default:
-		return fmt.Sprintf("KernelFamily(%d)", int(k))
-	}
-}
+// KernelGaussian is the paper's Gaussian product kernel (Equation 2).
+const KernelGaussian KernelFamily = 0
 
 // Config carries the density-classification task parameters of Table 1
 // together with the implementation knobs of Sections 3.5 and 3.7. The
@@ -50,7 +35,9 @@ type Config struct {
 	Delta float64
 	// BandwidthFactor is the scale factor b applied to Scott's rule.
 	BandwidthFactor float64
-	// Kernel selects the kernel family.
+	// Kernel names the kernel family. KernelGaussian, the zero value, is
+	// the only one; validate rejects any other, so a snapshot recording
+	// a family this release cannot evaluate fails to load.
 	Kernel KernelFamily
 
 	// Backend selects the density-estimation engine: BackendAuto (pick
@@ -185,6 +172,8 @@ func (c Config) validate() error {
 		return fmt.Errorf("core: HBuffer = %v must be finite and at least 1", c.HBuffer)
 	case !finite(c.HGrowth) || c.HGrowth <= 1:
 		return fmt.Errorf("core: HGrowth = %v must be finite and exceed 1", c.HGrowth)
+	case c.Kernel != KernelGaussian:
+		return fmt.Errorf("core: unknown kernel family %d", c.Kernel)
 	}
 	if !validBackend(c.Backend) {
 		return backendError(c.Backend)

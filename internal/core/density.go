@@ -110,8 +110,7 @@ func (h *refineHeap) pop() heapItem {
 // underlying tree and kernel are shared and immutable).
 type densityEstimator struct {
 	tree  *kdtree.Tree
-	kern  kernel.Kernel
-	gauss *kernel.Gaussian // non-nil when kern is Gaussian: devirtualized hot path
+	kern  *kernel.Gaussian
 	invH2 []float64
 	n     float64
 	heap  refineHeap
@@ -120,12 +119,10 @@ type densityEstimator struct {
 	disableTolerance bool
 }
 
-func newDensityEstimator(tree *kdtree.Tree, kern kernel.Kernel, disableThreshold, disableTolerance bool) *densityEstimator {
-	g, _ := kern.(*kernel.Gaussian)
+func newDensityEstimator(tree *kdtree.Tree, kern *kernel.Gaussian, disableThreshold, disableTolerance bool) *densityEstimator {
 	return &densityEstimator{
 		tree:             tree,
 		kern:             kern,
-		gauss:            g,
 		invH2:            kern.InvBandwidthsSq(),
 		n:                float64(tree.Size),
 		disableThreshold: disableThreshold,
@@ -139,14 +136,6 @@ func newDensityEstimator(tree *kdtree.Tree, kern kernel.Kernel, disableThreshold
 func (e *densityEstimator) weights(id int32, x []float64) (wlo, whi float64) {
 	frac := float64(e.tree.Count(id)) / e.n
 	dmin, dmax := e.tree.BoundsSqDist(id, x, e.invH2)
-	// The default Gaussian gets a direct (inlinable) call: its truncation
-	// and peak fast paths then cost a compare instead of an interface
-	// dispatch, and this is the single hottest call site of a query.
-	if g := e.gauss; g != nil {
-		wlo = frac * g.FromScaledSqDist(dmax)
-		whi = frac * g.FromScaledSqDist(dmin)
-		return wlo, whi
-	}
 	wlo = frac * e.kern.FromScaledSqDist(dmax)
 	whi = frac * e.kern.FromScaledSqDist(dmin)
 	return wlo, whi
@@ -208,7 +197,7 @@ func (e *densityEstimator) refine(x []float64, tl, tu, tolCut, rel float64, stag
 		left, right := t.Children(cur.id)
 		if left < 0 {
 			// One contiguous sweep over the leaf's flat row range.
-			sum := kernel.Sum(e.kern, x, t.LeafFlat(cur.id))
+			sum := e.kern.Sum(x, t.LeafFlat(cur.id))
 			stats.PointKernels += int64(t.Count(cur.id))
 			sum /= e.n
 			fl += sum
@@ -263,6 +252,6 @@ func (e *densityEstimator) refine(x []float64, tl, tu, tolCut, rel float64, stag
 
 // exactDensity sums every kernel contribution directly (the "simple"
 // baseline's inner loop, also used by tests as ground truth).
-func exactDensity(pts *points.Store, kern kernel.Kernel, x []float64) float64 {
-	return kernel.Sum(kern, x, pts.Data) / float64(pts.Len())
+func exactDensity(pts *points.Store, kern *kernel.Gaussian, x []float64) float64 {
+	return kern.Sum(x, pts.Data) / float64(pts.Len())
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // buildEstimator constructs a tree + estimator over random data.
-func buildEstimator(t testing.TB, rng *rand.Rand, n, d int) (*densityEstimator, *points.Store, kernel.Kernel) {
+func buildEstimator(t testing.TB, rng *rand.Rand, n, d int) (*densityEstimator, *points.Store, *kernel.Gaussian) {
 	t.Helper()
 	pts := points.New(n, d)
 	for i := range pts.Data {

@@ -37,32 +37,38 @@ func tinySnapshot(t testing.TB, edit func(*modelSnapshot)) []byte {
 	return buf.Bytes()
 }
 
-// nonFiniteSnapshot is a well-formed snapshot whose model cannot give
-// finite answers, with the text Load's error must carry.
-type nonFiniteSnapshot struct {
+// invalidSnapshot is a well-formed snapshot whose model cannot give
+// finite answers or cannot be evaluated at all, with the text Load's
+// error must carry.
+type invalidSnapshot struct {
 	name, want string
 	data       []byte
 }
 
-// nonFiniteSnapshots returns a bandwidth factor so small that 1/h²
+// invalidSnapshots returns a bandwidth factor so small that 1/h²
 // overflows (the box bounds then compute 0·Inf = NaN), an infinite
-// threshold (every query LOW), and a NaN growth factor (a retrain from
-// the loaded config panics on a negative sample size).
-func nonFiniteSnapshots(t testing.TB) []nonFiniteSnapshot {
-	return []nonFiniteSnapshot{
+// threshold (every query LOW), a NaN growth factor (a retrain from the
+// loaded config panics on a negative sample size), and kernel family 1,
+// which earlier releases trained as an Epanechnikov kernel and which
+// would otherwise load as a Gaussian model.
+func invalidSnapshots(t testing.TB) []invalidSnapshot {
+	return []invalidSnapshot{
 		{"bandwidth factor 1e-300", "1/h² overflows",
 			tinySnapshot(t, func(s *modelSnapshot) { s.Config.BandwidthFactor = 1e-300 })},
 		{"threshold +Inf", "threshold +Inf is not finite",
 			tinySnapshot(t, func(s *modelSnapshot) { s.Threshold = math.Inf(1) })},
 		{"HGrowth NaN", "HGrowth = NaN must be finite",
 			tinySnapshot(t, func(s *modelSnapshot) { s.Config.HGrowth = math.NaN() })},
+		{"kernel family 1", "unknown kernel family 1",
+			tinySnapshot(t, func(s *modelSnapshot) { s.Config.Kernel = 1 })},
 	}
 }
 
 // TestLoadRejectsNonFiniteModels: every snapshot used to load. The
-// first then scored density NaN with label LOW.
+// first then scored density NaN with label LOW, and the last answered
+// with an Epanechnikov kernel.
 func TestLoadRejectsNonFiniteModels(t *testing.T) {
-	for _, s := range nonFiniteSnapshots(t) {
+	for _, s := range invalidSnapshots(t) {
 		c, err := Load(bytes.NewReader(s.data))
 		if err == nil {
 			r, _ := c.Score(c.TrainingData().Row(0))
@@ -91,7 +97,7 @@ func FuzzLoad(f *testing.F) {
 	f.Add(bare)
 	f.Add(framed)
 	f.Add(framed[:frameHdrLen+len(framed[frameHdrLen:])/2])
-	for _, s := range nonFiniteSnapshots(f) {
+	for _, s := range invalidSnapshots(f) {
 		f.Add(s.data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

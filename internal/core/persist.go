@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/gob"
 	"encoding/hex"
@@ -237,17 +238,20 @@ func Load(r io.Reader) (*Classifier, error) {
 		return nil, fmt.Errorf("core: model threshold %v is not finite", snap.Threshold)
 	}
 	cfg := snap.Config.normalized()
-	if snap.Backend != "" {
-		cfg.Backend = snap.Backend
-	}
 	if err := cfg.validate(); err != nil {
 		return nil, err
+	}
+	if !validBackend(snap.Backend) {
+		return nil, backendError(snap.Backend)
 	}
 	if err := store.CheckFinite(); err != nil {
 		return nil, fmt.Errorf("core: load model: %w", err)
 	}
 
-	c, err := assemble(store, cfg)
+	// The config keeps the selector it was trained with, so the model
+	// re-encodes to the bytes it was loaded from; v1 and v2 snapshots
+	// carry no recorded engine and resolve by dimension.
+	c, err := assemble(store, cfg, resolveBackend(cmp.Or(snap.Backend, cfg.Backend), store.Dim))
 	if err != nil {
 		return nil, err
 	}

@@ -196,6 +196,48 @@ func TestPersistV3BackendPinned(t *testing.T) {
 	}
 }
 
+// TestAutoSnapshotReencodesIdentically: a loaded auto model re-encodes
+// to the bytes it was loaded from, so a follower advertises its leader's
+// SHA-256, and it still runs the engine the snapshot recorded. Load used
+// to write the resolved engine into Config.Backend, which changed the
+// bytes.
+func TestAutoSnapshotReencodesIdentically(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, tc := range []struct {
+		name string
+		data [][]float64
+		want string
+	}{
+		{"d=2", gauss2D(rng, 600), BackendTree},
+		{"d=27", latentData(rng, 600, 27, 5), BackendSampling},
+	} {
+		cfg := testConfig()
+		cfg.Backend = BackendAuto
+		clf, err := Train(tc.data, cfg)
+		if err != nil {
+			t.Fatalf("%s: Train: %v", tc.name, err)
+		}
+		first, _, err := clf.EncodeSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := Load(bytes.NewReader(first))
+		if err != nil {
+			t.Fatalf("%s: Load: %v", tc.name, err)
+		}
+		second, _, err := loaded.EncodeSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Errorf("%s: re-encoded snapshot differs: %d bytes, then %d", tc.name, len(first), len(second))
+		}
+		if clf.Backend() != tc.want || loaded.Backend() != tc.want {
+			t.Errorf("%s: backend trained %q, loaded %q, want %q", tc.name, clf.Backend(), loaded.Backend(), tc.want)
+		}
+	}
+}
+
 // TestPersistRoundTrip saves a freshly trained classifier in the current
 // snapshot format and verifies the loaded copy classifies identically.
 func TestPersistRoundTrip(t *testing.T) {

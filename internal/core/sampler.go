@@ -164,7 +164,7 @@ type farField struct {
 // immutable).
 type sampler struct {
 	tree  *kdtree.Tree
-	kern  kernel.Kernel
+	kern  *kernel.Gaussian
 	invH2 []float64
 	n     float64
 
@@ -185,7 +185,7 @@ type sampler struct {
 // newSampler builds the sampling backend over a built tree and its
 // kernel. Seed, Delta and the rule switches come from cfg, which must be
 // validated (Delta in (0, 1)).
-func newSampler(tree *kdtree.Tree, kern kernel.Kernel, cfg Config) *sampler {
+func newSampler(tree *kdtree.Tree, kern *kernel.Gaussian, cfg Config) *sampler {
 	src := rand.NewSource(0).(rand.Source64)
 	return &sampler{
 		tree:             tree,
@@ -204,19 +204,11 @@ func newSampler(tree *kdtree.Tree, kern kernel.Kernel, cfg Config) *sampler {
 }
 
 // nearRadiusSq finds the smallest scaled squared distance at which the
-// kernel has decayed to cut·K(0), by bisection on the monotone kernel.
-func nearRadiusSq(kern kernel.Kernel, cut float64) float64 {
+// kernel has decayed to cut·K(0), by bisection on the monotone kernel
+// between 0 and its truncation radius.
+func nearRadiusSq(kern *kernel.Gaussian, cut float64) float64 {
 	target := cut * kern.AtZero()
 	hi := kern.SupportSqRadius()
-	if math.IsInf(hi, 1) {
-		hi = 1
-		for kern.FromScaledSqDist(hi) > target {
-			hi *= 2
-			if hi > 1e18 { // defensive: no real kernel gets here
-				return hi
-			}
-		}
-	}
 	lo := 0.0
 	for i := 0; i < 64 && hi-lo > 1e-9*(1+hi); i++ {
 		mid := 0.5 * (lo + hi)
@@ -366,7 +358,7 @@ func (s *sampler) resolve(x []float64, it nearItem, tu float64, sumNear *float64
 		}
 	}
 	m := &s.tree.Meta[it.id]
-	*sumNear += kernel.Sum(s.kern, x, s.tree.Pts.Slab(int(m.Lo), int(m.Hi)))
+	*sumNear += s.kern.Sum(x, s.tree.Pts.Slab(int(m.Lo), int(m.Hi)))
 	stats.PointKernels += int64(it.count)
 	return *sumNear/s.n > tu
 }
@@ -422,7 +414,7 @@ func (s *sampler) exactFar(x []float64, stats *QueryStats) float64 {
 	t := s.tree
 	sum := 0.0
 	for _, r := range s.far.ranges {
-		sum += kernel.Sum(s.kern, x, t.Pts.Slab(int(r.lo), int(r.hi)))
+		sum += s.kern.Sum(x, t.Pts.Slab(int(r.lo), int(r.hi)))
 		stats.PointKernels += int64(r.hi - r.lo)
 	}
 	if stats.Trace != nil {
@@ -498,7 +490,7 @@ func (s *sampler) exact(x []float64, stats *QueryStats) float64 {
 		stageStart = time.Now()
 	}
 	stats.PointKernels += int64(s.tree.Size)
-	v := kernel.Sum(s.kern, x, s.tree.Pts.Data) / s.n
+	v := s.kern.Sum(x, s.tree.Pts.Data) / s.n
 	if stats.Trace != nil {
 		stats.Trace.AddStage(telemetry.TraceStage{
 			Name:     "exact",

@@ -15,7 +15,7 @@ import (
 
 // buildSamplerIndex constructs a store, tree, and Scott-bandwidth
 // Gaussian kernel over n points of dimension d drawn N(0, 1).
-func buildSamplerIndex(t *testing.T, seed int64, n, d int) (*kdtree.Tree, kernel.Kernel) {
+func buildSamplerIndex(t *testing.T, seed int64, n, d int) (*kdtree.Tree, *kernel.Gaussian) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	store := points.New(n, d)

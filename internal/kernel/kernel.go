@@ -1,16 +1,17 @@
-// Package kernel implements the kernel functions and bandwidth selection
-// rules used by tKDC (Section 2.4 of the paper).
+// Package kernel implements the Gaussian product kernel and the
+// bandwidth selection rule used by tKDC (Section 2.4 of the paper).
 //
 // The paper adopts product kernels with a diagonal bandwidth matrix
-// H = diag(h₁², …, h_d²). For the Gaussian family this makes the kernel a
+// H = diag(h₁², …, h_d²). For the Gaussian this makes the kernel a
 // function of the single scalar
 //
 //	s = Σ_i (x_i − y_i)² / h_i²
 //
 // (the squared Mahalanobis distance under H), which is the quantity the
-// spatial index computes bounds on. Every Kernel in this package is
-// radial in that scaled space and monotonically non-increasing in s — the
-// property the k-d tree's min/max distance bounds rely on.
+// spatial index computes bounds on. The kernel is radial in that scaled
+// space and monotonically non-increasing in s — the property the k-d
+// tree's min/max distance bounds rely on — and it is truncated to an
+// exact zero at s = 1488, so traversals prune far subtrees outright.
 package kernel
 
 import (
@@ -18,28 +19,6 @@ import (
 	"fmt"
 	"math"
 )
-
-// Kernel is a probability-density kernel that is radial and non-increasing
-// in the bandwidth-scaled squared distance s = Σ_i diff_i²/h_i².
-type Kernel interface {
-	// Dim returns the data dimensionality d.
-	Dim() int
-	// Bandwidths returns the per-dimension bandwidths h_i (not copied;
-	// callers must not modify).
-	Bandwidths() []float64
-	// InvBandwidthsSq returns 1/h_i² per dimension (not copied).
-	InvBandwidthsSq() []float64
-	// FromScaledSqDist returns the kernel density at scaled squared
-	// distance s ≥ 0.
-	FromScaledSqDist(s float64) float64
-	// AtZero returns the kernel's maximum value K(0) = FromScaledSqDist(0).
-	AtZero() float64
-	// SupportSqRadius returns the scaled squared distance beyond which the
-	// kernel is exactly zero, or +Inf for infinite-support kernels.
-	SupportSqRadius() float64
-	// Name identifies the kernel family ("gaussian", "epanechnikov").
-	Name() string
-}
 
 // ScaledSqDist returns Σ_i (a_i−b_i)²·invH2_i, the squared distance in
 // bandwidth-scaled space. The three slices must have equal length.
@@ -52,43 +31,9 @@ func ScaledSqDist(a, b, invH2 []float64) float64 {
 	return s
 }
 
-// At evaluates a kernel at the difference between two points.
-func At(k Kernel, a, b []float64) float64 {
-	return k.FromScaledSqDist(ScaledSqDist(a, b, k.InvBandwidthsSq()))
-}
-
-// Sum evaluates the kernel at x against every row of a flat row-major
-// buffer (row width len(x)) and returns the sum of kernel values — the
-// batch form of leaf expansion. Concrete kernels get a direct loop with
-// no per-point interface dispatch; other implementations fall back to a
-// generic sweep. The summation order matches evaluating rows first to
-// last, so results are bit-identical to the scalar loop.
-func Sum(k Kernel, x, rows []float64) float64 {
-	switch kk := k.(type) {
-	case *Gaussian:
-		return kk.SumFlat(x, rows)
-	case *Epanechnikov:
-		return kk.SumFlat(x, rows)
-	}
-	d := len(x)
-	invH2 := k.InvBandwidthsSq()
-	// Hoist the support radius out of the loop: beyond it the kernel is
-	// exactly zero, so the interface call can be skipped entirely — the
-	// same short-circuit the concrete SumFlat fast paths apply inline.
-	support := k.SupportSqRadius()
-	sum := 0.0
-	for off := 0; off < len(rows); off += d {
-		s := 0.0
-		for j, xj := range x {
-			diff := xj - rows[off+j]
-			s += diff * diff * invH2[j]
-		}
-		if s >= support {
-			continue
-		}
-		sum += k.FromScaledSqDist(s)
-	}
-	return sum
+// At evaluates the kernel at the difference between two points.
+func At(g *Gaussian, a, b []float64) float64 {
+	return g.FromScaledSqDist(ScaledSqDist(a, b, g.invH2))
 }
 
 func validateBandwidths(h []float64) error {
@@ -193,15 +138,18 @@ func (g *Gaussian) expTail(s float64) float64 {
 	return g.norm * math.Exp(-0.5*s)
 }
 
-// SumFlat sums the kernel over every row of a flat row-major buffer with
-// row width len(x), sweeping the buffer contiguously.
-func (g *Gaussian) SumFlat(x, rows []float64) float64 {
+// Sum evaluates the kernel at x against every row of a flat row-major
+// buffer (row width len(x)) and returns the sum of kernel values — the
+// batch form of leaf expansion. It sweeps the buffer contiguously and
+// adds rows first to last, so the result is bit-identical to summing At
+// over the rows in order.
+func (g *Gaussian) Sum(x, rows []float64) float64 {
 	d := len(x)
 	inv := g.invH2[:d]
 	sum := 0.0
 	// Unrolled low-dimensional sweeps: same per-row expression in the
-	// same row order as the generic loop, so the result is bit-identical
-	// — only the loop bookkeeping differs.
+	// same row order as the general loop below, so the result is
+	// bit-identical — only the loop bookkeeping differs.
 	switch d {
 	case 1:
 		x0, inv0 := x[0], inv[0]
@@ -245,92 +193,3 @@ func (g *Gaussian) AtZero() float64 { return g.norm }
 // SupportSqRadius returns the scaled squared distance beyond which the
 // (truncated) Gaussian is exactly zero.
 func (g *Gaussian) SupportSqRadius() float64 { return gaussianCutoffSq }
-
-// Name returns "gaussian".
-func (g *Gaussian) Name() string { return "gaussian" }
-
-// Epanechnikov is the spherical (radial) Epanechnikov kernel in the
-// bandwidth-scaled space:
-//
-//	K_H(x) = c_d / (Π h_i) · (1 − s)  for s = Σ x_i²/h_i² < 1, else 0
-//
-// where c_d = (d+2) / (2·V_d) and V_d is the volume of the d-dimensional
-// unit ball, so that the kernel integrates to one. It is offered as a
-// finite-support alternative to the Gaussian (an extension beyond the
-// paper's default); its bounded support makes the threshold rule able to
-// prune entire subtrees to an exact zero contribution.
-type Epanechnikov struct {
-	h     []float64
-	invH2 []float64
-	norm  float64
-}
-
-// NewEpanechnikov builds a spherical Epanechnikov kernel from
-// per-dimension bandwidths.
-func NewEpanechnikov(h []float64) (*Epanechnikov, error) {
-	if err := validateBandwidths(h); err != nil {
-		return nil, err
-	}
-	e := &Epanechnikov{
-		h:     append([]float64(nil), h...),
-		invH2: make([]float64, len(h)),
-	}
-	d := float64(len(h))
-	// log V_d = (d/2)·log π − lgamma(d/2 + 1).
-	lg, _ := math.Lgamma(d/2 + 1)
-	logVd := d/2*math.Log(math.Pi) - lg
-	logNorm := math.Log(d+2) - math.Log(2) - logVd
-	for i, hi := range h {
-		e.invH2[i] = 1 / (hi * hi)
-		logNorm -= math.Log(hi)
-	}
-	e.norm = math.Exp(logNorm)
-	return e, nil
-}
-
-// Dim returns the data dimensionality.
-func (e *Epanechnikov) Dim() int { return len(e.h) }
-
-// Bandwidths returns the per-dimension bandwidths.
-func (e *Epanechnikov) Bandwidths() []float64 { return e.h }
-
-// InvBandwidthsSq returns 1/h_i² per dimension.
-func (e *Epanechnikov) InvBandwidthsSq() []float64 { return e.invH2 }
-
-// FromScaledSqDist returns norm·(1−s) for s < 1 and 0 otherwise.
-func (e *Epanechnikov) FromScaledSqDist(s float64) float64 {
-	if s >= 1 {
-		return 0
-	}
-	return e.norm * (1 - s)
-}
-
-// SumFlat sums the kernel over every row of a flat row-major buffer with
-// row width len(x), sweeping the buffer contiguously.
-func (e *Epanechnikov) SumFlat(x, rows []float64) float64 {
-	d := len(x)
-	inv := e.invH2[:d]
-	sum := 0.0
-	for off := 0; off < len(rows); off += d {
-		row := rows[off : off+d : off+d]
-		s := 0.0
-		for j, xj := range x {
-			diff := xj - row[j]
-			s += diff * diff * inv[j]
-		}
-		if s >= 1 {
-			continue
-		}
-		sum += e.norm * (1 - s)
-	}
-	return sum
-}
-
-// AtZero returns the kernel's peak value.
-func (e *Epanechnikov) AtZero() float64 { return e.norm }
-
-// SupportSqRadius returns 1: the kernel vanishes at scaled distance 1.
-func (e *Epanechnikov) SupportSqRadius() float64 { return 1 }
-
-// Name returns "epanechnikov".
-func (e *Epanechnikov) Name() string { return "epanechnikov" }

@@ -37,13 +37,10 @@ type Config struct {
 	// rows have arrived since it was trained (0 disables the age trigger).
 	MaxModelAge time.Duration
 	// DriftTolerance retrains when a cheap bootstrap-style threshold
-	// probe over the current sample differs from the live threshold by
-	// more than this relative fraction (0 disables the drift trigger).
+	// probe over the current sample (512 reference rows, 256 probe
+	// queries) differs from the live threshold by more than this
+	// relative fraction (0 disables the drift trigger).
 	DriftTolerance float64
-	// ProbeRows and ProbeQueries size the drift probe's mini-KDE
-	// (defaults 512 reference rows, 256 probe queries).
-	ProbeRows    int
-	ProbeQueries int
 
 	// CheckInterval paces the background trigger checks (default 500ms).
 	CheckInterval time.Duration
@@ -163,12 +160,6 @@ func NewService(initial *core.Classifier, cfg Config) (*Service, error) {
 	}
 	if cfg.CheckInterval <= 0 {
 		cfg.CheckInterval = 500 * time.Millisecond
-	}
-	if cfg.ProbeRows <= 0 {
-		cfg.ProbeRows = 512
-	}
-	if cfg.ProbeQueries <= 0 {
-		cfg.ProbeQueries = 256
 	}
 	if cfg.RetrainEvery < 0 || cfg.Capacity < 0 {
 		return nil, fmt.Errorf("stream: negative Capacity or RetrainEvery")
@@ -309,6 +300,14 @@ func (s *Service) trigger() string {
 	return ""
 }
 
+// probeRows and probeQueries size the drift probe: the reference rows of
+// its mini-KDE and the probe queries scored against them, drawn together
+// from the current sample.
+const (
+	probeRows    = 512
+	probeQueries = 256
+)
+
 // thresholdDrifted compares the live threshold against a cheap
 // bootstrap-style probe of the current sample (core.ProbeThreshold).
 // Each check uses a fresh derived seed so repeated probes of a drifting
@@ -318,11 +317,11 @@ func (s *Service) thresholdDrifted() bool {
 	if live <= 0 || math.IsInf(live, 0) || math.IsNaN(live) {
 		return false
 	}
-	sample := s.ing.Sample(s.cfg.ProbeRows+s.cfg.ProbeQueries, s.cfg.Seed+s.probeSeq.Add(1))
+	sample := s.ing.Sample(probeRows+probeQueries, s.cfg.Seed+s.probeSeq.Add(1))
 	if sample == nil || sample.Len() < 3 {
 		return false
 	}
-	probe, err := core.ProbeThreshold(sample, s.trainCfg, s.cfg.ProbeRows, s.cfg.ProbeQueries, s.cfg.Seed)
+	probe, err := core.ProbeThreshold(sample, s.trainCfg, probeRows, probeQueries, s.cfg.Seed)
 	if err != nil || probe <= 0 {
 		return false
 	}

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Replication smoke test: a real trainer process and a real follower
 # process over loopback HTTP. The follower must converge to the leader's
-# generation and classify bit-for-bit identically, including across a
-# retrain-driven generation bump. CI runs this; it is also handy locally:
+# generation, classify bit-for-bit identically and advertise the same
+# snapshot SHA-256, including across a retrain-driven generation bump.
+# CI runs this; it is also handy locally:
 #
 #   ./scripts/replication_smoke.sh
 set -euo pipefail
@@ -43,6 +44,28 @@ wait_until() {
   exit 1
 }
 
+# synced — fetch both /model bodies; true once the follower has applied
+# the generation the leader serves.
+synced() {
+  curl -sf "$LEADER/model" > "$workdir/lsync.json" &&
+    curl -sf "$FOLLOWER/model" > "$workdir/fsync.json" &&
+    [ "$(json "$workdir/fsync.json" applied_generation)" = "$(json "$workdir/lsync.json" generation)" ]
+}
+
+# same_snapshot STAGE — once the follower has applied the leader's
+# generation, both must advertise one snapshot SHA-256. The follower
+# re-encodes the model it loaded, so a mismatch means loading changed
+# the model's bytes.
+same_snapshot() {
+  wait_until "follower at the leader's generation ($1)" synced
+  local lsha fsha
+  lsha=$(json "$workdir/lsync.json" snapshot_sha256)
+  fsha=$(json "$workdir/fsync.json" snapshot_sha256)
+  [ "$lsha" = "$fsha" ] || {
+    echo "snapshot SHA-256 differs $1: leader $lsha, follower $fsha" >&2; exit 1; }
+  echo "snapshot_sha256 $lsha on both ($1)"
+}
+
 echo "== start leader (trainer) on $LEADER_ADDR"
 "$workdir/tkdc" -train "$workdir/data.csv" -serve "$LEADER_ADDR" \
   -stream -retrain-every 100 -save "$workdir/model.tkdc" &
@@ -59,6 +82,7 @@ curl -sf -X POST --data-binary "@$workdir/queries.csv" "$LEADER/classify?density
 curl -sf -X POST --data-binary "@$workdir/queries.csv" "$FOLLOWER/classify?density=1" > "$workdir/follower1.json"
 cmp "$workdir/leader1.json" "$workdir/follower1.json" || {
   echo "follower answers diverge from leader at generation 1" >&2; exit 1; }
+same_snapshot "generation 1"
 
 curl -sf "$FOLLOWER/model" > "$workdir/fmodel.json"
 [ "$(json "$workdir/fmodel.json" role)" = follower ] || {
@@ -85,10 +109,11 @@ curl -sf -X POST --data-binary "@$workdir/queries.csv" "$LEADER/classify?density
 curl -sf -X POST --data-binary "@$workdir/queries.csv" "$FOLLOWER/classify?density=1" > "$workdir/follower2.json"
 cmp "$workdir/leader2.json" "$workdir/follower2.json" || {
   echo "follower answers diverge from leader after retrain" >&2; exit 1; }
+same_snapshot "after retrain"
 cmp -s "$workdir/leader1.json" "$workdir/leader2.json" && {
   echo "retrain did not change the model; the bump proved nothing" >&2; exit 1; }
 
 echo "== saved snapshot loads back"
 "$workdir/tkdc" -load "$workdir/model.tkdc" -query "$workdir/queries.csv" > /dev/null
 
-echo "replication smoke: OK (follower converged $gen_before -> $(json "$workdir/fmodel.json" applied_generation), answers bit-identical)"
+echo "replication smoke: OK (follower converged $gen_before -> $(json "$workdir/fmodel.json" applied_generation), answers and snapshot SHA-256 identical)"

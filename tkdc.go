@@ -63,7 +63,8 @@ type Counters = core.Counters
 // bootstrap rounds, and kernel evaluations spent.
 type TrainStats = core.TrainStats
 
-// KernelFamily selects the kernel used by the density estimate.
+// KernelFamily names the kernel of the density estimate; KernelGaussian
+// is the only one.
 type KernelFamily = core.KernelFamily
 
 // SplitRule selects the k-d tree partitioning strategy.
@@ -125,13 +126,9 @@ const (
 	High = core.High
 )
 
-// Kernel families.
-const (
-	// KernelGaussian is the paper's default Gaussian product kernel.
-	KernelGaussian = core.KernelGaussian
-	// KernelEpanechnikov is a finite-support alternative kernel.
-	KernelEpanechnikov = core.KernelEpanechnikov
-)
+// KernelGaussian is the paper's Gaussian product kernel, the zero value
+// of Config.Kernel.
+const KernelGaussian = core.KernelGaussian
 
 // Density backends. Config.Backend selects the engine answering density
 // queries: the certified tree traversal, the sampled far-field
