@@ -83,7 +83,7 @@ func main() {
 		delta     = flag.Float64("delta", 0.01, "threshold bound failure probability")
 		bw        = flag.Float64("b", 1, "bandwidth scale factor (Scott's rule multiplier)")
 		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "training and classification goroutines (models are bit-identical at any count)")
-		backend   = flag.String("backend", tkdc.BackendAuto, "density backend: auto (tree for d<=8, sampling above), tree, or sampling")
+		backend   = flag.String("backend", tkdc.BackendAuto, "where the certified refinement starts: auto (tree for d<=8, sampling above), tree (the k-d tree's root), or sampling (the near-first start: a near phase, then its frontier)")
 		seed      = flag.Int64("seed", 42, "training seed")
 		density   = flag.Bool("density", false, "print density bounds alongside labels")
 		stats     = flag.Bool("stats", false, "print a post-run telemetry summary to stderr")

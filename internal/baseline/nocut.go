@@ -29,7 +29,8 @@ func NewNoCut(data *points.Store, kern *kernel.Gaussian, eps float64) (*NoCut, e
 		return nil, err
 	}
 	// The default backend resolves by dimension and would pick the
-	// sampler above d = 8; nocut is the tree traversal at every d.
+	// near-first start above d = 8; nocut is the tree traversal at
+	// every d.
 	cfg := core.DefaultConfig()
 	cfg.Backend = core.BackendTree
 	return &NoCut{be: core.NewBackend(tree, kern, cfg), n: tree.Size, eps: eps}, nil

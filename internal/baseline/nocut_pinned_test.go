@@ -35,15 +35,15 @@ func TestNoCutPinnedBits(t *testing.T) {
 		digest  uint64
 		kernels int64
 	}{
-		"gauss2/eps=0":    {0x4d54f7ebbbbb2718, 473200},
-		"gauss2/eps=0.01": {0x14fb0afd088c92fb, 133530},
-		"gauss2/eps=0.5":  {0xdb36a82233c0f3f0, 62397},
-		"tmy3/eps=0":      {0x8d4fcd212a629480, 477200},
-		"tmy3/eps=0.01":   {0x0ed4d491f27dcd93, 167515},
-		"tmy3/eps=0.5":    {0x52849bd4389bfedb, 103120},
-		"hep27/eps=0":     {0x91d64e04f6a20acd, 474000},
-		"hep27/eps=0.01":  {0x1be07fc97d4594f8, 340311},
-		"hep27/eps=0.5":   {0x2502b5f9de9d315c, 292505},
+		"gauss2/eps=0":    {0x8169b3386a89d771, 473200},
+		"gauss2/eps=0.01": {0x580716c2425772a5, 133530},
+		"gauss2/eps=0.5":  {0x1e688fa9f7b29a1c, 62397},
+		"tmy3/eps=0":      {0xdedbb071762a795d, 477200},
+		"tmy3/eps=0.01":   {0xf1f19796b78492f8, 167515},
+		"tmy3/eps=0.5":    {0xc75923a01e665ab9, 103120},
+		"hep27/eps=0":     {0x22b332a88109cbfd, 474000},
+		"hep27/eps=0.01":  {0x52494a864b94880d, 346693},
+		"hep27/eps=0.5":   {0x80f776f1fac2dff9, 298979},
 	}
 	for _, set := range sets {
 		pts, err := points.FromRows(set.rows(2000, 1))

@@ -2,28 +2,28 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"tkdc/internal/kdtree"
 	"tkdc/internal/kernel"
 )
 
 // DensityBackend is the density-estimation engine behind one query: it
-// produces lower/upper density bounds under tKDC's threshold and
-// tolerance stopping rules (Algorithm 2's contract) together with a
-// point estimate, and accounts the work performed into QueryStats.
+// produces certified lower/upper density bounds under tKDC's threshold
+// and tolerance stopping rules (Algorithm 2's contract) together with a
+// point estimate, and accounts the work performed into QueryStats. Both
+// implementations run Algorithm 2's one refinement loop and differ only
+// in where it starts: the tree start at the root, the near-first start
+// (BackendSampling) at the frontier its near phase leaves.
 //
 // Implementations are not safe for concurrent use; the classifier pools
-// one per goroutine. The bounds' nature differs per backend — see
-// Certified.
+// one per goroutine.
 type DensityBackend interface {
 	// BoundDensity refines bounds for x until the threshold rule
-	// (fl > tu or fu < tl), the tolerance rule (fu−fl < tolCut), or the
-	// backend's budget stops it, returning fl ≤ est ≤ fu. est is the
-	// backend's best point estimate of f(x); classification compares est
-	// to the threshold. An answer the sampling backend's certified
-	// envelope decides without a sample reports the bound on its decided
-	// side instead: fl when fl > tu, fu when fu < tl.
+	// (fl > tu or fu < tl) or the tolerance rule (fu−fl < tolCut) stops
+	// it, returning fl ≤ est ≤ fu. est is the backend's point estimate
+	// of f(x); classification compares est to the threshold. The tree
+	// start reports the midpoint. The near-first start reports the bound
+	// on the decided side instead: fl when fl > tu, fu when fu < tl.
 	BoundDensity(x []float64, tl, tu, tolCut float64, stats *QueryStats) (fl, fu, est float64)
 	// EstimateDensity tightens bounds to relative precision rel
 	// (fu − fl ≤ rel·fl) regardless of any threshold; rel ≤ 0 demands an
@@ -31,10 +31,6 @@ type DensityBackend interface {
 	EstimateDensity(x []float64, rel float64, stats *QueryStats) (fl, fu, est float64)
 	// Name returns the backend tag (BackendTree or BackendSampling).
 	Name() string
-	// Certified reports whether the bounds are deterministic certificates
-	// (tree traversal) rather than probabilistic confidence bands valid
-	// with probability ≥ 1−δ (sampling).
-	Certified() bool
 	// Recycle trims any oversized scratch state before the backend
 	// returns to the classifier's pool.
 	Recycle()
@@ -45,22 +41,22 @@ const (
 	// BackendAuto selects the backend by dimension: tree for
 	// d ≤ AutoTreeMaxDim, sampling above.
 	BackendAuto = "auto"
-	// BackendTree is the paper's certified k-d tree traversal
-	// (Algorithm 2).
+	// BackendTree is the paper's k-d tree traversal: Algorithm 2
+	// started at the root.
 	BackendTree = "tree"
-	// BackendSampling is the DEANN-style split estimator: exact near
-	// field plus a seeded random sample of the far field with a
-	// variance-derived confidence band.
+	// BackendSampling names the near-first start: a DEANN-style near
+	// phase resolves the query's own neighbourhood first, and Algorithm
+	// 2's loop refines the frontier it leaves. The tag predates the
+	// start; snapshots and -backend carry it, so it keeps its name,
+	// although nothing is sampled.
 	BackendSampling = "sampling"
 )
 
 // AutoTreeMaxDim is the largest dimensionality at which BackendAuto
-// keeps the tree traversal. The tree's answers are certified on every
-// query, the sampler's only where its envelope decided.
-// BenchmarkBackendHeadToHead (BENCH_core.json) has the sampler answering
-// faster at every d from 4 to 32, so the cut marks no measured
-// crossover; it stands until the backend is chosen from measured work
-// (the ROADMAP's backend item).
+// starts at the tree's root. Above it the near-first start answers
+// faster (BenchmarkBackendHeadToHead, BENCH_core.json); at d = 2 its
+// near phase sums whole nodes the tree's bounds would decide, so the cut
+// stays until one start serves every d.
 const AutoTreeMaxDim = 8
 
 // Backends lists the valid Config.Backend values.
@@ -98,7 +94,7 @@ func resolveBackend(name string, dim int) string {
 func NewBackend(tree *kdtree.Tree, kern *kernel.Gaussian, cfg Config) DensityBackend {
 	switch resolveBackend(cfg.Backend, tree.Dim) {
 	case BackendSampling:
-		return newSampler(tree, kern, cfg)
+		return newNearFirst(tree, kern, cfg)
 	default:
 		return newDensityEstimator(tree, kern, cfg.DisableThresholdRule, cfg.DisableToleranceRule)
 	}
@@ -107,27 +103,24 @@ func NewBackend(tree *kdtree.Tree, kern *kernel.Gaussian, cfg Config) DensityBac
 // --- tree backend -----------------------------------------------------
 
 // The tree backend is densityEstimator itself: both interface methods
-// run its one refinement loop and report the bound midpoint as the point
-// estimate.
+// start the refinement loop at the root and report the bound midpoint as
+// the point estimate.
 
 // BoundDensity implements DensityBackend over Algorithm 2's traversal.
 func (e *densityEstimator) BoundDensity(x []float64, tl, tu, tolCut float64, stats *QueryStats) (fl, fu, est float64) {
-	fl, fu = e.refine(x, tl, tu, tolCut, 0, "tree/refine", stats)
+	fl, fu = e.refine(x, e.boundRules(tl, tu, tolCut), "tree/refine", stats)
 	return fl, fu, 0.5 * (fl + fu)
 }
 
 // EstimateDensity implements DensityBackend over the same traversal with
 // only the relative rule armed.
 func (e *densityEstimator) EstimateDensity(x []float64, rel float64, stats *QueryStats) (fl, fu, est float64) {
-	fl, fu = e.refine(x, math.Inf(-1), math.Inf(1), math.Inf(-1), rel, "tree/estimate", stats)
+	fl, fu = e.refine(x, estimateRules(rel), "tree/estimate", stats)
 	return fl, fu, 0.5 * (fl + fu)
 }
 
 // Name returns BackendTree.
 func (e *densityEstimator) Name() string { return BackendTree }
-
-// Certified reports true: tree bounds are deterministic certificates.
-func (e *densityEstimator) Certified() bool { return true }
 
 // Recycle drops an oversized refine heap before pooling. One
 // pathological query (a dense region with pruning disabled, say) can

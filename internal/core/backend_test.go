@@ -81,16 +81,16 @@ func TestForcedTreeBackendMatchesGolden(t *testing.T) {
 	compareToFixture(t, got, filepath.Join("testdata", "golden.json"))
 }
 
-// TestSamplingBoundsBracketHighDim is the property test for the sampling
-// backend in its home regime: on latent-structure data at d=27 the
-// reported (Lower, Upper) must bracket the exact brute-force density at
-// well above the 1−δ rate.
+// TestSamplingBoundsBracketHighDim is the property test for the
+// near-first start (backend "sampling") in its home regime: on
+// latent-structure data at d=27 every reported (Lower, Upper) must
+// bracket the exact brute-force density.
 func TestSamplingBoundsBracketHighDim(t *testing.T) {
 	rng := rand.New(rand.NewSource(82))
 	data := latentData(rng, 4000, 27, 5)
 	// Pin auto explicitly so a TKDC_TEST_BACKEND=tree override cannot
 	// redirect the property test away from the backend under test; at
-	// d=27 auto must resolve to sampling.
+	// d=27 auto must resolve to the near-first start.
 	cfg := testConfig()
 	cfg.Backend = BackendAuto
 	c, err := Train(data, cfg)
@@ -110,19 +110,17 @@ func TestSamplingBoundsBracketHighDim(t *testing.T) {
 			t.Fatal(err)
 		}
 		f := exactDensity(c.data, c.kern, q)
-		// Queries the near phase resolves completely return an exact
-		// interval that differs from the flat-order reference only by
-		// summation order; tolerate that rounding at the interval ends.
-		if tol := 1e-9 * f; res.Lower > f+tol || f > res.Upper+tol {
+		// Queries resolved completely return an exact interval that
+		// differs from the flat-order reference only by summation
+		// order; tolerate that rounding at the interval ends.
+		if !brackets(res.Lower, res.Upper, f) {
 			misses++
 		}
 		if res.Density < res.Lower || res.Density > res.Upper {
 			t.Fatalf("query %d: density %v outside [%v, %v]", i, res.Density, res.Lower, res.Upper)
 		}
 	}
-	// δ=0.01 over 300 trials permits ~3 misses in expectation; the
-	// empirical-Bernstein band is conservative, so 10% signals a defect.
-	if misses > len(queries)/10 {
-		t.Fatalf("bounds missed the exact density %d/%d times (δ=%v)", misses, len(queries), testConfig().Delta)
+	if misses > 0 {
+		t.Fatalf("bounds missed the exact density %d/%d times", misses, len(queries))
 	}
 }

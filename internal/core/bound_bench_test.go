@@ -66,7 +66,7 @@ func newBoundBenchState(b *testing.B, d int) *boundBenchState {
 // — no grid cache, no validation, no telemetry — across and beyond the
 // paper's dimensionality range. d=16 and d=32 sit past the tree's
 // pruning horizon (the traversal degenerates toward a full scan there);
-// they pin the cost the sampling backend exists to avoid. This is the
+// they pin the cost the near-first start exists to avoid. This is the
 // direct probe for tree-layout and bound-computation changes: each
 // iteration is one priority-queue traversal with fused box-distance
 // bounds.
@@ -88,12 +88,12 @@ func BenchmarkBoundDensity(b *testing.B) {
 	}
 }
 
-// BenchmarkBackendHeadToHead runs the tree and sampling backends over
-// the same fixtures, thresholds, and stopping rules, through the same
-// DensityBackend interface the classifier serves with. The crossover —
-// where sampling's bounded near phase plus O(maxSamples) far field
-// undercuts the tree's degenerating traversal — is recorded in
-// BENCH_core.json.
+// BenchmarkBackendHeadToHead runs the tree start and the near-first
+// start (backend "sampling") over the same fixtures, thresholds, and
+// stopping rules, through the same DensityBackend interface the
+// classifier serves with. Where the near phase's budgeted descent
+// undercuts the tree's degenerating traversal from the root is recorded
+// in BENCH_core.json.
 func BenchmarkBackendHeadToHead(b *testing.B) {
 	for _, d := range []int{4, 8, 16, 32} {
 		d := d

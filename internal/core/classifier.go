@@ -42,19 +42,16 @@ func (l Label) String() string {
 // was derived from and the work performed.
 type Result struct {
 	Label Label
-	// Lower and Upper bound the kernel density at the query point —
-	// certified by the tree backend, probabilistic (≥ 1−δ) under the
-	// sampling backend. When the grid cache answered, Lower is the grid
-	// bound and Upper is +Inf.
+	// Lower and Upper are certified bounds on the kernel density at the
+	// query point, on either backend. When the grid cache answered, Lower
+	// is the grid bound and Upper is +Inf.
 	Lower, Upper float64
 	// Density is the backend's point estimate of the density — the value
 	// the label was decided on. The tree backend reports the bound
 	// midpoint (fl+fu)/2; grid hits report the grid's lower bound. The
-	// sampling backend reports its unbiased split estimate when it drew a
-	// far-field sample; when its certified envelope decided the query
-	// without one, it reports the bound on the decided side (Lower for
-	// HIGH, Upper for LOW, the midpoint when only the tolerance rule
-	// fired), and Lower and Upper are then certified.
+	// near-first start (BackendSampling) reports the bound on the decided
+	// side: Lower for HIGH, Upper for LOW, and the midpoint when only the
+	// tolerance rule fired or the density was resolved exactly.
 	Density float64
 	Stats   QueryStats
 }
@@ -70,8 +67,9 @@ type Counters struct {
 	PointKernels int64
 	BoundKernels int64
 	NodesVisited int64
-	// SamplingRounds and SampledPoints total the sampling backend's
-	// far-field rounds and sample draws (zero under the tree backend).
+	// SamplingRounds and SampledPoints are always 0: no engine samples.
+	// They remain because the layered benchmark (perfbench) still
+	// builds Counters values with them.
 	SamplingRounds int64
 	SampledPoints  int64
 }
@@ -115,8 +113,6 @@ func (w *workCounters) add(qs QueryStats) {
 	s.c.PointKernels += qs.PointKernels
 	s.c.BoundKernels += qs.BoundKernels
 	s.c.NodesVisited += qs.NodesVisited
-	s.c.SamplingRounds += qs.SamplingRounds
-	s.c.SampledPoints += qs.SampledPoints
 	s.mu.Unlock()
 }
 
@@ -136,8 +132,6 @@ func (w *workCounters) snapshot() Counters {
 		total.PointKernels += c.PointKernels
 		total.BoundKernels += c.BoundKernels
 		total.NodesVisited += c.NodesVisited
-		total.SamplingRounds += c.SamplingRounds
-		total.SampledPoints += c.SampledPoints
 	}
 	return total
 }
@@ -549,7 +543,7 @@ func (c *Classifier) scoreChecked(x []float64) Result {
 			}
 			c.counters.add(r.Stats)
 			if traced {
-				c.finishQuery(start, tr, r, "grid", true, true)
+				c.finishQuery(start, tr, r, "grid", true)
 			}
 			return r
 		}
@@ -558,7 +552,7 @@ func (c *Classifier) scoreChecked(x []float64) Result {
 	est := c.getEstimator()
 	est.qs.Trace = tr
 	fl, fu, f := est.BoundDensity(x, c.threshold, c.threshold, c.cfg.Epsilon*c.threshold, &est.qs)
-	backendName, certified := est.Name(), est.Certified()
+	backendName := est.Name()
 	qs := est.qs
 	c.putEstimator(est)
 	qs.Trace = nil
@@ -570,7 +564,7 @@ func (c *Classifier) scoreChecked(x []float64) Result {
 	}
 	r := Result{Label: label, Lower: fl, Upper: fu, Density: f, Stats: qs}
 	if traced {
-		c.finishQuery(start, tr, r, backendName, certified, gridChecked)
+		c.finishQuery(start, tr, r, backendName, gridChecked)
 	}
 	return r
 }
@@ -604,14 +598,13 @@ func (c *Classifier) startQuery(kind string, x []float64) (time.Time, *telemetry
 // finishQuery closes what startQuery opened: it fills in and files the
 // trace, when there is one, and records the query's sample. r is the
 // query's answer; a density query has no label, margin or straddle.
-func (c *Classifier) finishQuery(start time.Time, tr *telemetry.QueryTrace, r Result, backend string, certified, gridChecked bool) {
+func (c *Classifier) finishQuery(start time.Time, tr *telemetry.QueryTrace, r Result, backend string, gridChecked bool) {
 	lat := time.Since(start)
 	qs := r.Stats
 	if tr != nil {
 		tr.Latency = lat
 		tr.Backend = backend
 		tr.Lower, tr.Upper, tr.Estimate = r.Lower, r.Upper, r.Density
-		tr.Certified = certified
 		tr.GridHit = qs.GridHit
 		tr.PointKernels = qs.PointKernels
 		tr.BoundKernels = qs.BoundKernels
@@ -624,14 +617,12 @@ func (c *Classifier) finishQuery(start time.Time, tr *telemetry.QueryTrace, r Re
 		c.rec.FinishTrace(tr)
 	}
 	c.rec.RecordQuery(telemetry.QuerySample{
-		Latency:        lat,
-		PointKernels:   qs.PointKernels,
-		BoundKernels:   qs.BoundKernels,
-		Nodes:          qs.NodesVisited,
-		GridChecked:    gridChecked,
-		GridHit:        qs.GridHit,
-		SamplingRounds: qs.SamplingRounds,
-		SampledPoints:  qs.SampledPoints,
+		Latency:      lat,
+		PointKernels: qs.PointKernels,
+		BoundKernels: qs.BoundKernels,
+		Nodes:        qs.NodesVisited,
+		GridChecked:  gridChecked,
+		GridHit:      qs.GridHit,
 	})
 }
 
@@ -673,13 +664,13 @@ func (c *Classifier) DensityBounds(x []float64, rel float64) (fl, fu float64, er
 	est.qs.Trace = tr
 	var f float64
 	fl, fu, f = est.EstimateDensity(x, rel, &est.qs)
-	backendName, certified := est.Name(), est.Certified()
+	backendName := est.Name()
 	qs := est.qs
 	c.putEstimator(est)
 	qs.Trace = nil
 	c.counters.add(qs)
 	if traced {
-		c.finishQuery(start, tr, Result{Lower: fl, Upper: fu, Density: f, Stats: qs}, backendName, certified, false)
+		c.finishQuery(start, tr, Result{Lower: fl, Upper: fu, Density: f, Stats: qs}, backendName, false)
 	}
 	return fl, fu, nil
 }

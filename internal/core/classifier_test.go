@@ -49,14 +49,14 @@ func testConfig() Config {
 }
 
 // skipUnlessTreeEfficiency skips tests that pin efficiency properties of
-// the certified tree traversal (bootstrap prunability) when CI forces
-// the sampling backend: at the low dimensions these fixtures use,
-// sampling is the off-policy backend and its flat per-query cost makes
-// the assertions meaningless.
+// the tree start (bootstrap prunability) when CI forces the near-first
+// start (TKDC_TEST_BACKEND=sampling): at the low dimensions these
+// fixtures use, its near phase sums whole nodes the tree's bounds would
+// decide, so its per-query cost makes the assertions meaningless.
 func skipUnlessTreeEfficiency(t *testing.T) {
 	t.Helper()
 	if os.Getenv("TKDC_TEST_BACKEND") == BackendSampling {
-		t.Skip("tree-efficiency pin: not meaningful with the sampling backend forced")
+		t.Skip("tree-efficiency pin: not meaningful with the near-first start forced")
 	}
 }
 

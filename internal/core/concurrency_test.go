@@ -131,7 +131,7 @@ func TestForEachChunkCoversEachIndexOnce(t *testing.T) {
 						hits[i].Add(1)
 						qs.PointKernels += int64(i)
 						qs.BoundKernels++
-						qs.SampledPoints += int64(i % 7)
+						qs.NodesVisited += int64(i % 7)
 						if i == n-1 {
 							qs.GridHit = true
 						}
@@ -145,7 +145,7 @@ func TestForEachChunkCoversEachIndexOnce(t *testing.T) {
 				}
 				sevens += int64(i % 7)
 			}
-			want := QueryStats{PointKernels: int64(n) * int64(n-1) / 2, BoundKernels: int64(n), SampledPoints: sevens, GridHit: n > 0}
+			want := QueryStats{PointKernels: int64(n) * int64(n-1) / 2, BoundKernels: int64(n), NodesVisited: sevens, GridHit: n > 0}
 			if total != want {
 				t.Fatalf("workers=%d n=%d: stats %+v, want %+v", w, n, total, want)
 			}

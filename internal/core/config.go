@@ -40,11 +40,12 @@ type Config struct {
 	// a family this release cannot evaluate fails to load.
 	Kernel KernelFamily
 
-	// Backend selects the density-estimation engine: BackendAuto (pick
-	// by dimension — tree for d ≤ AutoTreeMaxDim, sampling above),
-	// BackendTree (the paper's certified k-d tree traversal), or
-	// BackendSampling (exact near field + seeded far-field sampling with
-	// probabilistic bounds). Empty means BackendAuto.
+	// Backend selects where Algorithm 2's refinement loop starts:
+	// BackendAuto (pick by dimension — tree for d ≤ AutoTreeMaxDim,
+	// sampling above), BackendTree (at the k-d tree's root), or
+	// BackendSampling (the near-first start: at the frontier a
+	// DEANN-style near phase leaves; the tag predates it, and nothing is
+	// sampled). Both certify every answer. Empty means BackendAuto.
 	Backend string
 
 	// LeafSize caps k-d tree leaf occupancy (kdtree.DefaultLeafSize if 0).

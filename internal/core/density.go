@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"time"
 
 	"tkdc/internal/kdtree"
@@ -19,10 +20,6 @@ type QueryStats struct {
 	BoundKernels int64
 	// NodesVisited counts k-d tree nodes popped from the priority queue.
 	NodesVisited int64
-	// SamplingRounds and SampledPoints count the sampling backend's
-	// far-field rounds and sample draws (zero on the tree backend).
-	SamplingRounds int64
-	SampledPoints  int64
 	// GridHit records whether the hypergrid cache answered the query
 	// before any tree traversal.
 	GridHit bool
@@ -40,8 +37,6 @@ func (q *QueryStats) add(o QueryStats) {
 	q.PointKernels += o.PointKernels
 	q.BoundKernels += o.BoundKernels
 	q.NodesVisited += o.NodesVisited
-	q.SamplingRounds += o.SamplingRounds
-	q.SampledPoints += o.SampledPoints
 	if o.GridHit {
 		q.GridHit = true
 	}
@@ -104,6 +99,52 @@ func (h *refineHeap) pop() heapItem {
 	}
 }
 
+// pending returns the heap's total lower and upper masses, summed afresh
+// from its items.
+func (h *refineHeap) pending() (lo, hi float64) {
+	for _, it := range h.items {
+		lo += it.wlo
+		hi += it.whi
+	}
+	return lo, hi
+}
+
+// resumFactor is how far the refinement loop lets its running pending
+// upper mass fall, relative to its value at the last re-sum, before it
+// sums the heap afresh (see run).
+const resumFactor = 0x1p-20
+
+// verdict is the stopping rule a density interval [fl, fu] meets, if
+// any.
+type verdict uint8
+
+const (
+	undecided   verdict = iota
+	decidedHigh         // threshold rule: fl > tu
+	decidedLow          // threshold rule: fu < tl
+	precise             // tolerance or relative rule
+)
+
+// rules are one query's stopping rules (Algorithm 2): the threshold rule
+// fl > tu or fu < tl, the tolerance rule fu − fl < tolCut, and the
+// relative rule fu − fl ≤ rel·fl when rel > 0. A rule that must not
+// fire gets tl = −Inf, tu = +Inf, tolCut = −Inf or rel ≤ 0.
+type rules struct {
+	tl, tu, tolCut, rel float64
+}
+
+func (r rules) verdict(fl, fu float64) verdict {
+	switch {
+	case fl > r.tu:
+		return decidedHigh
+	case fu < r.tl:
+		return decidedLow
+	case fu-fl < r.tolCut, r.rel > 0 && fu-fl <= r.rel*fl:
+		return precise
+	}
+	return undecided
+}
+
 // densityEstimator bounds kernel densities over one index. It is the
 // reusable engine behind both the classifier and the threshold bootstrap.
 // Not safe for concurrent use: callers create one per goroutine (the
@@ -130,6 +171,25 @@ func newDensityEstimator(tree *kdtree.Tree, kern *kernel.Gaussian, disableThresh
 	}
 }
 
+// boundRules are BoundDensity's stopping rules, less those the
+// configuration disables.
+func (e *densityEstimator) boundRules(tl, tu, tolCut float64) rules {
+	r := rules{tl: tl, tu: tu, tolCut: tolCut}
+	if e.disableThreshold {
+		r.tl, r.tu = math.Inf(-1), math.Inf(1)
+	}
+	if e.disableTolerance {
+		r.tolCut = math.Inf(-1)
+	}
+	return r
+}
+
+// estimateRules are EstimateDensity's stopping rules: the relative rule
+// alone.
+func estimateRules(rel float64) rules {
+	return rules{tl: math.Inf(-1), tu: math.Inf(1), tolCut: math.Inf(-1), rel: rel}
+}
+
 // weights returns the minimum and maximum possible density contribution
 // of an arena node's region to a query at x (Equation 6). One fused
 // sweep over the node's box produces both distance bounds.
@@ -141,11 +201,52 @@ func (e *densityEstimator) weights(id int32, x []float64) (wlo, whi float64) {
 	return wlo, whi
 }
 
-// refine is Algorithm 2, the one best-first refinement behind every
-// tree-backend density bound. It pops the node with the widest
-// contribution interval, replaces it by its children (or by the exact
-// sum over a leaf), and returns certified bounds fl ≤ f(x) ≤ fu once a
-// stopping rule fires or the tree is exhausted:
+// stageMark is where a traced stage began: the clock and the work
+// counters at that moment. It is zero when the query is untraced, and
+// taking it then costs one nil check.
+type stageMark struct {
+	start                 time.Time
+	nodes, points, bounds int64
+}
+
+func markStage(stats *QueryStats) stageMark {
+	if stats.Trace == nil {
+		return stageMark{}
+	}
+	return stageMark{time.Now(), stats.NodesVisited, stats.PointKernels, stats.BoundKernels}
+}
+
+// stage is the trace stage that began at m and ends now, with the work
+// counted since.
+func (m stageMark) stage(name string, stats *QueryStats) telemetry.TraceStage {
+	return telemetry.TraceStage{
+		Name:     name,
+		Duration: time.Since(m.start),
+		Nodes:    stats.NodesVisited - m.nodes,
+		Points:   stats.PointKernels - m.points,
+		Bounds:   stats.BoundKernels - m.bounds,
+	}
+}
+
+// refine is the tree start of Algorithm 2: the heap begins at the root
+// and the loop refines from there.
+func (e *densityEstimator) refine(x []float64, r rules, stage string, stats *QueryStats) (fl, fu float64) {
+	mark := markStage(stats)
+	e.heap.items = e.heap.items[:0]
+	wlo, whi := e.weights(0, x)
+	stats.BoundKernels += 2
+	e.heap.push(heapItem{id: 0, wlo: wlo, whi: whi})
+	fl, fu, _ = e.run(x, 0, r, stage, mark, stats)
+	return fl, fu
+}
+
+// run is Algorithm 2's best-first refinement, the one loop behind every
+// density bound. The heap holds the unresolved nodes with their
+// certified masses (wlo, whi), and resolved is the density of every row
+// already summed exactly. run pops the node with the widest mass
+// interval, replaces it by its children (or by the exact sum over a
+// leaf), and returns certified bounds fl ≤ f(x) ≤ fu with the rule that
+// stopped it once a rule fires or the heap is empty:
 //
 //   - the threshold rule, fl > tu or fu < tl: the classification is
 //     already decided;
@@ -154,74 +255,73 @@ func (e *densityEstimator) weights(id int32, x []float64) (wlo, whi float64) {
 //   - the relative rule, fu − fl ≤ rel·fl, when rel > 0: the
 //     tolerance-only traversal of Gray & Moore that density queries use.
 //
-// Density queries pass tl = −Inf, tu = +Inf and tolCut = −Inf, which
-// never fire; classification passes rel = 0. With the threshold and
-// tolerance rules disabled the traversal computes the density exactly
-// (up to floating point), which is the factor-analysis baseline of
-// Figure 12. stage names the trace stage the refinement files.
-func (e *densityEstimator) refine(x []float64, tl, tu, tolCut, rel float64, stage string, stats *QueryStats) (fl, fu float64) {
+// With every rule disarmed the loop computes the density exactly (up to
+// floating point), which is the factor-analysis baseline of Figure 12.
+// stage names the trace stage the loop files, which began at mark.
+//
+// The bounds are fl = resolved + lo and fu = resolved + hi, where lo
+// and hi are the heap's pending masses. resolved only grows, but lo and
+// hi are running sums: each pop subtracts a node's masses and adds its
+// children's. The root's upper mass is near K(0), so a subtraction
+// leaves a residue near 2⁻⁵³·K(0) in hi, which would swamp the bounds
+// once K(0)/t passes ~10¹³ (at d = 32, t can lie 10¹⁶ below K(0)). So
+// lo and hi are summed afresh from the heap whenever hi falls below
+// resumFactor of its value at the last re-sum, which keeps the residue
+// below ~2⁻³³ of hi itself. An emptied heap leaves resolved alone.
+func (e *densityEstimator) run(x []float64, resolved float64, r rules, stage string, mark stageMark, stats *QueryStats) (fl, fu float64, v verdict) {
 	tr := stats.Trace
-	var stageStart time.Time
-	var nodes0, pts0, bounds0 int64
 	var pushes int64
 	var maxID int32
 	if tr != nil {
-		stageStart = time.Now()
-		nodes0, pts0, bounds0 = stats.NodesVisited, stats.PointKernels, stats.BoundKernels
+		for _, it := range e.heap.items {
+			maxID = max(maxID, it.id)
+		}
 	}
-
-	e.heap.items = e.heap.items[:0]
 	t := e.tree
 
-	wlo, whi := e.weights(0, x)
-	stats.BoundKernels += 2
-	fl, fu = wlo, whi
-	e.heap.push(heapItem{id: 0, wlo: wlo, whi: whi})
-
+	lo, hi := e.heap.pending()
+	floor := hi * resumFactor
 	for e.heap.len() > 0 {
-		if !e.disableThreshold && (fl > tu || fu < tl) {
-			break
-		}
-		if !e.disableTolerance && fu-fl < tolCut {
-			break
-		}
-		if rel > 0 && fu-fl <= rel*fl {
+		fl, fu = resolved+lo, resolved+hi
+		if v = r.verdict(fl, fu); v != undecided {
 			break
 		}
 
 		cur := e.heap.pop()
 		stats.NodesVisited++
-		fl -= cur.wlo
-		fu -= cur.whi
+		lo -= cur.wlo
+		hi -= cur.whi
 
 		left, right := t.Children(cur.id)
 		if left < 0 {
 			// One contiguous sweep over the leaf's flat row range.
-			sum := e.kern.Sum(x, t.LeafFlat(cur.id))
+			resolved += e.kern.Sum(x, t.LeafFlat(cur.id)) / e.n
 			stats.PointKernels += int64(t.Count(cur.id))
-			sum /= e.n
-			fl += sum
-			fu += sum
-			continue
-		}
-		for _, child := range [2]int32{left, right} {
-			cwlo, cwhi := e.weights(child, x)
-			stats.BoundKernels += 2
-			if cwhi == 0 {
-				// The whole subtree is beyond the kernel's truncation
-				// radius: it can never contribute, so skip the heap.
-				continue
-			}
-			fl += cwlo
-			fu += cwhi
-			e.heap.push(heapItem{id: child, wlo: cwlo, whi: cwhi})
-			if tr != nil {
-				pushes++
-				if child > maxID {
-					maxID = child
+		} else {
+			for _, child := range [2]int32{left, right} {
+				cwlo, cwhi := e.weights(child, x)
+				stats.BoundKernels += 2
+				if cwhi == 0 {
+					// The whole subtree is beyond the kernel's truncation
+					// radius: it can never contribute, so skip the heap.
+					continue
+				}
+				lo += cwlo
+				hi += cwhi
+				e.heap.push(heapItem{id: child, wlo: cwlo, whi: cwhi})
+				if tr != nil {
+					pushes++
+					maxID = max(maxID, child)
 				}
 			}
 		}
+		if hi < floor {
+			lo, hi = e.heap.pending()
+			floor = hi * resumFactor
+		}
+	}
+	if e.heap.len() == 0 {
+		fl, fu = resolved, resolved
 	}
 	// Guard against floating-point drift pushing the bounds negative or
 	// inverting them.
@@ -232,22 +332,15 @@ func (e *densityEstimator) refine(x []float64, tl, tu, tolCut, rel float64, stag
 		fu = fl
 	}
 	if tr != nil {
-		// BFS ids grow with depth, so the largest id pushed marks the
-		// deepest level the refinement reached.
-		tr.AddStage(telemetry.TraceStage{
-			Name:     stage,
-			Duration: time.Since(stageStart),
-			Nodes:    stats.NodesVisited - nodes0,
-			Pushes:   pushes,
-			Points:   stats.PointKernels - pts0,
-			Bounds:   stats.BoundKernels - bounds0,
-			Depth:    t.Depth(maxID),
-			Lower:    fl,
-			Upper:    fu,
-			Band:     fu - fl,
-		})
+		// BFS ids grow with depth, so the largest id in the heap marks
+		// the deepest level the refinement reached.
+		st := mark.stage(stage, stats)
+		st.Pushes = pushes
+		st.Depth = t.Depth(maxID)
+		st.Lower, st.Upper, st.Band = fl, fu, fu-fl
+		tr.AddStage(st)
 	}
-	return fl, fu
+	return fl, fu, v
 }
 
 // exactDensity sums every kernel contribution directly (the "simple"

@@ -165,3 +165,41 @@ func TestQueryStatsAggregation(t *testing.T) {
 		t.Fatalf("Kernels() = %d, want 10", a.Kernels())
 	}
 }
+
+// TestRunBoundsMatchHeapAtHighPeak pins the loop's exact pending sums
+// where K(0) dwarfs the density: on N(0, 1) data at d = 32, with queries
+// drawn 1.25 times as wide, every query is refined against a threshold
+// at twice its exact density f, so the loop runs until fu < 2f (or the
+// heap is empty). There the width fu − fl must equal the width the
+// heap's items sum to afresh, to a millionth of f, for the tree start
+// and the near-first start alike. A running sum that once held the
+// root's mass (about K(0)) keeps a residue of up to tens of f here.
+func TestRunBoundsMatchHeapAtHighPeak(t *testing.T) {
+	tree, kern := buildNearFirstIndex(t, 32, 8000, 32)
+	queries := normalQueries(rand.New(rand.NewSource(33)), 64, 32, 1.25)
+	tr := newDensityEstimator(tree, kern, false, false)
+	nf := newNearFirst(tree, kern, DefaultConfig())
+	peak := 0.0
+	for i, q := range queries {
+		f := exactDensity(tree.Pts, kern, q)
+		peak = math.Max(peak, kern.AtZero()/f)
+		for _, be := range []struct {
+			name string
+			b    DensityBackend
+			e    *densityEstimator
+		}{{"tree", tr, tr}, {"near-first", nf, &nf.est}} {
+			var qs QueryStats
+			fl, fu, _ := be.b.BoundDensity(q, 2*f, 2*f, 0.01*f, &qs)
+			lo, hi := be.e.heap.pending()
+			if math.Abs((fu-fl)-(hi-lo)) > 1e-6*f {
+				t.Fatalf("%s query %d: width %g, heap width %g, f = %g", be.name, i, fu-fl, hi-lo, f)
+			}
+			if !brackets(fl, fu, f) {
+				t.Fatalf("%s query %d: [%g, %g] misses f = %g", be.name, i, fl, fu, f)
+			}
+		}
+	}
+	if peak <= 0x1p53 {
+		t.Fatalf("largest K(0)/f = %g, want the set to reach past 2⁵³", peak)
+	}
+}

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"tkdc/internal/dataset"
+	"tkdc/internal/kernel"
+	"tkdc/internal/points"
 	"tkdc/internal/stats"
 )
 
@@ -16,21 +18,20 @@ import (
 // corrected p-quantile t, the trained bounds bracket t̃, and every
 // training row whose exact density lies outside the ε band around t gets
 // the exact KDE's label.
-//
-// The sampling backend's bounds hold with probability 1−δ per query, and
-// a row whose far-field sample budget runs out keeps a band wider than
-// ε·t, so up to a share 4δ of its rows may miss: labels may disagree on
-// that share, as perfbench's kdeCheck allows, and t̃ need only lie
-// between the exact corrected quantiles at p ∓ 4δ, widened by ε·t.
 func TestThresholdOracle(t *testing.T) {
 	cases := []struct {
 		name    string
 		backend string
 		rows    func(seed int64) [][]float64
+		seeds   int64 // seeds 1…seeds; 8 when zero
 		hGrowth float64
 		// upperRetry requires some seed to take a bootstrap round that
 		// fails on the upper side, so relaxUpper runs.
 		upperRetry bool
+		// cancelled names a seed whose exact corrected densities cancel:
+		// its t̃ need only lie between the exact corrected quantiles at
+		// p ∓ 4δ, widened by ε·t.
+		cancelled int64
 	}{
 		{name: "gauss2/tree", backend: BackendTree, rows: func(seed int64) [][]float64 {
 			return gauss2D(rand.New(rand.NewSource(seed)), 1500)
@@ -41,15 +42,30 @@ func TestThresholdOracle(t *testing.T) {
 		{name: "tmy3/tree", backend: BackendTree, rows: func(seed int64) [][]float64 {
 			return dataset.TMY3(2000, seed)
 		}, hGrowth: 2, upperRetry: true},
-		// n > 2·MinSamples, so the far field is sampled.
+		// At n = 1 200, K(0)/n lies ~10¹⁴ above t. Equation 1's
+		// corrected density f − K(0)/n then cannot resolve a density
+		// below one ulp of K(0)/n: on seed 3 eleven training rows, in
+		// the classifier and in bruteDensities alike, correct to exactly
+		// 0, and the quantile's row reads one ulp of K(0)/n (7.3e-40)
+		// apart in the two sums, +7.7% of t. Scoring training rows
+		// without their own term (the ROADMAP's leave-one-out item) is
+		// the cure; until then seed 3 keeps the wider window. Every
+		// label holds.
 		{name: "hep27/sampling", backend: BackendSampling, rows: func(seed int64) [][]float64 {
 			return dataset.HEP(1200, seed)
-		}},
+		}, cancelled: 3},
+		{name: "hep27-4096/sampling", backend: BackendSampling, rows: func(seed int64) [][]float64 {
+			return dataset.HEP(4096, seed)
+		}, seeds: 4},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			upperRetries := 0
-			for seed := int64(1); seed <= 8; seed++ {
+			seeds := tc.seeds
+			if seeds == 0 {
+				seeds = 8
+			}
+			for seed := int64(1); seed <= seeds; seed++ {
 				rows := tc.rows(seed)
 				cfg := DefaultConfig()
 				cfg.Backend = tc.backend
@@ -70,14 +86,14 @@ func TestThresholdOracle(t *testing.T) {
 				sort.Float64s(corrected)
 				trueT, _ := stats.SortedQuantile(corrected, cfg.P)
 				band := cfg.Epsilon * trueT
-				miss := 0.0 // share of rows whose estimate may miss the ε band
-				if tc.backend == BackendSampling {
-					miss = 4 * cfg.Delta
+				window := 0.0 // quantile slack around p for a cancelled seed
+				if seed == tc.cancelled {
+					window = 4 * cfg.Delta
 				}
 
 				got := c.Threshold()
-				qLo, _ := stats.SortedQuantile(corrected, cfg.P-miss)
-				qHi, _ := stats.SortedQuantile(corrected, cfg.P+miss)
+				qLo, _ := stats.SortedQuantile(corrected, cfg.P-window)
+				qHi, _ := stats.SortedQuantile(corrected, cfg.P+window)
 				if got < qLo-band || got > qHi+band {
 					t.Errorf("seed %d: t̃ = %g, exact t(p) = %g: outside [%g, %g] ± ε·t", seed, got, trueT, qLo, qHi)
 				}
@@ -99,8 +115,8 @@ func TestThresholdOracle(t *testing.T) {
 						disagree++
 					}
 				}
-				if allowed := int(miss * float64(checked)); disagree > allowed {
-					t.Errorf("seed %d: %d of %d labels outside the ε band disagree with the exact KDE, allowed %d", seed, disagree, checked, allowed)
+				if disagree > 0 {
+					t.Errorf("seed %d: %d of %d labels outside the ε band disagree with the exact KDE", seed, disagree, checked)
 				}
 
 				if tc.upperRetry {
@@ -115,6 +131,79 @@ func TestThresholdOracle(t *testing.T) {
 			}
 			if tc.upperRetry && upperRetries == 0 {
 				t.Error("no seed took an upper-failure retry")
+			}
+		})
+	}
+}
+
+// TestOracleGauss32 runs the oracle where the kernel's peak dwarfs the
+// threshold: on gauss d=32 (8 000 training rows, seed 1) K(0)/t exceeds
+// 2⁵³, so a running bound that ever held K(0) cannot resolve t. For the
+// tree start and for auto (the near-first start at d = 32) it checks
+// that t̃ lies within ε·t of the exact corrected quantile, that every
+// held-out row whose exact density lies outside the ε band gets the
+// exact label, and that DensityBounds(x, 0.01) brackets the exact
+// density with its midpoint within 1% of it.
+func TestOracleGauss32(t *testing.T) {
+	rows := dataset.Gauss(9024, 32, 1)
+	train, held := rows[:8000], rows[8000:]
+	store, err := points.FromRows(train)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	h, err := kernel.ScottBandwidths(store, cfg.BandwidthFactor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kern, err := kernel.NewGaussian(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trueT := bruteThreshold(store, cfg.BandwidthFactor, cfg.P)
+	if peak := kern.AtZero() / trueT; peak <= 0x1p53 {
+		t.Fatalf("K(0)/t = %g, want above 2⁵³", peak)
+	}
+	band := cfg.Epsilon * trueT
+	heldExact := make([]float64, len(held))
+	for i, x := range held {
+		heldExact[i] = exactDensity(store, kern, x)
+	}
+
+	for _, backend := range []string{BackendTree, BackendAuto} {
+		t.Run(backend, func(t *testing.T) {
+			cfg := cfg
+			cfg.Backend = backend
+			cfg.Seed = 1
+			c, err := Train(train, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := c.Threshold(); math.Abs(got-trueT) > band {
+				t.Errorf("t̃ = %g, exact t(p) = %g: %+.3g%%, outside ε·t", got, trueT, 100*(got-trueT)/trueT)
+			}
+			labels, err := c.ClassifyAll(held)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wrong, offContract := 0, 0
+			for i, f := range heldExact {
+				if math.Abs(f-trueT) > band && (labels[i] == High) != (f > trueT) {
+					wrong++
+				}
+				fl, fu, err := c.DensityBounds(held[i], 0.01)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !brackets(fl, fu, f) || math.Abs(0.5*(fl+fu)-f) > 0.01*f {
+					offContract++
+				}
+			}
+			if wrong > 0 {
+				t.Errorf("%d of %d held-out labels outside the ε band disagree with the exact KDE", wrong, len(held))
+			}
+			if offContract > 0 {
+				t.Errorf("%d of %d DensityBounds(x, 0.01) answers miss f or put the midpoint over 1%% off", offContract, len(held))
 			}
 		})
 	}

@@ -44,14 +44,15 @@ type modelSnapshot struct {
 	// Backend is the resolved backend tag (v3; empty in v1/v2, which
 	// predate backends and always resolve to the tree).
 	Backend string
-	// Sampler records the sampling backend's tuning parameters at save
-	// time (v3). They are currently package constants — persisted so a
-	// future release that makes them configurable can honor old
-	// snapshots, and so operators can audit what an artifact ran with.
+	// Sampler records the near-first start's near cut at save time
+	// (v3), with the two far-field sample sizes the start no longer
+	// uses. They are package constants, persisted so an artifact states
+	// what it ran with.
 	Sampler samplerParams
 }
 
-// samplerParams is the persisted tuning of the sampling backend.
+// samplerParams is the persisted tuning of the near-first start
+// (BackendSampling). Load ignores it.
 type samplerParams struct {
 	NearCut                float64
 	MinSamples, MaxSamples int
@@ -130,10 +131,13 @@ func (c *Classifier) Save(w io.Writer) error {
 		THigh:     c.tHigh,
 		Train:     train,
 		Backend:   c.backend,
+		// The sample sizes are those of the sampled far field the
+		// near-first start replaced. Save keeps writing them, so v3's
+		// layout and a model's bytes stay as they were.
 		Sampler: samplerParams{
-			NearCut:    samplerNearCut,
-			MinSamples: samplerMinSamples,
-			MaxSamples: samplerMaxSamples,
+			NearCut:    nearCut,
+			MinSamples: 256,
+			MaxSamples: 4096,
 		},
 	}
 	if err := gob.NewEncoder(w).Encode(&snap); err != nil {

@@ -84,9 +84,8 @@ func pinModel(t *testing.T, data, queries [][]float64, cfg Config) pinnedModel {
 	return got
 }
 
-// pinnedSamplingData is a seeded d=27 set large enough (n > 512) that
-// the sampling backend runs its near phase and samples the far field,
-// plus 64 queries from the same distribution.
+// pinnedSamplingData is a seeded d=27 set for the near-first start
+// (backend "sampling"), plus 64 queries from the same distribution.
 func pinnedSamplingData() (data, queries [][]float64) {
 	rows := latentData(rand.New(rand.NewSource(27)), 1564, 27, 5)
 	return rows[:1500], rows[1500:]
@@ -131,52 +130,52 @@ func TestPinnedWork(t *testing.T) {
 		want          pinnedModel
 	}{
 		{"tree", goldenData, goldenQueries, tree, pinnedModel{
-			TrainKernels: 119053, BootstrapRounds: 1,
-			Threshold: 0x3f813aadfd92770e, ThresholdLow: 0x3f401690412c3904, ThresholdHigh: 0x3f8fa767af8058d0,
-			Score:     Counters{Queries: 64, GridHits: 0, PointKernels: 1228, BoundKernels: 1800, NodesVisited: 482, SamplingRounds: 0, SampledPoints: 0},
-			ScoreBits: 0x6c583ee49c86bc0a,
+			TrainKernels: 119193, BootstrapRounds: 1,
+			Threshold: 0x3f813aadfd927710, ThresholdLow: 0x3f401690412c3904, ThresholdHigh: 0x3f8fa767af8058d0,
+			Score:     Counters{Queries: 64, GridHits: 0, PointKernels: 1228, BoundKernels: 1800, NodesVisited: 482},
+			ScoreBits: 0x7a97044da8189eb2,
 			Density: [3]Counters{
-				{Queries: 128, GridHits: 0, PointKernels: 8030, BoundKernels: 4480, NodesVisited: 1481, SamplingRounds: 0, SampledPoints: 0},
-				{Queries: 192, GridHits: 0, PointKernels: 17026, BoundKernels: 7520, NodesVisited: 2688, SamplingRounds: 0, SampledPoints: 0},
-				{Queries: 256, GridHits: 0, PointKernels: 42626, BoundKernels: 12768, NodesVisited: 5312, SamplingRounds: 0, SampledPoints: 0},
+				{Queries: 128, GridHits: 0, PointKernels: 8030, BoundKernels: 4480, NodesVisited: 1481},
+				{Queries: 192, GridHits: 0, PointKernels: 17026, BoundKernels: 7520, NodesVisited: 2688},
+				{Queries: 256, GridHits: 0, PointKernels: 42626, BoundKernels: 12768, NodesVisited: 5312},
 			},
-			DensityBits: [3]uint64{0x6515efb0fd8ac52, 0x3b1745a7826a0a5e, 0x57783ceecfbc50f4},
+			DensityBits: [3]uint64{0xbd0819a9c6086fa3, 0x7a71007784a5c0b5, 0x433366bc6755b5a9},
 		}},
 		{"tree/S0=100", goldenData, goldenQueries, subsampled, pinnedModel{
-			TrainKernels: 103234, BootstrapRounds: 1,
-			Threshold: 0x3f813a4a51846864, ThresholdLow: 0x3f3d6d542efdb9ff, ThresholdHigh: 0x3f8fa6ebcb9b1924,
-			Score:     Counters{Queries: 64, GridHits: 0, PointKernels: 1228, BoundKernels: 1800, NodesVisited: 482, SamplingRounds: 0, SampledPoints: 0},
-			ScoreBits: 0x6c583ee49c86bc0a,
+			TrainKernels: 103325, BootstrapRounds: 1,
+			Threshold: 0x3f813a4a51846867, ThresholdLow: 0x3f3d6d542efdb9d7, ThresholdHigh: 0x3f8fa6ebcb9b1926,
+			Score:     Counters{Queries: 64, GridHits: 0, PointKernels: 1228, BoundKernels: 1800, NodesVisited: 482},
+			ScoreBits: 0x7a97044da8189eb2,
 			Density: [3]Counters{
-				{Queries: 128, GridHits: 0, PointKernels: 8030, BoundKernels: 4480, NodesVisited: 1481, SamplingRounds: 0, SampledPoints: 0},
-				{Queries: 192, GridHits: 0, PointKernels: 17026, BoundKernels: 7520, NodesVisited: 2688, SamplingRounds: 0, SampledPoints: 0},
-				{Queries: 256, GridHits: 0, PointKernels: 42626, BoundKernels: 12768, NodesVisited: 5312, SamplingRounds: 0, SampledPoints: 0},
+				{Queries: 128, GridHits: 0, PointKernels: 8030, BoundKernels: 4480, NodesVisited: 1481},
+				{Queries: 192, GridHits: 0, PointKernels: 17026, BoundKernels: 7520, NodesVisited: 2688},
+				{Queries: 256, GridHits: 0, PointKernels: 42626, BoundKernels: 12768, NodesVisited: 5312},
 			},
-			DensityBits: [3]uint64{0x6515efb0fd8ac52, 0x3b1745a7826a0a5e, 0x57783ceecfbc50f4},
+			DensityBits: [3]uint64{0xbd0819a9c6086fa3, 0x7a71007784a5c0b5, 0x433366bc6755b5a9},
 		}},
 		{"sampling/d27", samplingData, samplingQueries, sampling, pinnedModel{
-			TrainKernels: 1869614, BootstrapRounds: 3,
-			Threshold: 0x3b82fee2924ce4c0, ThresholdLow: 0x3b7af88e1ba80780, ThresholdHigh: 0x3b8977f838a480a0,
-			Score:     Counters{Queries: 64, GridHits: 0, PointKernels: 9338, BoundKernels: 1243, NodesVisited: 914, SamplingRounds: 19, SampledPoints: 6144},
-			ScoreBits: 0x3ff3e84e5667cfe5,
+			TrainKernels: 423525, BootstrapRounds: 3,
+			Threshold: 0x3b830251af25b920, ThresholdLow: 0x3b7afee1198cc180, ThresholdHigh: 0x3b8977f838a480a0,
+			Score:     Counters{Queries: 64, GridHits: 0, PointKernels: 3616, BoundKernels: 1375, NodesVisited: 965},
+			ScoreBits: 0xf92fddd4a794765d,
 			Density: [3]Counters{
-				{Queries: 128, GridHits: 0, PointKernels: 134709, BoundKernels: 3447, NodesVisited: 7950, SamplingRounds: 130, SampledPoints: 67072},
-				{Queries: 192, GridHits: 0, PointKernels: 347685, BoundKernels: 5651, NodesVisited: 14986, SamplingRounds: 334, SampledPoints: 202496},
-				{Queries: 256, GridHits: 0, PointKernels: 443685, BoundKernels: 7855, NodesVisited: 22022, SamplingRounds: 334, SampledPoints: 202496},
+				{Queries: 128, GridHits: 0, PointKernels: 63638, BoundKernels: 4623, NodesVisited: 8455},
+				{Queries: 192, GridHits: 0, PointKernels: 130696, BoundKernels: 8447, NodesVisited: 16400},
+				{Queries: 256, GridHits: 0, PointKernels: 226696, BoundKernels: 13859, NodesVisited: 26142},
 			},
-			DensityBits: [3]uint64{0x7bb5f233646c62f6, 0xd46532bd498e4bde, 0xe5bd9483b164dd09},
+			DensityBits: [3]uint64{0xf67b5d99da534a9, 0x9939cfee3e3bf87a, 0x54c73a67451ffc59},
 		}},
 		{"tree/tmy3-retry", retryData, retryQueries, retry, pinnedModel{
 			TrainKernels: 399272, BootstrapRounds: 5,
-			Threshold: 0x3cfa82a2ecf89e72, ThresholdLow: 0x3cf4bc41772e691a, ThresholdHigh: 0x3cff76d9eff5785a,
-			Score:     Counters{Queries: 64, GridHits: 0, PointKernels: 2059, BoundKernels: 3740, NodesVisited: 990, SamplingRounds: 0, SampledPoints: 0},
-			ScoreBits: 0xea54027c2c2066c5,
+			Threshold: 0x3cfa82a2ecf89e70, ThresholdLow: 0x3cf4bc41772e691e, ThresholdHigh: 0x3cff76d9eff5785a,
+			Score:     Counters{Queries: 64, GridHits: 0, PointKernels: 2059, BoundKernels: 3740, NodesVisited: 990},
+			ScoreBits: 0xdd01eb6cd7526f8e,
 			Density: [3]Counters{
-				{Queries: 128, GridHits: 0, PointKernels: 16427, BoundKernels: 10588, NodesVisited: 3343, SamplingRounds: 0, SampledPoints: 0},
-				{Queries: 192, GridHits: 0, PointKernels: 36651, BoundKernels: 18556, NodesVisited: 6257, SamplingRounds: 0, SampledPoints: 0},
-				{Queries: 256, GridHits: 0, PointKernels: 100651, BoundKernels: 30972, NodesVisited: 12465, SamplingRounds: 0, SampledPoints: 0},
+				{Queries: 128, GridHits: 0, PointKernels: 16427, BoundKernels: 10588, NodesVisited: 3343},
+				{Queries: 192, GridHits: 0, PointKernels: 36651, BoundKernels: 18556, NodesVisited: 6257},
+				{Queries: 256, GridHits: 0, PointKernels: 100651, BoundKernels: 30972, NodesVisited: 12465},
 			},
-			DensityBits: [3]uint64{0x29ca8a63873896c1, 0xd00e7490fa1380ba, 0x4b15f80576379821},
+			DensityBits: [3]uint64{0xea28e8dedd9e5ae8, 0x2cc75084df12c5c5, 0x707774c1620184cd},
 		}},
 	}
 	for _, tc := range cases {
@@ -196,7 +195,7 @@ func TestPinnedWork(t *testing.T) {
 		want uint64
 	}{
 		{"golden/tree", goldenData, tree, 256, 0x3f804110a8dbdccc},
-		{"d27/sampling", samplingData, sampling, 1024, 0x3b70eba1337dea5c},
+		{"d27/sampling", samplingData, sampling, 1024, 0x3b70fc377c8a50ad},
 	}
 	for _, p := range probes {
 		store, err := points.FromRows(p.data)

@@ -156,11 +156,10 @@ func boundThreshold(data *points.Store, cfg Config, rng *rand.Rand) (thresholdBo
 // search below the true statistic; a too-tight retry stays cheap
 // because rows far above hi prune at the first boxes. Otherwise the
 // bound jumps to HBackoff·du: a bound can be orders of magnitude off
-// (Section 3.5), and on the sampling backend a step below du would fail
-// again at the full price of a round. There du does not overstate the
-// statistic: a row whose certified envelope clears hi reports the
-// envelope's lower bound and a sampled row its unbiased estimate, so du
-// is a lower bound on the true statistic, up to sampling noise.
+// (Section 3.5), and on the near-first start (BackendSampling) a step
+// below du would fail again at the full price of a round. There du does
+// not overstate the statistic: a row decided above hi reports its
+// certified lower bound, so du is a lower bound on the true statistic.
 func relaxUpper(hi, du float64, clipped bool, cfg Config) float64 {
 	if clipped && du <= cfg.HBackoff*hi {
 		return math.Max(math.Sqrt(hi*du), cfg.HBuffer*hi)

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -14,14 +15,19 @@ import (
 
 // bruteDensities returns the exact KDE (Scott's-rule bandwidths scaled
 // by b, Gaussian kernel) at every row of data, self-contribution
-// included, together with that self-contribution K_H(0)/n.
+// included, together with that self-contribution K_H(0)/n. Rows fan out
+// over GOMAXPROCS goroutines; each row's sum is the same at any count.
 func bruteDensities(data *points.Store, b float64) (ds []float64, self float64) {
 	h, _ := kernel.ScottBandwidths(data, b)
 	kern, _ := kernel.NewGaussian(h)
 	ds = make([]float64, data.Len())
-	for i := range ds {
-		ds[i] = exactDensity(data, kern, data.Row(i))
-	}
+	forEachChunk(runtime.GOMAXPROCS(0), len(ds), func(next func() (int, int), _ *QueryStats) {
+		for lo, hi := next(); lo < hi; lo, hi = next() {
+			for i := lo; i < hi; i++ {
+				ds[i] = exactDensity(data, kern, data.Row(i))
+			}
+		}
+	})
 	return ds, kern.AtZero() / float64(len(ds))
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 
 	"tkdc/internal/telemetry"
@@ -65,9 +64,6 @@ func TestScoreTraceTreeBackend(t *testing.T) {
 		if tr.Kind != "score" || tr.Backend != BackendTree {
 			t.Fatalf("trace kind/backend = %q/%q, want score/tree", tr.Kind, tr.Backend)
 		}
-		if !tr.Certified {
-			t.Fatal("tree-backend trace not marked certified")
-		}
 		if tr.Latency <= 0 {
 			t.Fatalf("trace latency = %v, want > 0", tr.Latency)
 		}
@@ -107,13 +103,14 @@ func TestScoreTraceTreeBackend(t *testing.T) {
 	}
 }
 
-// TestScoreTraceSamplingBackend checks traces from the sampled far-field
-// estimator: the near phase always appears, and any sampling rounds
-// report their running Bernstein band.
+// TestScoreTraceSamplingBackend checks traces from the near-first start
+// (backend "sampling"): every trace shows the near phase and then the
+// refinement loop that starts from its frontier, and the two stages'
+// work sums to the trace's.
 func TestScoreTraceSamplingBackend(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	data := gauss2D(rng, 1500)
-	c, reg, flight := tracedClassifier(t, data, func(cfg *Config) {
+	c, _, flight := tracedClassifier(t, data, func(cfg *Config) {
 		cfg.Backend = BackendSampling
 		cfg.DisableGrid = true
 	})
@@ -130,49 +127,33 @@ func TestScoreTraceSamplingBackend(t *testing.T) {
 	if snap.Traced != queries {
 		t.Fatalf("Traced = %d, want %d", snap.Traced, queries)
 	}
-	sawRound := false
 	for _, tr := range snap.Recent {
 		if tr.Backend != BackendSampling {
 			t.Fatalf("trace backend = %q, want sampling", tr.Backend)
 		}
-		if tr.Certified {
-			t.Fatal("sampling-backend trace marked certified; its bounds are probabilistic")
-		}
-		if len(tr.Stages) == 0 {
-			t.Fatal("sampling trace has no stages")
-		}
 		names := make([]string, len(tr.Stages))
+		var nodes, points, bounds int64
 		for i, st := range tr.Stages {
 			names[i] = st.Name
-			if strings.HasPrefix(st.Name, "far/round-") {
-				sawRound = true
-				if st.Samples <= 0 {
-					t.Fatalf("sampling round stage reports %d samples", st.Samples)
-				}
-				if st.Band != st.Upper-st.Lower {
-					t.Fatalf("round band = %g, want upper-lower = %g", st.Band, st.Upper-st.Lower)
-				}
-			}
+			nodes += st.Nodes
+			points += st.Points
+			bounds += st.Bounds
 		}
-		first := names[0]
-		if first != "near" && first != "exact" {
-			t.Fatalf("first sampling stage = %q, want near or exact (stages: %v)", first, names)
+		if len(names) != 2 || names[0] != "near" || names[1] != "far/refine" {
+			t.Fatalf("stages %v, want [near far/refine]", names)
 		}
-	}
-	// The registry's sampling counters and the trace-visible rounds come
-	// from the same QueryStats bookkeeping; with rounds seen, counters
-	// move.
-	if sawRound {
-		ms := reg.Snapshot()
-		if ms.SamplingRounds <= 0 || ms.SampledPoints <= 0 {
-			t.Fatalf("far rounds traced but registry counters empty: rounds=%d points=%d",
-				ms.SamplingRounds, ms.SampledPoints)
+		if nodes != tr.Nodes || points != tr.PointKernels || bounds != tr.BoundKernels {
+			t.Fatalf("stage work %d/%d/%d != trace work %d/%d/%d (nodes/points/bounds)",
+				nodes, points, bounds, tr.Nodes, tr.PointKernels, tr.BoundKernels)
+		}
+		if last := tr.Stages[1]; last.Lower != tr.Lower || last.Upper != tr.Upper {
+			t.Fatalf("loop stage bounds [%g, %g], trace [%g, %g]", last.Lower, last.Upper, tr.Lower, tr.Upper)
 		}
 	}
 }
 
-// TestGridHitTrace checks the grid fast path leaves a minimal certified
-// trace rather than escaping the recorder.
+// TestGridHitTrace checks the grid fast path leaves a minimal trace
+// rather than escaping the recorder.
 func TestGridHitTrace(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	data := gauss2D(rng, 1500)
@@ -189,9 +170,9 @@ func TestGridHitTrace(t *testing.T) {
 		for _, tr := range flight.Snapshot().Recent {
 			if tr.GridHit {
 				found = true
-				if tr.Backend != "grid" || tr.Label != High.String() || !tr.Certified {
-					t.Fatalf("grid-hit trace malformed: backend=%q label=%q certified=%v",
-						tr.Backend, tr.Label, tr.Certified)
+				if tr.Backend != "grid" || tr.Label != High.String() || len(tr.Stages) != 0 {
+					t.Fatalf("grid-hit trace malformed: backend=%q label=%q stages=%d",
+						tr.Backend, tr.Label, len(tr.Stages))
 				}
 				break
 			}

@@ -153,10 +153,6 @@ func TestMetricsExpositionGolden(t *testing.T) {
 		"tkdc_queries_total counter",
 		"tkdc_grid_hits_total counter",
 		"tkdc_grid_misses_total counter",
-		"tkdc_sampling_rounds_total counter",
-		"tkdc_sampling_points_total counter",
-		"tkdc_kernels_near_total counter",
-		"tkdc_kernels_far_total counter",
 		"tkdc_query_latency_ns histogram",
 		"tkdc_query_kernels histogram",
 		"tkdc_query_nodes histogram",

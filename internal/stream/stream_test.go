@@ -507,7 +507,6 @@ func TestHandleMetricsMatchDirect(t *testing.T) {
 	workFields := func(s telemetry.Snapshot) []int64 {
 		return []int64{
 			s.Queries, s.GridHits, s.GridMisses,
-			s.SamplingRounds, s.SampledPoints, s.NearKernels, s.FarKernels,
 			s.Kernels.Count(), s.Kernels.Sum,
 			s.Nodes.Count(), s.Nodes.Sum,
 		}

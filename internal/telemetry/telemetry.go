@@ -43,12 +43,6 @@ type QuerySample struct {
 	// GridHit whether it answered the query outright.
 	GridChecked bool
 	GridHit     bool
-	// SamplingRounds counts far-field adaptive sampling rounds and
-	// SampledPoints the kernel evaluations spent inside them (both zero
-	// for tree-backend queries). SampledPoints is a subset of
-	// PointKernels: the remainder is the exact near-phase work.
-	SamplingRounds int64
-	SampledPoints  int64
 }
 
 // Kernels returns total kernel evaluations, point and bound combined.
@@ -142,11 +136,6 @@ type Registry struct {
 	gridHits   Counter
 	gridMisses Counter
 
-	samplingRounds Counter
-	samplingPoints Counter
-	nearKernels    Counter
-	farKernels     Counter
-
 	latencyNS Histogram
 	kernels   Histogram
 	nodes     Histogram
@@ -227,16 +216,6 @@ func (r *Registry) RecordQuery(s QuerySample) {
 			r.gridMisses.Inc()
 		}
 	}
-	if s.SamplingRounds > 0 {
-		r.samplingRounds.Add(s.SamplingRounds)
-	}
-	if s.SampledPoints > 0 {
-		r.samplingPoints.Add(s.SampledPoints)
-		r.farKernels.Add(s.SampledPoints)
-		r.nearKernels.Add(s.PointKernels - s.SampledPoints)
-	} else {
-		r.nearKernels.Add(s.PointKernels)
-	}
 	r.latencyNS.Observe(int64(s.Latency))
 	r.kernels.Observe(s.Kernels())
 	r.nodes.Observe(s.Nodes)
@@ -265,13 +244,9 @@ func (r *Registry) Snapshot() Snapshot {
 		return Snapshot{}
 	}
 	s := Snapshot{
-		Queries:        r.queries.Load(),
-		GridHits:       r.gridHits.Load(),
-		GridMisses:     r.gridMisses.Load(),
-		SamplingRounds: r.samplingRounds.Load(),
-		SampledPoints:  r.samplingPoints.Load(),
-		NearKernels:    r.nearKernels.Load(),
-		FarKernels:     r.farKernels.Load(),
+		Queries:    r.queries.Load(),
+		GridHits:   r.gridHits.Load(),
+		GridMisses: r.gridMisses.Load(),
 
 		LatencyNS: r.latencyNS.Snapshot(),
 		Kernels:   r.kernels.Snapshot(),
@@ -289,10 +264,6 @@ func (r *Registry) Reset() {
 	r.queries.v.Store(0)
 	r.gridHits.v.Store(0)
 	r.gridMisses.v.Store(0)
-	r.samplingRounds.v.Store(0)
-	r.samplingPoints.v.Store(0)
-	r.nearKernels.v.Store(0)
-	r.farKernels.v.Store(0)
 	r.latencyNS.reset()
 	r.kernels.reset()
 	r.nodes.reset()
@@ -309,15 +280,6 @@ type Snapshot struct {
 	GridHits   int64
 	GridMisses int64
 
-	// SamplingRounds and SampledPoints aggregate the sampling backend's
-	// far-field work; NearKernels/FarKernels split total point-kernel
-	// evaluations into the exact near phase (all tree-backend work lands
-	// here too) and the sampled far field.
-	SamplingRounds int64
-	SampledPoints  int64
-	NearKernels    int64
-	FarKernels     int64
-
 	// LatencyNS holds query latencies in nanoseconds; Kernels and Nodes
 	// hold kernel evaluations and tree nodes expanded per query.
 	LatencyNS HistogramSnapshot
@@ -333,10 +295,6 @@ type Snapshot struct {
 func (s Snapshot) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "queries %d (grid hits %d, misses %d)\n", s.Queries, s.GridHits, s.GridMisses)
-	if s.SamplingRounds > 0 || s.FarKernels > 0 {
-		fmt.Fprintf(&b, "sampling: %d rounds, %d sampled points (near/far kernel split %d/%d)\n",
-			s.SamplingRounds, s.SampledPoints, s.NearKernels, s.FarKernels)
-	}
 	dur := func(v float64) string { return time.Duration(v).Round(10 * time.Nanosecond).String() }
 	cnt := func(v float64) string { return fmt.Sprintf("%.0f", v) }
 	fmt.Fprintf(&b, "query latency:  %s\n", s.LatencyNS.summary(dur))
@@ -361,10 +319,6 @@ func (s Snapshot) WriteMetrics(b *strings.Builder) {
 	fmt.Fprintf(b, "# TYPE tkdc_queries_total counter\ntkdc_queries_total %d\n", s.Queries)
 	fmt.Fprintf(b, "# TYPE tkdc_grid_hits_total counter\ntkdc_grid_hits_total %d\n", s.GridHits)
 	fmt.Fprintf(b, "# TYPE tkdc_grid_misses_total counter\ntkdc_grid_misses_total %d\n", s.GridMisses)
-	fmt.Fprintf(b, "# TYPE tkdc_sampling_rounds_total counter\ntkdc_sampling_rounds_total %d\n", s.SamplingRounds)
-	fmt.Fprintf(b, "# TYPE tkdc_sampling_points_total counter\ntkdc_sampling_points_total %d\n", s.SampledPoints)
-	fmt.Fprintf(b, "# TYPE tkdc_kernels_near_total counter\ntkdc_kernels_near_total %d\n", s.NearKernels)
-	fmt.Fprintf(b, "# TYPE tkdc_kernels_far_total counter\ntkdc_kernels_far_total %d\n", s.FarKernels)
 	s.LatencyNS.writeExposition(b, "tkdc_query_latency_ns")
 	s.Kernels.writeExposition(b, "tkdc_query_kernels")
 	s.Nodes.writeExposition(b, "tkdc_query_nodes")

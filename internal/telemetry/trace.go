@@ -16,13 +16,15 @@ import (
 // per-query flight record. Every backend populates the fields that are
 // meaningful for it and leaves the rest zero (omitted from JSON):
 //
-//   - the tree backend emits one "tree/refine" stage with Nodes (heap
-//     pops), Pushes, Depth (deepest arena node touched), the kernel
-//     split, and the bounds at stop time;
-//   - the sampling backend emits a "near" stage (descent Depth, interior
-//     Budget consumed, exact Points) and one "far/round-N" stage per
-//     adaptive doubling with the running sample count and
-//     empirical-Bernstein band (Lower, Upper, Band);
+//   - the tree start emits one "tree/refine" stage ("tree/estimate" for
+//     a density query) with Nodes (heap pops), Pushes, Depth (deepest
+//     arena node touched), the kernel split, and the bounds at stop
+//     time;
+//   - the near-first start (backend "sampling") emits a "near" stage
+//     (descent Depth, interior Budget consumed, exact Points) and then
+//     one "far/refine" ("far/estimate") stage for the refinement loop
+//     that starts from the near phase's frontier, with the same fields
+//     as the tree's stage;
 //   - the grid cache answers queries outright with a stage-free trace
 //     (Backend "grid", GridHit set).
 type TraceStage struct {
@@ -39,17 +41,14 @@ type TraceStage struct {
 	// Depth is the deepest tree level the stage reached (1 = root).
 	Depth int `json:"depth,omitempty"`
 	// Budget is the interior-node expansion budget the stage consumed
-	// (sampling backend's near phase).
+	// (the near-first start's near phase).
 	Budget int `json:"budget_used,omitempty"`
-	// Samples is the cumulative far-field sample count at stage end.
-	Samples int64 `json:"samples,omitempty"`
 	// Queries counts queries answered in the stage. No stage sets it
 	// now that every trace covers one query; the layered benchmark
 	// (perfbench) still reads it.
 	Queries int64 `json:"queries,omitempty"`
-	// Lower and Upper are the running density bounds at stage end; Band
-	// is the confidence band width (fu−fl before envelope clamping is
-	// not retained — Band records the clamped width).
+	// Lower and Upper are the certified density bounds at stage end;
+	// Band is their width, Upper − Lower.
 	Lower float64 `json:"lower,omitempty"`
 	Upper float64 `json:"upper,omitempty"`
 	Band  float64 `json:"band,omitempty"`
@@ -92,9 +91,6 @@ type QueryTrace struct {
 	// label the approximation contract leaves free. The flight recorder
 	// retains these unconditionally.
 	Straddle bool `json:"straddle"`
-	// Certified reports whether the bounds are deterministic
-	// certificates (tree) rather than ≥ 1−δ confidence bands (sampling).
-	Certified bool `json:"certified"`
 	// GridHit marks queries the hypergrid cache answered outright.
 	GridHit bool `json:"grid_hit,omitempty"`
 	// Totals across all stages, in QueryStats units.
@@ -194,9 +190,6 @@ func (t *QueryTrace) String() string {
 		}
 		if s.Budget > 0 {
 			fmt.Fprintf(&b, " budget=%d", s.Budget)
-		}
-		if s.Samples > 0 {
-			fmt.Fprintf(&b, " samples=%d band=%.3g", s.Samples, s.Band)
 		}
 	}
 	return b.String()

@@ -94,8 +94,8 @@ type QuerySample = telemetry.QuerySample
 // classifier's Registry and are immutable once filed.
 type QueryTrace = telemetry.QueryTrace
 
-// TraceStage is one named stage of a QueryTrace (tree refinement, the
-// near phase, a far-field sampling round) with its duration and work.
+// TraceStage is one named stage of a QueryTrace (the near-first start's
+// near phase, or the refinement loop) with its duration and work.
 type TraceStage = telemetry.TraceStage
 
 // FlightRecorder retains the K slowest and K most recent query traces
@@ -130,17 +130,21 @@ const (
 // of Config.Kernel.
 const KernelGaussian = core.KernelGaussian
 
-// Density backends. Config.Backend selects the engine answering density
-// queries: the certified tree traversal, the sampled far-field
-// estimator, or dimension-based auto-selection between them.
+// Density backends. Config.Backend selects where Algorithm 2's one
+// certified refinement loop starts: at the tree's root, at the frontier
+// of a near phase, or by dimension between the two.
 const (
 	// BackendAuto picks the tree backend for d ≤ 8 and sampling above.
 	BackendAuto = core.BackendAuto
-	// BackendTree is the paper's certified branch-and-bound traversal.
+	// BackendTree is the paper's certified branch-and-bound traversal,
+	// started at the tree's root.
 	BackendTree = core.BackendTree
-	// BackendSampling is the DEANN-style near/far split estimator with
-	// probabilistic (1−δ) bounds; it scales to dimensions where the
-	// tree's distance bounds degenerate.
+	// BackendSampling names the near-first start, which scales to
+	// dimensions where the tree's distance bounds degenerate: a
+	// DEANN-style near phase sums the query's own neighbourhood exactly,
+	// and the certified loop refines the frontier it leaves. Its answers
+	// are certified too; nothing is sampled, and the tag keeps its name
+	// because snapshots and -backend carry it.
 	BackendSampling = core.BackendSampling
 )
 
