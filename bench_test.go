@@ -10,8 +10,10 @@ package tkdc_test
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"tkdc"
 	"tkdc/internal/baseline"
@@ -203,35 +205,91 @@ func BenchmarkScoreParallel(b *testing.B) {
 // registry with a flight recorder attached but tracing switched off
 // (one extra atomic pointer load + bool check — must stay within noise
 // of "on"), and "flight" full per-query trace capture into the
-// recorder's rings. The off/on delta is the price of the observability
-// layer; off must stay within noise of BenchmarkScore, and the CI
-// telemetry-overhead guard compares off vs flight-disabled.
+// recorder's rings. Every variant scores one classifier, trained before
+// any is timed, with its recorder swapped by SetRecorder, so the
+// variants differ only in the recorder. The off/on delta is the price of
+// the observability layer; off must stay within noise of BenchmarkScore.
+//
+// "flight-disabled-vs-off" is the CI telemetry-overhead gate
+// (scripts/ratio_gates.json): each iteration scores the same 20 000 rows
+// once with no recorder and once flight-disabled, and its "ratio" is the
+// median pair's time ratio.
 func BenchmarkScoreTelemetry(b *testing.B) {
 	const n = 50000
 	data := benchData(b, "gauss", n, 2)
-	b.Run("off", func(b *testing.B) {
-		clf := benchClassifier(b, "teleoff", data, nil)
-		scoreLoop(b, clf, data)
-	})
-	b.Run("on", func(b *testing.B) {
-		reg := tkdc.NewRegistry()
-		clf := benchClassifier(b, "teleon", data, func(c *tkdc.Config) { c.Recorder = reg })
-		scoreLoop(b, clf, data)
-	})
-	b.Run("flight-disabled", func(b *testing.B) {
+	clf := benchClassifier(b, fmt.Sprintf("score/%d/%d", n, 2), data, nil)
+	defer clf.SetRecorder(nil)
+	flightDisabled := func() *tkdc.Registry {
 		reg := tkdc.NewRegistry()
 		flight := tkdc.NewFlightRecorder(tkdc.FlightOptions{})
 		flight.SetEnabled(false)
 		reg.AttachFlightRecorder(flight)
-		clf := benchClassifier(b, "teleflightoff", data, func(c *tkdc.Config) { c.Recorder = reg })
-		scoreLoop(b, clf, data)
+		return reg
+	}
+	for _, v := range []struct {
+		name string
+		reg  func() *tkdc.Registry // nil: no recorder
+	}{
+		{"off", nil},
+		{"on", tkdc.NewRegistry},
+		{"flight-disabled", flightDisabled},
+		{"flight", func() *tkdc.Registry {
+			reg := tkdc.NewRegistry()
+			reg.AttachFlightRecorder(tkdc.NewFlightRecorder(tkdc.FlightOptions{}))
+			return reg
+		}},
+	} {
+		b.Run(v.name, func(b *testing.B) {
+			clf.SetRecorder(nil)
+			if v.reg != nil {
+				clf.SetRecorder(v.reg())
+			}
+			scoreLoop(b, clf, data)
+		})
+	}
+	b.Run("flight-disabled-vs-off", func(b *testing.B) {
+		reg := flightDisabled()
+		rows := data[:20000]
+		score := func() {
+			for _, x := range rows {
+				if _, err := clf.Score(x); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		pairedRatio(b, len(rows),
+			func() { clf.SetRecorder(nil); score() },
+			func() { clf.SetRecorder(reg); score() })
 	})
-	b.Run("flight", func(b *testing.B) {
-		reg := tkdc.NewRegistry()
-		reg.AttachFlightRecorder(tkdc.NewFlightRecorder(tkdc.FlightOptions{}))
-		clf := benchClassifier(b, "teleflight", data, func(c *tkdc.Config) { c.Recorder = reg })
-		scoreLoop(b, clf, data)
-	})
+}
+
+// pairedRatio times base and test, each one chunk of calls calls, in
+// b.N pairs that alternate which side runs first, so a drift in host
+// speed moves both sides of a pair alike. It reports the median pair's
+// test/base time as "ratio", and each side's mean time per call.
+func pairedRatio(b *testing.B, calls int, base, test func()) {
+	timed := func(f func()) time.Duration {
+		start := time.Now()
+		f()
+		return time.Since(start)
+	}
+	ratios := make([]float64, b.N)
+	var sumBase, sumTest time.Duration
+	for i := range ratios {
+		var tb, tt time.Duration
+		if i%2 == 0 {
+			tb, tt = timed(base), timed(test)
+		} else {
+			tt, tb = timed(test), timed(base)
+		}
+		ratios[i] = float64(tt) / float64(tb)
+		sumBase += tb
+		sumTest += tt
+	}
+	slices.Sort(ratios)
+	b.ReportMetric((ratios[(b.N-1)/2]+ratios[b.N/2])/2, "ratio")
+	b.ReportMetric(float64(sumBase.Nanoseconds())/float64(b.N*calls), "base-ns/call")
+	b.ReportMetric(float64(sumTest.Nanoseconds())/float64(b.N*calls), "test-ns/call")
 }
 
 func BenchmarkFig1ShuttleClassify(b *testing.B) {

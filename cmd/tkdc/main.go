@@ -83,7 +83,6 @@ func main() {
 		delta     = flag.Float64("delta", 0.01, "threshold bound failure probability")
 		bw        = flag.Float64("b", 1, "bandwidth scale factor (Scott's rule multiplier)")
 		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "training and classification goroutines (models are bit-identical at any count)")
-		backend   = flag.String("backend", tkdc.BackendAuto, "where the certified refinement starts: auto (tree for d<=8, sampling above), tree (the k-d tree's root), or sampling (the near-first start: a near phase, then its frontier)")
 		seed      = flag.Int64("seed", 42, "training seed")
 		density   = flag.Bool("density", false, "print density bounds alongside labels")
 		stats     = flag.Bool("stats", false, "print a post-run telemetry summary to stderr")
@@ -105,10 +104,6 @@ func main() {
 	)
 	flag.Parse()
 	if err := validateFlags(*trainPath, *loadPath, *follow, *serve, *streamMode); err != nil {
-		fmt.Fprintln(os.Stderr, "tkdc:", err)
-		os.Exit(2)
-	}
-	if err := validateBackend(*backend); err != nil {
 		fmt.Fprintln(os.Stderr, "tkdc:", err)
 		os.Exit(2)
 	}
@@ -183,7 +178,6 @@ func main() {
 		cfg.Delta = *delta
 		cfg.BandwidthFactor = *bw
 		cfg.Workers = *workers
-		cfg.Backend = *backend
 		cfg.Seed = *seed
 		cfg.Recorder = reg
 
@@ -385,7 +379,7 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 
 // validateFlags rejects incoherent mode combinations right after flag
 // parsing, before any CSV is read, a model is trained, or a socket is
-// opened — mirroring validateBackend's fail-fast contract. The modes:
+// opened. The modes:
 //
 //   - batch / serve: exactly one of -train or -load supplies the model
 //   - follower: -follow supplies the model over the network and needs
@@ -444,17 +438,6 @@ func resolveShards(shards int) int {
 		return tkdc.DefaultIngestShards()
 	}
 	return shards
-}
-
-// validateBackend fails fast on an unknown -backend value, before any
-// CSV is read or training starts, listing the valid names.
-func validateBackend(name string) error {
-	for _, b := range tkdc.Backends() {
-		if name == b {
-			return nil
-		}
-	}
-	return fmt.Errorf("unknown -backend %q (valid: %s)", name, strings.Join(tkdc.Backends(), ", "))
 }
 
 // writeResults classifies queries and writes one line per row to w:

@@ -146,31 +146,6 @@ func TestValidateFlags(t *testing.T) {
 	}
 }
 
-// TestValidateBackend pins the fail-fast contract of -backend: every
-// published name passes, anything else is rejected with an error that
-// lists the valid set.
-func TestValidateBackend(t *testing.T) {
-	for _, name := range tkdc.Backends() {
-		if err := validateBackend(name); err != nil {
-			t.Errorf("validateBackend(%q) = %v, want nil", name, err)
-		}
-	}
-	err := validateBackend("annoy")
-	if err == nil {
-		t.Fatal("unknown backend accepted")
-	}
-	for _, name := range tkdc.Backends() {
-		if !strings.Contains(err.Error(), name) {
-			t.Errorf("error %q does not list %q", err, name)
-		}
-	}
-	// The empty string is the library's "unset" sentinel; the flag has a
-	// real default, so the CLI treats empty as a user mistake.
-	if validateBackend("") == nil {
-		t.Error("empty -backend accepted")
-	}
-}
-
 // TestValidateShards pins the -ingest-shards guardrails and the 0=auto
 // resolution.
 func TestValidateShards(t *testing.T) {

@@ -28,12 +28,10 @@ func NewNoCut(data *points.Store, kern *kernel.Gaussian, eps float64) (*NoCut, e
 	if err != nil {
 		return nil, err
 	}
-	// The default backend resolves by dimension and would pick the
-	// near-first start above d = 8; nocut is the tree traversal at
-	// every d.
-	cfg := core.DefaultConfig()
-	cfg.Backend = core.BackendTree
-	return &NoCut{be: core.NewBackend(tree, kern, cfg), n: tree.Size, eps: eps}, nil
+	// Training would pick the near-first start above d = 8; nocut is the
+	// tree traversal at every d.
+	be := core.NewBackend(tree, kern, core.DefaultConfig(), core.BackendTree)
+	return &NoCut{be: be, n: tree.Size, eps: eps}, nil
 }
 
 // Name returns "nocut".

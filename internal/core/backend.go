@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"tkdc/internal/kdtree"
 	"tkdc/internal/kernel"
 )
@@ -36,10 +34,12 @@ type DensityBackend interface {
 	Recycle()
 }
 
-// Backend names accepted by Config.Backend.
+// Start tags: the two places Algorithm 2's loop starts. Classifier.Backend,
+// snapshots (v3), traces and the server's /model and /metrics report
+// them.
 const (
-	// BackendAuto selects the backend by dimension: tree for
-	// d ≤ AutoTreeMaxDim, sampling above.
+	// BackendAuto is what Train records in the deprecated
+	// Config.Backend; the data's dimension picks the start.
 	BackendAuto = "auto"
 	// BackendTree is the paper's k-d tree traversal: Algorithm 2
 	// started at the root.
@@ -47,57 +47,39 @@ const (
 	// BackendSampling names the near-first start: a DEANN-style near
 	// phase resolves the query's own neighbourhood first, and Algorithm
 	// 2's loop refines the frontier it leaves. The tag predates the
-	// start; snapshots and -backend carry it, so it keeps its name,
-	// although nothing is sampled.
+	// start; snapshots carry it, so it keeps its name, although nothing
+	// is sampled.
 	BackendSampling = "sampling"
 )
 
-// AutoTreeMaxDim is the largest dimensionality at which BackendAuto
-// starts at the tree's root. Above it the near-first start answers
-// faster (BenchmarkBackendHeadToHead, BENCH_core.json); at d = 2 its
-// near phase sums whole nodes the tree's bounds would decide, so the cut
-// stays until one start serves every d.
+// AutoTreeMaxDim is the largest dimensionality at which training starts
+// at the tree's root. Above it the near-first start answers faster
+// (BenchmarkBackendHeadToHead, BENCH_core.json); at d = 2 its near phase
+// sums whole nodes the tree's bounds would decide, so the cut stays
+// until one start serves every d.
 const AutoTreeMaxDim = 8
 
-// Backends lists the valid Config.Backend values.
-func Backends() []string {
-	return []string{BackendAuto, BackendTree, BackendSampling}
-}
-
-// validBackend reports whether name is a recognized backend selector.
-func validBackend(name string) bool {
-	switch name {
-	case "", BackendAuto, BackendTree, BackendSampling:
-		return true
+// resolveBackend returns the start that data of dimension dim trains
+// with.
+func resolveBackend(dim int) string {
+	if dim <= AutoTreeMaxDim {
+		return BackendTree
 	}
-	return false
+	return BackendSampling
 }
 
-// resolveBackend maps a configured backend selector to a concrete
-// backend tag for data of the given dimensionality.
-func resolveBackend(name string, dim int) string {
-	if name == "" || name == BackendAuto {
-		if dim <= AutoTreeMaxDim {
-			return BackendTree
-		}
-		return BackendSampling
-	}
-	return name
-}
-
-// NewBackend constructs the configured density backend over a built
-// index. Every query path in the package — serving, the training
-// refinement pass, the threshold bootstrap's mini-KDEs, the drift probe —
-// builds backends through here, so one Config selects the engine
-// everywhere; the nocut baseline builds its tree backend here too. cfg
-// must be valid (normalized and validated, as DefaultConfig is).
-func NewBackend(tree *kdtree.Tree, kern *kernel.Gaussian, cfg Config) DensityBackend {
-	switch resolveBackend(cfg.Backend, tree.Dim) {
-	case BackendSampling:
+// NewBackend constructs the density backend that starts at start
+// (BackendTree or BackendSampling) over a built index. Every query path
+// in the package — serving, the training refinement pass, the threshold
+// bootstrap's mini-KDEs, the drift probe — builds backends through here;
+// the nocut baseline asks it for the tree start at every d. cfg supplies
+// the pruning-rule switches and must be valid (normalized and validated,
+// as DefaultConfig is).
+func NewBackend(tree *kdtree.Tree, kern *kernel.Gaussian, cfg Config, start string) DensityBackend {
+	if start == BackendSampling {
 		return newNearFirst(tree, kern, cfg)
-	default:
-		return newDensityEstimator(tree, kern, cfg.DisableThresholdRule, cfg.DisableToleranceRule)
 	}
+	return newDensityEstimator(tree, kern, cfg.DisableThresholdRule, cfg.DisableToleranceRule)
 }
 
 // --- tree backend -----------------------------------------------------
@@ -131,9 +113,4 @@ func (e *densityEstimator) Recycle() {
 	if cap(e.heap.items) > maxPooledHeapItems {
 		e.heap.items = nil
 	}
-}
-
-// backendError builds the rejection for an unknown Config.Backend.
-func backendError(name string) error {
-	return fmt.Errorf("core: unknown backend %q (valid: %s, %s, %s)", name, BackendAuto, BackendTree, BackendSampling)
 }

@@ -1,84 +1,75 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
-	"path/filepath"
-	"strings"
 	"testing"
 )
 
 func TestResolveBackend(t *testing.T) {
 	cases := []struct {
-		name string
 		dim  int
 		want string
 	}{
-		{"", 2, BackendTree},
-		{"", 27, BackendSampling},
-		{BackendAuto, AutoTreeMaxDim, BackendTree},
-		{BackendAuto, AutoTreeMaxDim + 1, BackendSampling},
-		{BackendTree, 27, BackendTree},
-		{BackendSampling, 2, BackendSampling},
+		{2, BackendTree},
+		{AutoTreeMaxDim, BackendTree},
+		{AutoTreeMaxDim + 1, BackendSampling},
+		{27, BackendSampling},
 	}
 	for _, tc := range cases {
-		if got := resolveBackend(tc.name, tc.dim); got != tc.want {
-			t.Errorf("resolveBackend(%q, %d) = %q, want %q", tc.name, tc.dim, got, tc.want)
+		if got := resolveBackend(tc.dim); got != tc.want {
+			t.Errorf("resolveBackend(%d) = %q, want %q", tc.dim, got, tc.want)
 		}
 	}
 }
 
-func TestBackendValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(80))
-	data := gauss2D(rng, 300)
-	cfg := testConfig()
-	cfg.Backend = "annoy"
-	_, err := Train(data, cfg)
-	if err == nil {
-		t.Fatal("unknown backend accepted")
-	}
-	for _, name := range Backends() {
-		if !strings.Contains(err.Error(), name) {
-			t.Fatalf("error %q does not list valid backend %q", err, name)
-		}
-	}
-}
-
-// TestBackendAccessor checks the classifier reports the backend it
-// resolved, both implicit and forced.
+// TestBackendAccessor checks the classifier reports the start its data
+// picked.
 func TestBackendAccessor(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
-	data := gauss2D(rng, 300)
-	// Pin auto explicitly: this test asserts the resolution policy, so
-	// it must not inherit a TKDC_TEST_BACKEND override.
-	auto := testConfig()
-	auto.Backend = BackendAuto
-	c, err := Train(data, auto)
+	c, err := Train(gauss2D(rng, 300), testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c.Backend() != BackendTree {
-		t.Fatalf("d=2 auto backend = %q, want %q", c.Backend(), BackendTree)
-	}
-	cfg := testConfig()
-	cfg.Backend = BackendSampling
-	c, err = Train(data, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Backend() != BackendSampling {
-		t.Fatalf("forced backend = %q, want %q", c.Backend(), BackendSampling)
+		t.Fatalf("d=2 backend = %q, want %q", c.Backend(), BackendTree)
 	}
 }
 
-// TestForcedTreeBackendMatchesGolden pins the refactor's central
-// guarantee: explicitly selecting the tree backend reproduces the
-// committed golden fixture bit-for-bit, so extracting the DensityBackend
-// interface changed no arithmetic on the certified path.
-func TestForcedTreeBackendMatchesGolden(t *testing.T) {
-	cfg := goldenConfig()
-	cfg.Backend = BackendTree
-	got := computeGoldenWith(t, cfg)
-	compareToFixture(t, got, filepath.Join("testdata", "golden.json"))
+// TestTrainIgnoresBackendField pins the start contract: the data's
+// dimension picks where Algorithm 2 starts, whatever the deprecated
+// Config.Backend says, and the snapshot records "auto" there, so a
+// training with the field set encodes to the same bytes as one without.
+func TestTrainIgnoresBackendField(t *testing.T) {
+	rng := rand.New(rand.NewSource(83))
+	for _, tc := range []struct {
+		name, field, want string
+		data              [][]float64
+	}{
+		{"d=2", BackendSampling, BackendTree, gauss2D(rng, 600)},
+		{"d=27", BackendTree, BackendSampling, latentData(rng, 600, 27, 5)},
+	} {
+		encode := func(cfg Config) ([]byte, string) {
+			c, err := Train(tc.data, cfg)
+			if err != nil {
+				t.Fatalf("%s: Train with Backend %q: %v", tc.name, cfg.Backend, err)
+			}
+			b, _, err := c.EncodeSnapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b, c.Backend()
+		}
+		set := testConfig()
+		set.Backend = tc.field
+		got, start := encode(set)
+		if start != tc.want {
+			t.Errorf("%s: Backend %q trained the %q start, want %q", tc.name, tc.field, start, tc.want)
+		}
+		if want, _ := encode(testConfig()); !bytes.Equal(got, want) {
+			t.Errorf("%s: Backend %q encodes to %d bytes that differ from the default training's %d", tc.name, tc.field, len(got), len(want))
+		}
+	}
 }
 
 // TestSamplingBoundsBracketHighDim is the property test for the
@@ -88,12 +79,7 @@ func TestForcedTreeBackendMatchesGolden(t *testing.T) {
 func TestSamplingBoundsBracketHighDim(t *testing.T) {
 	rng := rand.New(rand.NewSource(82))
 	data := latentData(rng, 4000, 27, 5)
-	// Pin auto explicitly so a TKDC_TEST_BACKEND=tree override cannot
-	// redirect the property test away from the backend under test; at
-	// d=27 auto must resolve to the near-first start.
-	cfg := testConfig()
-	cfg.Backend = BackendAuto
-	c, err := Train(data, cfg)
+	c, err := Train(data, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 // TestFlatBatchMatchesScore pins the flat batch API to per-row Score:
 // ClassifyFlat labels and ScoreFlat results are bit-identical at every
 // worker count and batch size, runs of one chunk and of many alike.
-// Runs under both density backends via TKDC_TEST_BACKEND.
 func TestFlatBatchMatchesScore(t *testing.T) {
 	rng := rand.New(rand.NewSource(70))
 	clf, err := Train(gauss2D(rng, 2000), testConfig())
@@ -97,9 +96,7 @@ func TestScoreAllocatesNothing(t *testing.T) {
 		t.Skip("allocation counts do not hold under the race detector")
 	}
 	rng := rand.New(rand.NewSource(72))
-	cfg := testConfig()
-	cfg.Backend = BackendTree
-	clf, err := Train(gauss2D(rng, 2000), cfg)
+	clf, err := Train(gauss2D(rng, 2000), testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -104,9 +104,7 @@ func BenchmarkBackendHeadToHead(b *testing.B) {
 				if st == nil || st.dim != d {
 					st = newBoundBenchState(b, d)
 				}
-				cfg := DefaultConfig()
-				cfg.Backend = backend
-				be := NewBackend(st.tree, st.kern, cfg)
+				be := NewBackend(st.tree, st.kern, DefaultConfig(), backend)
 				n := st.pts.Len()
 				tolCut := 0.01 * st.t
 				var qs QueryStats

@@ -232,6 +232,10 @@ func TrainStore(data *points.Store, cfg Config) (*Classifier, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	// The start follows the data's dimension; the deprecated field
+	// records that, so a caller's setting reaches neither the engine nor
+	// the snapshot bytes.
+	cfg.Backend = BackendAuto
 	if data.Len() == 0 {
 		return nil, errors.New("core: empty training dataset")
 	}
@@ -250,7 +254,7 @@ func TrainStore(data *points.Store, cfg Config) (*Classifier, error) {
 
 	// Phase 1: the serving KDE — bandwidths, kernel, index and grid.
 	asmStart := time.Now()
-	c, err := assemble(data, cfg, resolveBackend(cfg.Backend, data.Dim))
+	c, err := assemble(data, cfg, resolveBackend(data.Dim))
 	if err != nil {
 		return nil, err
 	}
@@ -364,9 +368,9 @@ func buildKDE(data *points.Store, cfg Config) (*kernel.Gaussian, *kdtree.Tree, e
 
 // assemble builds the deterministic serving machinery over a dataset —
 // the KDE, grid cache, and estimator pool — shared by training and
-// snapshot loading. backend is the resolved engine the pool builds and
-// Backend reports; cfg is kept as given, so Save writes the selector the
-// model was trained with. Thresholds are left for the caller to fill in.
+// snapshot loading. backend is the start the pool builds and Backend
+// reports; cfg is kept as given, so a loaded model re-encodes to its own
+// bytes. Thresholds are left for the caller to fill in.
 func assemble(data *points.Store, cfg Config, backend string) (*Classifier, error) {
 	kern, tree, err := buildKDE(data, cfg)
 	if err != nil {
@@ -386,10 +390,8 @@ func assemble(data *points.Store, cfg Config, backend string) (*Classifier, erro
 		selfContrib: kern.AtZero() / float64(data.Len()),
 		rec:         rec,
 	}
-	beCfg := cfg
-	beCfg.Backend = backend
 	c.estPool.New = func() any {
-		return &pooledBackend{DensityBackend: NewBackend(c.tree, c.kern, beCfg)}
+		return &pooledBackend{DensityBackend: NewBackend(c.tree, c.kern, cfg, backend)}
 	}
 	if !cfg.DisableGrid && c.dim <= cfg.MaxGridDim {
 		g, err := grid.NewWorkers(data, kern.Bandwidths(), cfg.Workers)
@@ -695,14 +697,16 @@ func (c *Classifier) Bandwidths() []float64 { return c.kern.Bandwidths() }
 func (c *Classifier) Dim() int { return c.dim }
 
 // Config returns the configuration the classifier was trained (or
-// loaded) with, defaults filled in. Its Backend is the selector as
-// trained, BackendAuto included; Backend reports the resolved engine.
-// The streaming lifecycle uses it to rebuild models with identical
-// parameters.
+// loaded) with, defaults filled in. Its deprecated Backend field is what
+// the snapshot recorded and selects nothing; Backend reports the start
+// that serves. The streaming lifecycle uses it to rebuild models with
+// identical parameters, so a retrain starts where its data's dimension
+// says.
 func (c *Classifier) Config() Config { return c.cfg }
 
-// Backend returns the resolved density backend tag (BackendTree or
-// BackendSampling — never BackendAuto, which resolves at assembly).
+// Backend returns the tag of the start that serves (BackendTree or
+// BackendSampling): the one the training data's dimension picked, or
+// the one a v3 snapshot recorded.
 func (c *Classifier) Backend() string { return c.backend }
 
 // TrainingData returns the classifier's flat training storage. The store

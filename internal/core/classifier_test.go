@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"math/rand"
-	"os"
 	"sort"
 	"strings"
 	"testing"
@@ -41,23 +40,7 @@ func gauss2D(rng *rand.Rand, n int) [][]float64 {
 func testConfig() Config {
 	cfg := DefaultConfig()
 	cfg.S0 = 2000 // keep test-sized bootstraps quick
-	// CI forces each density backend through the whole suite.
-	if b := os.Getenv("TKDC_TEST_BACKEND"); b != "" {
-		cfg.Backend = b
-	}
 	return cfg
-}
-
-// skipUnlessTreeEfficiency skips tests that pin efficiency properties of
-// the tree start (bootstrap prunability) when CI forces the near-first
-// start (TKDC_TEST_BACKEND=sampling): at the low dimensions these
-// fixtures use, its near phase sums whole nodes the tree's bounds would
-// decide, so its per-query cost makes the assertions meaningless.
-func skipUnlessTreeEfficiency(t *testing.T) {
-	t.Helper()
-	if os.Getenv("TKDC_TEST_BACKEND") == BackendSampling {
-		t.Skip("tree-efficiency pin: not meaningful with the near-first start forced")
-	}
 }
 
 func TestDefaultConfigMatchesPaperTable1(t *testing.T) {

@@ -40,12 +40,13 @@ type Config struct {
 	// a family this release cannot evaluate fails to load.
 	Kernel KernelFamily
 
-	// Backend selects where Algorithm 2's refinement loop starts:
-	// BackendAuto (pick by dimension — tree for d ≤ AutoTreeMaxDim,
-	// sampling above), BackendTree (at the k-d tree's root), or
-	// BackendSampling (the near-first start: at the frontier a
-	// DEANN-style near phase leaves; the tag predates it, and nothing is
-	// sampled). Both certify every answer. Empty means BackendAuto.
+	// Backend selects nothing: Train writes BackendAuto here whatever
+	// the caller set, and the data's dimension picks where Algorithm 2's
+	// loop starts (Classifier.Backend reports it). The field stays
+	// because every snapshot's gob encoding of Config carries it.
+	//
+	// Deprecated: the start is a function of the data; see
+	// AutoTreeMaxDim.
 	Backend string
 
 	// LeafSize caps k-d tree leaf occupancy (kdtree.DefaultLeafSize if 0).
@@ -125,6 +126,8 @@ func DefaultConfig() Config {
 // normalized returns a copy with zero-valued knobs replaced by defaults.
 func (c Config) normalized() Config {
 	d := DefaultConfig()
+	// v1 and v2 snapshots predate Backend; they load recording the
+	// "auto" every training writes.
 	if c.Backend == "" {
 		c.Backend = BackendAuto
 	}
@@ -175,9 +178,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("core: HGrowth = %v must be finite and exceed 1", c.HGrowth)
 	case c.Kernel != KernelGaussian:
 		return fmt.Errorf("core: unknown kernel family %d", c.Kernel)
-	}
-	if !validBackend(c.Backend) {
-		return backendError(c.Backend)
 	}
 	return nil
 }

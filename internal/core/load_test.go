@@ -48,9 +48,10 @@ type invalidSnapshot struct {
 // invalidSnapshots returns a bandwidth factor so small that 1/h²
 // overflows (the box bounds then compute 0·Inf = NaN), an infinite
 // threshold (every query LOW), a NaN growth factor (a retrain from the
-// loaded config panics on a negative sample size), and kernel family 1,
+// loaded config panics on a negative sample size), kernel family 1,
 // which earlier releases trained as an Epanechnikov kernel and which
-// would otherwise load as a Gaussian model.
+// would otherwise load as a Gaussian model, and a start tag no release
+// wrote.
 func invalidSnapshots(t testing.TB) []invalidSnapshot {
 	return []invalidSnapshot{
 		{"bandwidth factor 1e-300", "1/h² overflows",
@@ -61,6 +62,8 @@ func invalidSnapshots(t testing.TB) []invalidSnapshot {
 			tinySnapshot(t, func(s *modelSnapshot) { s.Config.HGrowth = math.NaN() })},
 		{"kernel family 1", "unknown kernel family 1",
 			tinySnapshot(t, func(s *modelSnapshot) { s.Config.Kernel = 1 })},
+		{"backend tag annoy", `unknown backend "annoy"`,
+			tinySnapshot(t, func(s *modelSnapshot) { s.Backend = "annoy" })},
 	}
 }
 

@@ -21,7 +21,6 @@ import (
 func TestThresholdOracle(t *testing.T) {
 	cases := []struct {
 		name    string
-		backend string
 		rows    func(seed int64) [][]float64
 		seeds   int64 // seeds 1…seeds; 8 when zero
 		hGrowth float64
@@ -33,13 +32,13 @@ func TestThresholdOracle(t *testing.T) {
 		// p ∓ 4δ, widened by ε·t.
 		cancelled int64
 	}{
-		{name: "gauss2/tree", backend: BackendTree, rows: func(seed int64) [][]float64 {
+		{name: "gauss2/tree", rows: func(seed int64) [][]float64 {
 			return gauss2D(rand.New(rand.NewSource(seed)), 1500)
 		}},
 		// tmy3's quantile grows faster between rounds than HBuffer
 		// covers. HGrowth = 2 puts four rounds below n = 2000, so the
 		// drift per round is small enough for the geometric retry step.
-		{name: "tmy3/tree", backend: BackendTree, rows: func(seed int64) [][]float64 {
+		{name: "tmy3/tree", rows: func(seed int64) [][]float64 {
 			return dataset.TMY3(2000, seed)
 		}, hGrowth: 2, upperRetry: true},
 		// At n = 1 200, K(0)/n lies ~10¹⁴ above t. Equation 1's
@@ -51,10 +50,10 @@ func TestThresholdOracle(t *testing.T) {
 		// without their own term (the ROADMAP's leave-one-out item) is
 		// the cure; until then seed 3 keeps the wider window. Every
 		// label holds.
-		{name: "hep27/sampling", backend: BackendSampling, rows: func(seed int64) [][]float64 {
+		{name: "hep27/sampling", rows: func(seed int64) [][]float64 {
 			return dataset.HEP(1200, seed)
 		}, cancelled: 3},
-		{name: "hep27-4096/sampling", backend: BackendSampling, rows: func(seed int64) [][]float64 {
+		{name: "hep27-4096/sampling", rows: func(seed int64) [][]float64 {
 			return dataset.HEP(4096, seed)
 		}, seeds: 4},
 	}
@@ -68,7 +67,6 @@ func TestThresholdOracle(t *testing.T) {
 			for seed := int64(1); seed <= seeds; seed++ {
 				rows := tc.rows(seed)
 				cfg := DefaultConfig()
-				cfg.Backend = tc.backend
 				cfg.Seed = seed
 				if tc.hGrowth != 0 {
 					cfg.HGrowth = tc.hGrowth
@@ -139,7 +137,8 @@ func TestThresholdOracle(t *testing.T) {
 // TestOracleGauss32 runs the oracle where the kernel's peak dwarfs the
 // threshold: on gauss d=32 (8 000 training rows, seed 1) K(0)/t exceeds
 // 2⁵³, so a running bound that ever held K(0) cannot resolve t. For the
-// tree start and for auto (the near-first start at d = 32) it checks
+// start the data picks (the near-first start at d = 32; the tree start's
+// bounds there are pinned by TestRunBoundsMatchHeapAtHighPeak) it checks
 // that t̃ lies within ε·t of the exact corrected quantile, that every
 // held-out row whose exact density lies outside the ε band gets the
 // exact label, and that DensityBounds(x, 0.01) brackets the exact
@@ -170,41 +169,37 @@ func TestOracleGauss32(t *testing.T) {
 		heldExact[i] = exactDensity(store, kern, x)
 	}
 
-	for _, backend := range []string{BackendTree, BackendAuto} {
-		t.Run(backend, func(t *testing.T) {
-			cfg := cfg
-			cfg.Backend = backend
-			cfg.Seed = 1
-			c, err := Train(train, cfg)
+	t.Run("auto", func(t *testing.T) {
+		cfg.Seed = 1
+		c, err := Train(train, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := c.Threshold(); math.Abs(got-trueT) > band {
+			t.Errorf("t̃ = %g, exact t(p) = %g: %+.3g%%, outside ε·t", got, trueT, 100*(got-trueT)/trueT)
+		}
+		labels, err := c.ClassifyAll(held)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wrong, offContract := 0, 0
+		for i, f := range heldExact {
+			if math.Abs(f-trueT) > band && (labels[i] == High) != (f > trueT) {
+				wrong++
+			}
+			fl, fu, err := c.DensityBounds(held[i], 0.01)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := c.Threshold(); math.Abs(got-trueT) > band {
-				t.Errorf("t̃ = %g, exact t(p) = %g: %+.3g%%, outside ε·t", got, trueT, 100*(got-trueT)/trueT)
+			if !brackets(fl, fu, f) || math.Abs(0.5*(fl+fu)-f) > 0.01*f {
+				offContract++
 			}
-			labels, err := c.ClassifyAll(held)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wrong, offContract := 0, 0
-			for i, f := range heldExact {
-				if math.Abs(f-trueT) > band && (labels[i] == High) != (f > trueT) {
-					wrong++
-				}
-				fl, fu, err := c.DensityBounds(held[i], 0.01)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !brackets(fl, fu, f) || math.Abs(0.5*(fl+fu)-f) > 0.01*f {
-					offContract++
-				}
-			}
-			if wrong > 0 {
-				t.Errorf("%d of %d held-out labels outside the ε band disagree with the exact KDE", wrong, len(held))
-			}
-			if offContract > 0 {
-				t.Errorf("%d of %d DensityBounds(x, 0.01) answers miss f or put the midpoint over 1%% off", offContract, len(held))
-			}
-		})
-	}
+		}
+		if wrong > 0 {
+			t.Errorf("%d of %d held-out labels outside the ε band disagree with the exact KDE", wrong, len(held))
+		}
+		if offContract > 0 {
+			t.Errorf("%d of %d DensityBounds(x, 0.01) answers miss f or put the midpoint over 1%% off", offContract, len(held))
+		}
+	})
 }

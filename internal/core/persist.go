@@ -23,14 +23,14 @@ import (
 // outcome — the threshold and its bounds — needs to persist alongside the
 // data. Loading therefore skips the expensive phases of Train entirely.
 //
-// Format v3 records the resolved density backend tag and the sampling
-// backend's parameters alongside the v2 layout, so a loaded replica runs
-// the same engine the model was trained with even if the auto-selection
-// policy changes between releases. Format v2 stores the dataset as one
-// contiguous row-major buffer (Flat + Dim), matching the in-memory
-// points.Store layout; format v1 stored a slice of rows (Data). Save
-// always writes v3; Load decodes all three. Gob matches fields by name,
-// so one struct covers every version.
+// Format v3 records the tag of the start the model was trained with and
+// the near-first start's parameters alongside the v2 layout, so a loaded
+// replica runs that start even if the dimension rule changes between
+// releases. Format v2 stores the dataset as one contiguous row-major
+// buffer (Flat + Dim), matching the in-memory points.Store layout;
+// format v1 stored a slice of rows (Data). Save always writes v3; Load
+// decodes all three. Gob matches fields by name, so one struct covers
+// every version.
 type modelSnapshot struct {
 	Version   int
 	Config    Config
@@ -41,8 +41,9 @@ type modelSnapshot struct {
 	TLow      float64
 	THigh     float64
 	Train     TrainStats
-	// Backend is the resolved backend tag (v3; empty in v1/v2, which
-	// predate backends and always resolve to the tree).
+	// Backend is the tag of the start the model served with (v3). Load
+	// serves with it; v1 and v2 predate it and load with the start their
+	// dimension picks.
 	Backend string
 	// Sampler records the near-first start's near cut at save time
 	// (v3), with the two far-field sample sizes the start no longer
@@ -203,9 +204,10 @@ func (c *Classifier) SaveFile(path string) error {
 // error, never a half-built model. All snapshot formats are accepted:
 // v3 (flat buffer + backend tag), v2 (flat buffer), and the legacy v1
 // (slice of rows), which is converted to flat storage on the way in. A
-// v3 snapshot's recorded backend pins the loaded model's engine — an
-// auto-selection policy change between releases cannot silently flip a
-// serving replica.
+// v3 snapshot's recorded tag pins the loaded model's start — a change of
+// the dimension rule between releases cannot silently flip a serving
+// replica — and v1 and v2 snapshots load with the start their dimension
+// picks. An unknown tag fails the load.
 func Load(r io.Reader) (*Classifier, error) {
 	payload, err := verifyFrame(r)
 	if err != nil {
@@ -245,17 +247,17 @@ func Load(r io.Reader) (*Classifier, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if !validBackend(snap.Backend) {
-		return nil, backendError(snap.Backend)
+	start := cmp.Or(snap.Backend, resolveBackend(store.Dim))
+	if start != BackendTree && start != BackendSampling {
+		return nil, fmt.Errorf("core: unknown backend %q (valid: %s, %s)", start, BackendTree, BackendSampling)
 	}
 	if err := store.CheckFinite(); err != nil {
 		return nil, fmt.Errorf("core: load model: %w", err)
 	}
 
-	// The config keeps the selector it was trained with, so the model
-	// re-encodes to the bytes it was loaded from; v1 and v2 snapshots
-	// carry no recorded engine and resolve by dimension.
-	c, err := assemble(store, cfg, resolveBackend(cmp.Or(snap.Backend, cfg.Backend), store.Dim))
+	// The config keeps what it recorded, so the model re-encodes to the
+	// bytes it was loaded from.
+	c, err := assemble(store, cfg, start)
 	if err != nil {
 		return nil, err
 	}

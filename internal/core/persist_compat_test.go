@@ -168,31 +168,33 @@ func TestPersistV2Compat(t *testing.T) {
 	compareLabels(t, "v2", classifyAllLabels(t, loaded, data), classifyAllLabels(t, clf, data))
 }
 
-// TestPersistV3BackendPinned checks the v3 backend tag survives a
-// round trip and overrides auto-selection: a d=2 model trained with the
-// sampling backend forced must come back sampling, not tree.
+// TestPersistV3BackendPinned checks the v3 start tag overrides the
+// dimension on Load and survives a further save/load: a d=2 snapshot
+// that an older release trained with the near-first start forced comes
+// back on that start, not the tree, and re-encodes to its own bytes.
 func TestPersistV3BackendPinned(t *testing.T) {
-	cfg := persistConfig()
-	cfg.Backend = BackendSampling
-	clf, err := Train(persistDataset(), cfg)
-	if err != nil {
-		t.Fatalf("Train: %v", err)
-	}
-	var buf bytes.Buffer
-	if err := clf.Save(&buf); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	loaded, err := Load(&buf)
+	raw := tinySnapshot(t, func(s *modelSnapshot) {
+		s.Backend = BackendSampling
+		s.Config.Backend = BackendSampling
+	})
+	loaded, err := Load(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
 	if loaded.Backend() != BackendSampling {
 		t.Errorf("loaded backend = %q, want pinned %q", loaded.Backend(), BackendSampling)
 	}
-	// The loaded config must carry the pin too, so a further save/load
-	// chain cannot lose it.
+	// The loaded config keeps what the snapshot recorded, so a save/load
+	// chain neither loses the pin nor changes the bytes.
 	if loaded.Config().Backend != BackendSampling {
 		t.Errorf("loaded config backend = %q, want %q", loaded.Config().Backend, BackendSampling)
+	}
+	var buf bytes.Buffer
+	if err := loaded.Save(&buf); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	if !bytes.Equal(buf.Bytes(), raw) {
+		t.Errorf("re-saved snapshot differs: %d bytes, loaded from %d", buf.Len(), len(raw))
 	}
 }
 

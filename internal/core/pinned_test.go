@@ -112,14 +112,10 @@ func TestPinnedWork(t *testing.T) {
 	goldenData, goldenQueries := goldenDataset()
 	samplingData, samplingQueries := pinnedSamplingData()
 	retryData, retryQueries := pinnedRetryData()
-	tree := goldenConfig()
-	tree.Backend = BackendTree
-	subsampled := tree
+	golden := goldenConfig()
+	subsampled := golden
 	subsampled.S0 = 100 // the bootstrap round scores a 100-row subsample
-	sampling := goldenConfig()
-	sampling.Backend = BackendSampling
 	retry := DefaultConfig()
-	retry.Backend = BackendTree
 	retry.HGrowth = 2
 	retry.Seed = 2
 
@@ -129,7 +125,7 @@ func TestPinnedWork(t *testing.T) {
 		cfg           Config
 		want          pinnedModel
 	}{
-		{"tree", goldenData, goldenQueries, tree, pinnedModel{
+		{"tree", goldenData, goldenQueries, golden, pinnedModel{
 			TrainKernels: 119193, BootstrapRounds: 1,
 			Threshold: 0x3f813aadfd927710, ThresholdLow: 0x3f401690412c3904, ThresholdHigh: 0x3f8fa767af8058d0,
 			Score:     Counters{Queries: 64, GridHits: 0, PointKernels: 1228, BoundKernels: 1800, NodesVisited: 482},
@@ -153,7 +149,7 @@ func TestPinnedWork(t *testing.T) {
 			},
 			DensityBits: [3]uint64{0xbd0819a9c6086fa3, 0x7a71007784a5c0b5, 0x433366bc6755b5a9},
 		}},
-		{"sampling/d27", samplingData, samplingQueries, sampling, pinnedModel{
+		{"sampling/d27", samplingData, samplingQueries, golden, pinnedModel{
 			TrainKernels: 423525, BootstrapRounds: 3,
 			Threshold: 0x3b830251af25b920, ThresholdLow: 0x3b7afee1198cc180, ThresholdHigh: 0x3b8977f838a480a0,
 			Score:     Counters{Queries: 64, GridHits: 0, PointKernels: 3616, BoundKernels: 1375, NodesVisited: 965},
@@ -194,8 +190,8 @@ func TestPinnedWork(t *testing.T) {
 		ref  int
 		want uint64
 	}{
-		{"golden/tree", goldenData, tree, 256, 0x3f804110a8dbdccc},
-		{"d27/sampling", samplingData, sampling, 1024, 0x3b70fc377c8a50ad},
+		{"golden/tree", goldenData, golden, 256, 0x3f804110a8dbdccc},
+		{"d27/sampling", samplingData, golden, 1024, 0x3b70fc377c8a50ad},
 	}
 	for _, p := range probes {
 		store, err := points.FromRows(p.data)

@@ -20,7 +20,7 @@ const probeRelPrecision = 0.01
 // rows and probes held-out probe rows (disjointly and seeded, so the
 // probe is deterministic for a fixed seed), estimates each probe's
 // density under the reference mini-KDE with Scott's-rule bandwidths to
-// 1% relative precision via the configured density backend, and returns
+// 1% relative precision from the start training would pick, and returns
 // the p-quantile. Holding the probe rows out of the reference set plays
 // the role of the self-contribution correction of Section 2.3: no probe
 // contributes density to itself.
@@ -30,7 +30,7 @@ const probeRelPrecision = 0.01
 // meant for relative comparisons — detecting that the distribution under
 // a live model has drifted — not as a serving threshold. Cost is at most
 // O(refRows · probes) kernel evaluations, independent of data.Len(), and
-// lower when the backend's pruning or sampling bites.
+// lower when the 1% rule settles whole boxes from their bounds.
 func ProbeThreshold(data *points.Store, cfg Config, refRows, probes int, seed int64) (float64, error) {
 	cfg = cfg.normalized()
 	if err := cfg.validate(); err != nil {
@@ -80,11 +80,7 @@ func ProbeThreshold(data *points.Store, cfg Config, refRows, probes int, seed in
 	if err != nil {
 		return 0, err
 	}
-	// The probe's own seed drives the backend so repeated probes with the
-	// same seed stay bit-identical regardless of the training seed.
-	beCfg := cfg
-	beCfg.Seed = seed
-	be := NewBackend(tree, kern, beCfg)
+	be := NewBackend(tree, kern, cfg, resolveBackend(data.Dim))
 	var qs QueryStats
 	densities := make([]float64, probes)
 	for i := range densities {

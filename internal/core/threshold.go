@@ -49,7 +49,8 @@ func boundThreshold(data *points.Store, cfg Config, rng *rand.Rand) (thresholdBo
 	n := data.Len()
 	res := thresholdBound{lo: 0, hi: math.Inf(1)}
 	spanWorkers := max(effectiveWorkers(cfg.Workers), 1)
-	clipped := resolveBackend(cfg.Backend, data.Dim) == BackendTree
+	start := resolveBackend(data.Dim)
+	clipped := start == BackendTree
 
 	const maxRetriesPerRound = 25
 	retries := 0
@@ -82,7 +83,7 @@ func boundThreshold(data *points.Store, cfg Config, rng *rand.Rand) (thresholdBo
 		}
 		densities = densities[:sEff]
 		res.queries.add(forEachChunk(cfg.Workers, sEff, func(next func() (int, int), qs *QueryStats) {
-			est := NewBackend(rtree, rkern, cfg)
+			est := NewBackend(rtree, rkern, cfg, start)
 			for lo, hi := next(); lo < hi; lo, hi = next() {
 				for i := lo; i < hi; i++ {
 					_, _, f := est.BoundDensity(xs.Row(i), res.lo+selfContrib, res.hi+selfContrib, tolCut, qs)

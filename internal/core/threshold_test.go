@@ -82,7 +82,6 @@ func TestBoundThresholdBracketsTrueThreshold(t *testing.T) {
 // point exactly: the bootstrap rounds plus the full-size pass should
 // evaluate well below n² kernels even on a modest dataset.
 func TestBoundThresholdCheaperThanExact(t *testing.T) {
-	skipUnlessTreeEfficiency(t)
 	rng := rand.New(rand.NewSource(40))
 	data := gauss2D(rng, 4000)
 	c, err := Train(data, testConfig())

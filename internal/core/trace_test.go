@@ -33,7 +33,6 @@ func TestScoreTraceTreeBackend(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	data := gauss2D(rng, 1200)
 	c, _, flight := tracedClassifier(t, data, func(cfg *Config) {
-		cfg.Backend = BackendTree
 		cfg.DisableGrid = true // force traversal so every trace has stages
 	})
 
@@ -104,20 +103,18 @@ func TestScoreTraceTreeBackend(t *testing.T) {
 }
 
 // TestScoreTraceSamplingBackend checks traces from the near-first start
-// (backend "sampling"): every trace shows the near phase and then the
-// refinement loop that starts from its frontier, and the two stages'
-// work sums to the trace's.
+// (backend "sampling"), which d = 27 data trains with: every trace shows
+// the near phase and then the refinement loop that starts from its
+// frontier, and the two stages' work sums to the trace's.
 func TestScoreTraceSamplingBackend(t *testing.T) {
-	rng := rand.New(rand.NewSource(73))
-	data := gauss2D(rng, 1500)
-	c, _, flight := tracedClassifier(t, data, func(cfg *Config) {
-		cfg.Backend = BackendSampling
-		cfg.DisableGrid = true
-	})
-
 	const queries = 40
-	for i := 0; i < queries; i++ {
-		q := []float64{rng.NormFloat64() * 3, rng.NormFloat64() * 3}
+	rows := latentData(rand.New(rand.NewSource(73)), 1500+queries, 27, 5)
+	c, _, flight := tracedClassifier(t, rows[:1500], nil)
+	if c.Backend() != BackendSampling {
+		t.Fatalf("d=27 backend = %q, want %q", c.Backend(), BackendSampling)
+	}
+
+	for _, q := range rows[1500:] {
 		if _, err := c.Score(q); err != nil {
 			t.Fatal(err)
 		}
@@ -157,9 +154,7 @@ func TestScoreTraceSamplingBackend(t *testing.T) {
 func TestGridHitTrace(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	data := gauss2D(rng, 1500)
-	c, _, flight := tracedClassifier(t, data, func(cfg *Config) {
-		cfg.Backend = BackendTree
-	})
+	c, _, flight := tracedClassifier(t, data, nil)
 
 	// Dense-core training points make grid hits likely; find one.
 	found := false
@@ -210,7 +205,7 @@ func TestDensityBoundsTrace(t *testing.T) {
 	}
 	// The tree backend runs one refinement loop for both query kinds; a
 	// density query must still file its stage as tree/estimate.
-	if c.Backend() == BackendTree && (len(tr.Stages) != 1 || tr.Stages[0].Name != "tree/estimate") {
+	if len(tr.Stages) != 1 || tr.Stages[0].Name != "tree/estimate" {
 		t.Fatalf("tree density trace stages = %+v, want one tree/estimate stage", tr.Stages)
 	}
 }

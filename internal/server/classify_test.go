@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -17,40 +16,29 @@ import (
 	"tkdc/internal/telemetry"
 )
 
-// trainClf trains a small 2-d classifier, honoring the CI backend
-// matrix (TKDC_TEST_BACKEND).
-func trainClf(t *testing.T, seed int64) *core.Classifier {
+// trainClf trains a small classifier on dim-dimensional Gaussian rows.
+func trainClf(t *testing.T, seed int64, dim int) *core.Classifier {
 	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	data := make([][]float64, 1200)
-	for i := range data {
-		data[i] = []float64{rng.NormFloat64(), rng.NormFloat64()}
-	}
 	cfg := core.DefaultConfig()
 	cfg.S0 = 2000
-	if b := os.Getenv("TKDC_TEST_BACKEND"); b != "" {
-		cfg.Backend = b
-	}
-	clf, err := core.Train(data, cfg)
+	clf, err := core.Train(gaussRows(1200, dim, 1, seed), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return clf
 }
 
-// probeRows builds n 2-d probes spanning the dense core and the tails,
-// returned both as rows and in flat row-major form.
-func probeRows(n int, seed int64) ([][]float64, []float64) {
-	rng := rand.New(rand.NewSource(seed))
-	rows := make([][]float64, n)
-	flat := make([]float64, 0, 2*n)
-	for i := range rows {
-		x := []float64{rng.NormFloat64() * 2, rng.NormFloat64() * 2}
-		rows[i] = x
-		flat = append(flat, x...)
-	}
-	return rows, flat
+// starts pairs each start with a dimension whose data trains with it.
+var starts = []struct {
+	backend string
+	dim     int
+}{
+	{core.BackendTree, 2},
+	{core.BackendSampling, core.AutoTreeMaxDim + 1},
 }
+
+// probeRows builds n 2-d probes spanning the dense core and the tails.
+func probeRows(n int, seed int64) [][]float64 { return gaussRows(n, 2, 2, seed) }
 
 // postRows POSTs rows as a JSON body (encoding/json writes each float in
 // its shortest exact form, so the server parses the very same values)
@@ -113,15 +101,14 @@ func checkMatchesScore(t *testing.T, clf *core.Classifier, rows [][]float64, den
 // name dates from the coalescing window, whose 0 setting was this same
 // path and is now the only one): one request is answered by the
 // serving model's current generation, which the response echoes, and
-// its labels are bit-identical to per-row Score. Runs under both
-// density backends via TKDC_TEST_BACKEND.
+// its labels are bit-identical to per-row Score.
 func TestBatchWindowZeroInline(t *testing.T) {
-	clf := trainClf(t, 31)
+	clf := trainClf(t, 31, 2)
 	srv := New(clf, Options{Registry: telemetry.NewRegistry()})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	rows, _ := probeRows(16, 32)
+	rows := probeRows(16, 32)
 	var resp scoredResponse
 	if err := postRows(ts.URL+"/classify", rows, &resp); err != nil {
 		t.Fatal(err)
@@ -139,17 +126,16 @@ func TestBatchWindowZeroInline(t *testing.T) {
 // mixed label and density mode, against per-row Score: every row of
 // every response is bit-identical. The requests once coalesced into
 // one flush; now each runs inline on pooled parse buffers, so this
-// also guards against requests sharing state. Runs under both density
-// backends via TKDC_TEST_BACKEND.
+// also guards against requests sharing state.
 func TestBatchCoalescedBitIdentical(t *testing.T) {
-	clf := trainClf(t, 33)
+	clf := trainClf(t, 33, 2)
 	ts := httptest.NewServer(New(clf, Options{Registry: telemetry.NewRegistry()}))
 	defer ts.Close()
 
 	const calls, perCall = 6, 40
 	rows := make([][][]float64, calls)
 	for i := range rows {
-		rows[i], _ = probeRows(perCall, int64(100+i))
+		rows[i] = probeRows(perCall, int64(100+i))
 	}
 
 	got := make([]scoredResponse, calls)
@@ -177,14 +163,17 @@ func TestBatchCoalescedBitIdentical(t *testing.T) {
 }
 
 // TestClassifyBulkMatchesScore pins the bulk label path under both
-// density backends: a 512-row POST, answered by the parallel sweep, is
-// bit-identical to per-row Score, and every row counts as one query in
-// tkdc_queries_total and tkdc_query_latency_ns.
+// starts, with data of a dimension that trains with each: a 512-row
+// POST, answered by the parallel sweep, is bit-identical to per-row
+// Score, and every row counts as one query in tkdc_queries_total and
+// tkdc_query_latency_ns.
 func TestClassifyBulkMatchesScore(t *testing.T) {
-	for _, backend := range []string{core.BackendTree, core.BackendSampling} {
-		t.Run(backend, func(t *testing.T) {
-			t.Setenv("TKDC_TEST_BACKEND", backend)
-			clf := trainClf(t, 35)
+	for _, st := range starts {
+		t.Run(st.backend, func(t *testing.T) {
+			clf := trainClf(t, 35, st.dim)
+			if clf.Backend() != st.backend {
+				t.Fatalf("d=%d trained the %q start, want %q", st.dim, clf.Backend(), st.backend)
+			}
 			clf.SetWorkers(4)
 			reg := telemetry.NewRegistry()
 			clf.SetRecorder(reg)
@@ -192,7 +181,7 @@ func TestClassifyBulkMatchesScore(t *testing.T) {
 			defer ts.Close()
 
 			before := getMetrics(t, ts.URL)
-			rows, _ := probeRows(512, 36)
+			rows := gaussRows(512, st.dim, 2, 36)
 			var resp scoredResponse
 			if err := postRows(ts.URL+"/classify", rows, &resp); err != nil {
 				t.Fatal(err)

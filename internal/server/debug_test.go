@@ -14,19 +14,18 @@ import (
 )
 
 // tracedServer builds a server whose registry carries a flight recorder,
-// over a classifier with the requested backend (grid disabled so every
-// query leaves a staged traversal trace).
-func tracedServer(t *testing.T, backend string) (*httptest.Server, *telemetry.FlightRecorder) {
+// over a classifier trained on dim-dimensional data (grid disabled so
+// every query leaves a staged traversal trace).
+func tracedServer(t *testing.T, dim int) (*httptest.Server, *telemetry.FlightRecorder) {
 	t.Helper()
 	reg := telemetry.NewRegistry()
 	flight := telemetry.NewFlightRecorder(telemetry.FlightOptions{K: 16})
 	reg.AttachFlightRecorder(flight)
 	cfg := core.DefaultConfig()
 	cfg.S0 = 2000
-	cfg.Backend = backend
 	cfg.DisableGrid = true
 	cfg.Recorder = reg
-	clf, err := core.Train(gaussRows(1000, 23), cfg)
+	clf, err := core.Train(gaussRows(1000, dim, 1, 23), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,22 +59,17 @@ func TestDebugQueriesMethodNotAllowed(t *testing.T) {
 }
 
 // TestDebugQueriesServesTraces is the endpoint acceptance test, run for
-// both density backends: classified queries appear as flight records
-// with identity fields and per-stage breakdowns.
+// both starts with data of a dimension that trains with each:
+// classified queries appear as flight records with identity fields and
+// per-stage breakdowns.
 func TestDebugQueriesServesTraces(t *testing.T) {
-	for _, backend := range []string{core.BackendTree, core.BackendSampling} {
-		backend := backend
+	for _, st := range starts {
+		backend := st.backend
 		t.Run(backend, func(t *testing.T) {
-			ts, _ := tracedServer(t, backend)
-			resp, err := http.Post(ts.URL+"/classify", "application/json",
-				strings.NewReader(`{"points": [[0.1, -0.2], [4.5, 4.5], [0.0, 0.3]]}`))
-			if err != nil {
+			ts, _ := tracedServer(t, st.dim)
+			var resp scoredResponse
+			if err := postRows(ts.URL+"/classify", gaussRows(3, st.dim, 2, 24), &resp); err != nil {
 				t.Fatal(err)
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("classify status = %d", resp.StatusCode)
 			}
 
 			dresp, err := http.Get(ts.URL + "/debug/queries")
@@ -203,12 +197,16 @@ func TestMetricsExpositionGolden(t *testing.T) {
 	}
 }
 
-// gaussRows generates n 2-d standard-normal rows.
-func gaussRows(n int, seed int64) [][]float64 {
+// gaussRows generates n dim-dimensional normal rows with standard
+// deviation scale.
+func gaussRows(n, dim int, scale float64, seed int64) [][]float64 {
 	rng := rand.New(rand.NewSource(seed))
 	rows := make([][]float64, n)
 	for i := range rows {
-		rows[i] = []float64{rng.NormFloat64(), rng.NormFloat64()}
+		rows[i] = make([]float64, dim)
+		for j := range rows[i] {
+			rows[i][j] = scale * rng.NormFloat64()
+		}
 	}
 	return rows
 }

@@ -1,6 +1,8 @@
 package stream
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
 	"math/rand"
 	"os"
@@ -289,20 +291,52 @@ func TestPrefillSeedsSample(t *testing.T) {
 	}
 }
 
-// TestRetrainInheritsBackend pins the lifecycle half of backend
-// selection: a service built without an explicit Train config retrains
-// with the initial model's configuration, so a forced density backend
-// survives every hot swap.
-func TestRetrainInheritsBackend(t *testing.T) {
-	cfg := testConfig()
-	cfg.Backend = core.BackendSampling // d=2 would auto-resolve to tree
-	initial, err := core.Train(gauss2D(400, 5, 1), cfg)
+// retagged reloads clf from a snapshot whose start tag, and the
+// deprecated Config.Backend beside it, read start: what a release that
+// let callers force the start wrote. Gob matches fields by name, so a
+// struct with the fields Load reads carries the snapshot across.
+func retagged(t *testing.T, clf *core.Classifier, start string) *core.Classifier {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := clf.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var snap struct {
+		Version                int
+		Config                 core.Config
+		Flat                   []float64
+		Dim                    int
+		Threshold, TLow, THigh float64
+		Train                  core.TrainStats
+		Backend                string
+	}
+	if err := gob.NewDecoder(&buf).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	snap.Backend, snap.Config.Backend = start, start
+	buf.Reset()
+	if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := core.Load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return loaded
+}
+
+// TestRetrainFollowsDimension pins the lifecycle half of the start
+// contract: a loaded generation serves the start its snapshot recorded,
+// and a retrain starts where its data's dimension says, even when the
+// snapshot's config recorded a forced start.
+func TestRetrainFollowsDimension(t *testing.T) {
+	initial := retagged(t, trainSmall(t, gauss2D(400, 5, 1)), core.BackendSampling)
 	svc, err := NewService(initial, Config{Capacity: 1000, Prefill: true})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := svc.Model().Current().Backend(); got != core.BackendSampling {
+		t.Fatalf("loaded generation serves %q, want the recorded %q", got, core.BackendSampling)
 	}
 	if _, err := svc.Ingest(gauss2D(50, 6, 1)); err != nil {
 		t.Fatal(err)
@@ -314,8 +348,8 @@ func TestRetrainInheritsBackend(t *testing.T) {
 	if cur == initial {
 		t.Fatal("retrain did not swap the model")
 	}
-	if cur.Backend() != core.BackendSampling {
-		t.Fatalf("retrained backend = %q, want inherited %q", cur.Backend(), core.BackendSampling)
+	if cur.Backend() != core.BackendTree {
+		t.Fatalf("retrained backend = %q, want %q, which d=2 picks", cur.Backend(), core.BackendTree)
 	}
 }
 

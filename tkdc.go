@@ -130,12 +130,12 @@ const (
 // of Config.Kernel.
 const KernelGaussian = core.KernelGaussian
 
-// Density backends. Config.Backend selects where Algorithm 2's one
-// certified refinement loop starts: at the tree's root, at the frontier
-// of a near phase, or by dimension between the two.
+// Start tags, as Classifier.Backend, /model, /metrics, /snapshot/meta
+// and traces report them. The data picks where Algorithm 2's one
+// certified refinement loop starts: at the tree's root for d ≤ 8, at
+// the frontier of a near phase above. A loaded v3 snapshot keeps the
+// start it recorded.
 const (
-	// BackendAuto picks the tree backend for d ≤ 8 and sampling above.
-	BackendAuto = core.BackendAuto
 	// BackendTree is the paper's certified branch-and-bound traversal,
 	// started at the tree's root.
 	BackendTree = core.BackendTree
@@ -144,12 +144,9 @@ const (
 	// DEANN-style near phase sums the query's own neighbourhood exactly,
 	// and the certified loop refines the frontier it leaves. Its answers
 	// are certified too; nothing is sampled, and the tag keeps its name
-	// because snapshots and -backend carry it.
+	// because snapshots carry it.
 	BackendSampling = core.BackendSampling
 )
-
-// Backends lists the valid Config.Backend values.
-func Backends() []string { return core.Backends() }
 
 // k-d tree split rules.
 const (
