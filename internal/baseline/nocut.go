@@ -28,7 +28,7 @@ func NewNoCut(data *points.Store, kern *kernel.Gaussian, eps float64) (*NoCut, e
 	if err != nil {
 		return nil, err
 	}
-	// Training would pick the near-first start above d = 8; nocut is the
+	// Training picks the near-first start from d = 3 up; nocut is the
 	// tree traversal at every d.
 	be := core.NewBackend(tree, kern, core.DefaultConfig(), core.BackendTree)
 	return &NoCut{be: be, n: tree.Size, eps: eps}, nil

@@ -53,11 +53,11 @@ const (
 )
 
 // AutoTreeMaxDim is the largest dimensionality at which training starts
-// at the tree's root. Above it the near-first start answers faster
-// (BenchmarkBackendHeadToHead, BENCH_core.json); at d = 2 its near phase
-// sums whole nodes the tree's bounds would decide, so the cut stays
-// until one start serves every d.
-const AutoTreeMaxDim = 8
+// at the tree's root. From d = 3 up the near-first start answers faster
+// (BenchmarkBackendHeadToHead, BENCH_core.json); at d ≤ 2 its near
+// phase sums whole nodes the tree's bounds would decide, so the cut
+// stays until one start serves every d.
+const AutoTreeMaxDim = 2
 
 // resolveBackend returns the start that data of dimension dim trains
 // with.

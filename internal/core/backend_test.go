@@ -2,18 +2,25 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math/rand"
 	"testing"
+
+	"tkdc/internal/dataset"
 )
 
+// TestResolveBackend pins where the cut lies: the tree start answers
+// d ≤ 2, where its root bounds decide what the near phase would sum, and
+// the near-first start every d from 3 up.
 func TestResolveBackend(t *testing.T) {
 	cases := []struct {
 		dim  int
 		want string
 	}{
+		{1, BackendTree},
 		{2, BackendTree},
-		{AutoTreeMaxDim, BackendTree},
-		{AutoTreeMaxDim + 1, BackendSampling},
+		{3, BackendSampling},
+		{8, BackendSampling},
 		{27, BackendSampling},
 	}
 	for _, tc := range cases {
@@ -23,16 +30,41 @@ func TestResolveBackend(t *testing.T) {
 	}
 }
 
-// TestBackendAccessor checks the classifier reports the start its data
-// picked.
+// TestBackendAccessor checks a trained classifier reports, serves and
+// tags the start its data's dimension picked.
 func TestBackendAccessor(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
-	c, err := Train(gauss2D(rng, 300), testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Backend() != BackendTree {
-		t.Fatalf("d=2 backend = %q, want %q", c.Backend(), BackendTree)
+	for _, tc := range []struct {
+		name, want string
+		data       [][]float64
+	}{
+		{"d=2", BackendTree, gauss2D(rng, 300)},
+		{"d=3", BackendSampling, latentData(rng, 300, 3, 2)},
+		{"d=8", BackendSampling, dataset.TMY3(300, 81)},
+	} {
+		c, err := Train(tc.data, testConfig())
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if c.Backend() != tc.want {
+			t.Errorf("%s: backend = %q, want %q", tc.name, c.Backend(), tc.want)
+		}
+		e := c.getEstimator()
+		if got := e.Name(); got != tc.want {
+			t.Errorf("%s: serving backend = %q, want %q", tc.name, got, tc.want)
+		}
+		c.putEstimator(e)
+		var buf bytes.Buffer
+		if err := c.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var snap modelSnapshot
+		if err := gob.NewDecoder(&buf).Decode(&snap); err != nil {
+			t.Fatal(err)
+		}
+		if snap.Backend != tc.want {
+			t.Errorf("%s: snapshot tag = %q, want %q", tc.name, snap.Backend, tc.want)
+		}
 	}
 }
 

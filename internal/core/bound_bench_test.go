@@ -91,11 +91,11 @@ func BenchmarkBoundDensity(b *testing.B) {
 // BenchmarkBackendHeadToHead runs the tree start and the near-first
 // start (backend "sampling") over the same fixtures, thresholds, and
 // stopping rules, through the same DensityBackend interface the
-// classifier serves with. Where the near phase's budgeted descent
-// undercuts the tree's degenerating traversal from the root is recorded
-// in BENCH_core.json.
+// classifier serves with, from d = 1 up. Where the near phase's
+// budgeted descent undercuts the tree's traversal from the root, the
+// crossover AutoTreeMaxDim follows, is recorded in BENCH_core.json.
 func BenchmarkBackendHeadToHead(b *testing.B) {
-	for _, d := range []int{4, 8, 16, 32} {
+	for _, d := range []int{1, 2, 3, 4, 8, 16, 32} {
 		d := d
 		var st *boundBenchState // shared by both backend runs at this d
 		for _, backend := range []string{BackendTree, BackendSampling} {

@@ -1,9 +1,9 @@
 package core
 
-// The near-first start (BackendSampling) runs Algorithm 2 for
-// high-dimensional data in the order of DEANN (Karppa, Aumüller &
-// Pagh): it resolves the query's own neighbourhood exactly first, and
-// only then hands what is left to Algorithm 2's refinement loop.
+// The near-first start (BackendSampling) runs Algorithm 2 for data of
+// dimension 3 and up in the order of DEANN (Karppa, Aumüller & Pagh):
+// it resolves the query's own neighbourhood exactly first, and only
+// then hands what is left to Algorithm 2's refinement loop.
 //
 // The near phase is a best-first traversal of the kdtree arena ordered
 // by (minimum scaled distance, node count): nodes entirely within the

@@ -13,7 +13,7 @@ import (
 )
 
 // TestThresholdOracle is the threshold half of the differential oracle:
-// it trains seeded models on three kinds of data and checks each one
+// it trains seeded models on four kinds of data and checks each one
 // against the exact KDE. The refined t̃ lies within ε·t of the exact
 // corrected p-quantile t, the trained bounds bracket t̃, and every
 // training row whose exact density lies outside the ε band around t gets
@@ -36,10 +36,16 @@ func TestThresholdOracle(t *testing.T) {
 			return gauss2D(rand.New(rand.NewSource(seed)), 1500)
 		}},
 		// tmy3's quantile grows faster between rounds than HBuffer
-		// covers. HGrowth = 2 puts four rounds below n = 2000, so the
-		// drift per round is small enough for the geometric retry step.
-		{name: "tmy3/tree", rows: func(seed int64) [][]float64 {
+		// covers. HGrowth = 2 puts four rounds below n = 2000, and some
+		// round fails on the upper side and jumps to HBackoff·du.
+		{name: "tmy3/sampling", rows: func(seed int64) [][]float64 {
 			return dataset.TMY3(2000, seed)
+		}, hGrowth: 2, upperRetry: true},
+		// Shuttle's first two columns at HGrowth = 2: seeds 3 and 8
+		// fail a round on the upper side on the tree start, whose
+		// clipped du takes relaxUpper's geometric step.
+		{name: "shuttle2/tree", rows: func(seed int64) [][]float64 {
+			return shuttle2(1000, seed)
 		}, hGrowth: 2, upperRetry: true},
 		// At n = 1 200, K(0)/n lies ~10¹⁴ above t. Equation 1's
 		// corrected density f − K(0)/n then cannot resolve a density

@@ -93,11 +93,30 @@ func pinnedSamplingData() (data, queries [][]float64) {
 
 // pinnedRetryData is a seeded tmy3 d=8 set whose p-quantile drifts
 // between bootstrap rounds faster than HBuffer covers, plus 64 queries
-// from the same generator. Trained at HGrowth = 2 with seed 2, two of
-// its rounds fail on the upper side and retry one geometric step.
+// from the same generator. Trained at HGrowth = 2 with seed 2 on the
+// near-first start, its rounds fail on the upper side and jump to
+// HBackoff·du.
 func pinnedRetryData() (data, queries [][]float64) {
 	rows := dataset.TMY3(1064, 2)
 	return rows[:1000], rows[1000:]
+}
+
+// pinnedGeometricData is the first two columns of a seeded shuttle set,
+// plus 64 queries from the same generator. Trained at HGrowth = 2 with
+// seed 3 on the tree start, one round fails on the upper side and
+// retries relaxUpper's geometric step.
+func pinnedGeometricData() (data, queries [][]float64) {
+	rows := shuttle2(1064, 3)
+	return rows[:1000], rows[1000:]
+}
+
+// shuttle2 is the first two columns of dataset.Shuttle(n, seed).
+func shuttle2(n int, seed int64) [][]float64 {
+	rows, err := dataset.TakeColumns(dataset.Shuttle(n, seed), 2)
+	if err != nil {
+		panic(err)
+	}
+	return rows
 }
 
 // TestPinnedWork pins the exact work and answer bits of training and
@@ -112,12 +131,15 @@ func TestPinnedWork(t *testing.T) {
 	goldenData, goldenQueries := goldenDataset()
 	samplingData, samplingQueries := pinnedSamplingData()
 	retryData, retryQueries := pinnedRetryData()
+	geometricData, geometricQueries := pinnedGeometricData()
 	golden := goldenConfig()
 	subsampled := golden
 	subsampled.S0 = 100 // the bootstrap round scores a 100-row subsample
 	retry := DefaultConfig()
 	retry.HGrowth = 2
 	retry.Seed = 2
+	geometric := retry
+	geometric.Seed = 3
 
 	cases := []struct {
 		name          string
@@ -161,17 +183,29 @@ func TestPinnedWork(t *testing.T) {
 			},
 			DensityBits: [3]uint64{0xf67b5d99da534a9, 0x9939cfee3e3bf87a, 0x54c73a67451ffc59},
 		}},
-		{"tree/tmy3-retry", retryData, retryQueries, retry, pinnedModel{
-			TrainKernels: 399272, BootstrapRounds: 5,
-			Threshold: 0x3cfa82a2ecf89e70, ThresholdLow: 0x3cf4bc41772e691e, ThresholdHigh: 0x3cff76d9eff5785a,
-			Score:     Counters{Queries: 64, GridHits: 0, PointKernels: 2059, BoundKernels: 3740, NodesVisited: 990},
-			ScoreBits: 0xdd01eb6cd7526f8e,
+		{"sampling/tmy3-retry", retryData, retryQueries, retry, pinnedModel{
+			TrainKernels: 491411, BootstrapRounds: 5,
+			Threshold: 0x3cfa82a2ecf89e92, ThresholdLow: 0x3cf4bc41772e6904, ThresholdHigh: 0x3cff76d9eff578fe,
+			Score:     Counters{Queries: 64, GridHits: 0, PointKernels: 2186, BoundKernels: 856, NodesVisited: 517},
+			ScoreBits: 0x4b0cd50ca9144246,
 			Density: [3]Counters{
-				{Queries: 128, GridHits: 0, PointKernels: 16427, BoundKernels: 10588, NodesVisited: 3343},
-				{Queries: 192, GridHits: 0, PointKernels: 36651, BoundKernels: 18556, NodesVisited: 6257},
-				{Queries: 256, GridHits: 0, PointKernels: 100651, BoundKernels: 30972, NodesVisited: 12465},
+				{Queries: 128, GridHits: 0, PointKernels: 23130, BoundKernels: 2802, NodesVisited: 4362},
+				{Queries: 192, GridHits: 0, PointKernels: 44485, BoundKernels: 5040, NodesVisited: 8297},
+				{Queries: 256, GridHits: 0, PointKernels: 108485, BoundKernels: 11654, NodesVisited: 15448},
 			},
-			DensityBits: [3]uint64{0xea28e8dedd9e5ae8, 0x2cc75084df12c5c5, 0x707774c1620184cd},
+			DensityBits: [3]uint64{0xd3238f95b37f6bbc, 0x95847804f10981b4, 0xd47c01df75c24c6d},
+		}},
+		{"tree/shuttle2-retry", geometricData, geometricQueries, geometric, pinnedModel{
+			TrainKernels: 181814, BootstrapRounds: 5,
+			Threshold: 0x3f13cd905e09c5ab, ThresholdLow: 0x3edeba36ce7a3ab3, ThresholdHigh: 0x3f21315858ac449e,
+			Score:     Counters{Queries: 64, GridHits: 38, PointKernels: 149, BoundKernels: 740, NodesVisited: 179},
+			ScoreBits: 0xbdc302f05dff010c,
+			Density: [3]Counters{
+				{Queries: 128, GridHits: 38, PointKernels: 22147, BoundKernels: 6724, NodesVisited: 2579},
+				{Queries: 192, GridHits: 38, PointKernels: 50800, BoundKernels: 13040, NodesVisited: 5406},
+				{Queries: 256, GridHits: 38, PointKernels: 114800, BoundKernels: 24688, NodesVisited: 11230},
+			},
+			DensityBits: [3]uint64{0x6e21b93e8831cbcc, 0xae2eee238b0dd789, 0xfbfc2523d8e8c7b9},
 		}},
 	}
 	for _, tc := range cases {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"tkdc/internal/core"
+	"tkdc/internal/dataset"
 	"tkdc/internal/telemetry"
 )
 
@@ -328,28 +329,37 @@ func retagged(t *testing.T, clf *core.Classifier, start string) *core.Classifier
 // TestRetrainFollowsDimension pins the lifecycle half of the start
 // contract: a loaded generation serves the start its snapshot recorded,
 // and a retrain starts where its data's dimension says, even when the
-// snapshot's config recorded a forced start.
+// snapshot's config recorded a forced start. A d = 8 snapshot tagged
+// "tree" keeps serving the tree start until its next retrain.
 func TestRetrainFollowsDimension(t *testing.T) {
-	initial := retagged(t, trainSmall(t, gauss2D(400, 5, 1)), core.BackendSampling)
-	svc, err := NewService(initial, Config{Capacity: 1000, Prefill: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := svc.Model().Current().Backend(); got != core.BackendSampling {
-		t.Fatalf("loaded generation serves %q, want the recorded %q", got, core.BackendSampling)
-	}
-	if _, err := svc.Ingest(gauss2D(50, 6, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := svc.Retrain(); err != nil {
-		t.Fatal(err)
-	}
-	cur := svc.Model().Current()
-	if cur == initial {
-		t.Fatal("retrain did not swap the model")
-	}
-	if cur.Backend() != core.BackendTree {
-		t.Fatalf("retrained backend = %q, want %q, which d=2 picks", cur.Backend(), core.BackendTree)
+	for _, tc := range []struct {
+		name, tag, want string
+		initial, more   [][]float64
+	}{
+		{"d=2", core.BackendSampling, core.BackendTree, gauss2D(400, 5, 1), gauss2D(50, 6, 1)},
+		{"d=8", core.BackendTree, core.BackendSampling, dataset.TMY3(400, 5), dataset.TMY3(50, 6)},
+	} {
+		initial := retagged(t, trainSmall(t, tc.initial), tc.tag)
+		svc, err := NewService(initial, Config{Capacity: 1000, Prefill: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := svc.Model().Current().Backend(); got != tc.tag {
+			t.Fatalf("%s: loaded generation serves %q, want the recorded %q", tc.name, got, tc.tag)
+		}
+		if _, err := svc.Ingest(tc.more); err != nil {
+			t.Fatal(err)
+		}
+		if err := svc.Retrain(); err != nil {
+			t.Fatal(err)
+		}
+		cur := svc.Model().Current()
+		if cur == initial {
+			t.Fatalf("%s: retrain did not swap the model", tc.name)
+		}
+		if cur.Backend() != tc.want {
+			t.Fatalf("%s: retrained backend = %q, want %q, which the dimension picks", tc.name, cur.Backend(), tc.want)
+		}
 	}
 }
 

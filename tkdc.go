@@ -132,19 +132,19 @@ const KernelGaussian = core.KernelGaussian
 
 // Start tags, as Classifier.Backend, /model, /metrics, /snapshot/meta
 // and traces report them. The data picks where Algorithm 2's one
-// certified refinement loop starts: at the tree's root for d ≤ 8, at
-// the frontier of a near phase above. A loaded v3 snapshot keeps the
-// start it recorded.
+// certified refinement loop starts: at the tree's root for d ≤ 2, at
+// the frontier of a near phase from d = 3 up. A loaded v3 snapshot
+// keeps the start it recorded.
 const (
 	// BackendTree is the paper's certified branch-and-bound traversal,
 	// started at the tree's root.
 	BackendTree = core.BackendTree
-	// BackendSampling names the near-first start, which scales to
-	// dimensions where the tree's distance bounds degenerate: a
-	// DEANN-style near phase sums the query's own neighbourhood exactly,
-	// and the certified loop refines the frontier it leaves. Its answers
-	// are certified too; nothing is sampled, and the tag keeps its name
-	// because snapshots carry it.
+	// BackendSampling names the near-first start, which serves d ≥ 3
+	// and scales to dimensions where the tree's distance bounds
+	// degenerate: a DEANN-style near phase sums the query's own
+	// neighbourhood exactly, and the certified loop refines the frontier
+	// it leaves. Its answers are certified too; nothing is sampled, and
+	// the tag keeps its name because snapshots carry it.
 	BackendSampling = core.BackendSampling
 )
 
