@@ -512,25 +512,37 @@ func BenchmarkTraining(b *testing.B) {
 }
 
 // BenchmarkTrain is the parallel-training baseline pinned in
-// BENCH_train.json: end-to-end Train on 50k points at each worker
-// count. Models are bit-identical across counts, so this isolates the
-// wall-clock effect of the level-parallel tree build, concurrent
-// bootstrap scoring, and parallel grid fill.
+// BENCH_train.json: end-to-end Train at each worker count on 50k gauss
+// d=2 points, which train on the tree start, and (tmy3/) on
+// dataset.TMY3(20480, 1), whose d = 8 rows train on the near-first start
+// and retry bootstrap rounds on their upper side. Models are
+// bit-identical across counts, so this isolates the wall-clock effect
+// of the level-parallel tree build, concurrent bootstrap scoring, and
+// parallel grid fill.
 func BenchmarkTrain(b *testing.B) {
-	data := benchData(b, "gauss", 50000, 2)
-	for _, workers := range []int{1, 4} {
-		workers := workers
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			cfg := core.DefaultConfig()
-			cfg.Seed = 42
-			cfg.Workers = workers
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Train(data, cfg); err != nil {
-					b.Fatal(err)
+	sets := []struct {
+		prefix string
+		data   [][]float64
+	}{
+		{"", benchData(b, "gauss", 50000, 2)},
+		{"tmy3/", cached(b, "data/tmy3/20480/seed1", func() ([][]float64, error) {
+			return dataset.TMY3(20480, 1), nil
+		})},
+	}
+	for _, set := range sets {
+		for _, workers := range []int{1, 4} {
+			b.Run(fmt.Sprintf("%sworkers=%d", set.prefix, workers), func(b *testing.B) {
+				cfg := core.DefaultConfig()
+				cfg.Seed = 42
+				cfg.Workers = workers
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := core.Train(set.data, cfg); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -146,8 +146,9 @@ type TrainStats struct {
 	ThresholdLow  float64
 	ThresholdHigh float64
 	Threshold     float64 // refined estimate t̃(p)
-	// BootstrapRounds counts Algorithm 3's subsampled rounds, retries
-	// included; it is 0 when n ≤ R0. The full-size pass is not a round.
+	// BootstrapRounds counts Algorithm 3's subsampled rounds, each
+	// retry as one more, although a retry resumes on its round's sample;
+	// it is 0 when n ≤ R0. The full-size pass is not a round.
 	BootstrapRounds int
 	// TrainKernels counts kernel evaluations spent in training (bootstrap
 	// rounds plus the full-size passes).
@@ -162,10 +163,12 @@ type TrainStats struct {
 	// KDE and grid construction ("assemble"), one span per subsampled
 	// bootstrap round ("bootstrap/round-NN"), and one span per
 	// full-size pass ("refine/pass-N") — the §3.6 retries with a
-	// widened window appear as extra refine passes. Span kernel counts
-	// sum to TrainKernels. Snapshots keep each phase's name, kernels,
-	// items and workers but not its Duration, so a loaded model's
-	// phases carry no durations.
+	// widened window appear as extra refine passes. A retry that
+	// resumes after an upper failure is still one span; its kernels
+	// cover only the rows it re-scored, while Items counts every row it
+	// ranks. Span kernel counts sum to TrainKernels. Snapshots keep each
+	// phase's name, kernels, items and workers but not its Duration, so
+	// a loaded model's phases carry no durations.
 	Phases []telemetry.Span
 }
 
@@ -286,12 +289,21 @@ func TrainStore(data *points.Store, cfg Config) (*Classifier, error) {
 	}
 	trainKernels := tb.queries.Kernels()
 	tl, tu := tb.lo, tb.hi
+	// vals keeps the pass's densities in row order, so a pass that
+	// failed only on its upper side resumes: a row below the failed tu
+	// was neither a grid hit (those report a bound above tu) nor decided
+	// HIGH, so it takes the same steps to the same value under a higher
+	// tu, and only the rows at or above it are re-scored.
+	vals := make([]float64, n)
+	sorted := make([]float64, n)
+	var rows []int // the rows the next pass scores; nil means all
 	const maxAttempts = 4
 	for attempt := 0; ; attempt++ {
 		passStart := time.Now()
-		densities, passStats := c.trainingDensities(tl, tu)
+		passStats := c.scorePass(vals, rows, tl, tu)
 		trainKernels += passStats.Kernels()
-		sort.Float64s(densities)
+		copy(sorted, vals)
+		sort.Float64s(sorted)
 		phases = append(phases, telemetry.Span{
 			Name:     fmt.Sprintf("refine/pass-%d", attempt+1),
 			Duration: time.Since(passStart),
@@ -299,7 +311,7 @@ func TrainStore(data *points.Store, cfg Config) (*Classifier, error) {
 			Items:    int64(n),
 			Workers:  workers,
 		})
-		t, qerr := stats.SortedQuantile(densities, cfg.P)
+		t, qerr := stats.SortedQuantile(sorted, cfg.P)
 		if qerr != nil {
 			return nil, qerr
 		}
@@ -307,18 +319,22 @@ func TrainStore(data *points.Store, cfg Config) (*Classifier, error) {
 		loOK := t >= tl || tl <= 0
 		if hiOK && loOK {
 			c.threshold = t
-			c.tLow, _ = stats.SortedOrderStatistic(densities, l)
-			c.tHigh, _ = stats.SortedOrderStatistic(densities, u)
+			c.tLow, _ = stats.SortedOrderStatistic(sorted, l)
+			c.tHigh, _ = stats.SortedOrderStatistic(sorted, u)
 			break
 		}
 		if attempt == maxAttempts {
 			return nil, fmt.Errorf("core: threshold estimate %g escaped bootstrap bounds [%g, %g] after %d attempts", t, tl, tu, attempt)
 		}
+		if !loOK {
+			// A lower failure moves tolCut, so every row is re-scored.
+			tl = scaleTowardZero(tl, cfg.HBackoff)
+			rows = nil
+		} else {
+			rows = rowsAtOrAbove(vals, tu, rows[:0])
+		}
 		if !hiOK {
 			tu = scaleTowardInf(tu, cfg.HBackoff)
-		}
-		if !loOK {
-			tl = scaleTowardZero(tl, cfg.HBackoff)
 		}
 	}
 
@@ -471,20 +487,46 @@ func forEachChunk(workers, n int, body func(next func() (lo, hi int), qs *QueryS
 	return total
 }
 
-// trainingDensities scores every training point against threshold bounds
-// (tl, tu), returning self-contribution-corrected density estimates.
-func (c *Classifier) trainingDensities(tl, tu float64) ([]float64, QueryStats) {
-	densities := make([]float64, c.data.Len())
-	total := forEachChunk(c.cfg.Workers, len(densities), func(next func() (int, int), qs *QueryStats) {
-		est := c.getEstimator()
-		defer c.putEstimator(est)
+// rowScorer scores row i of a pass, counting its work into qs.
+type rowScorer func(i int, qs *QueryStats) float64
+
+// scoreRows is the score loop of the bootstrap rounds and the full-size
+// pass: it writes each listed row's score into vals[i], for every index
+// of vals when rows is nil. The rows fan out with forEachChunk; each
+// goroutine scores through the scorer newScorer returns and calls the
+// paired release when done. A row's score depends only on the row and
+// each row writes its own slot, so vals is the same at any worker count
+// and with any row list.
+func scoreRows(workers int, vals []float64, rows []int, newScorer func() (rowScorer, func())) QueryStats {
+	n := len(vals)
+	if rows != nil {
+		n = len(rows)
+	}
+	return forEachChunk(workers, n, func(next func() (int, int), qs *QueryStats) {
+		score, release := newScorer()
+		defer release()
 		for lo, hi := next(); lo < hi; lo, hi = next() {
-			for i := lo; i < hi; i++ {
-				densities[i] = c.trainingDensityOne(est.DensityBackend, c.data.Row(i), tl, tu, qs)
+			for k := lo; k < hi; k++ {
+				i := k
+				if rows != nil {
+					i = rows[k]
+				}
+				vals[i] = score(i, qs)
 			}
 		}
 	})
-	return densities, total
+}
+
+// scorePass writes the corrected density of each listed training row
+// (every row when rows is nil) into vals, scored against the window
+// (tl, tu) as the full-size pass scores it.
+func (c *Classifier) scorePass(vals []float64, rows []int, tl, tu float64) QueryStats {
+	return scoreRows(c.cfg.Workers, vals, rows, func() (rowScorer, func()) {
+		est := c.getEstimator()
+		return func(i int, qs *QueryStats) float64 {
+			return c.trainingDensityOne(est.DensityBackend, c.data.Row(i), tl, tu, qs)
+		}, func() { c.putEstimator(est) }
+	})
 }
 
 // trainingDensityOne scores one training point for the threshold pass.

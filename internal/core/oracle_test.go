@@ -41,9 +41,9 @@ func TestThresholdOracle(t *testing.T) {
 		{name: "tmy3/sampling", rows: func(seed int64) [][]float64 {
 			return dataset.TMY3(2000, seed)
 		}, hGrowth: 2, upperRetry: true},
-		// Shuttle's first two columns at HGrowth = 2: seeds 3 and 8
-		// fail a round on the upper side on the tree start, whose
-		// clipped du takes relaxUpper's geometric step.
+		// Shuttle's first two columns at HGrowth = 2: seed 8 fails a
+		// round on the upper side on the tree start, whose clipped du
+		// takes relaxUpper's geometric step.
 		{name: "shuttle2/tree", rows: func(seed int64) [][]float64 {
 			return shuttle2(1000, seed)
 		}, hGrowth: 2, upperRetry: true},

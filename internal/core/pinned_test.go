@@ -94,19 +94,23 @@ func pinnedSamplingData() (data, queries [][]float64) {
 // pinnedRetryData is a seeded tmy3 d=8 set whose p-quantile drifts
 // between bootstrap rounds faster than HBuffer covers, plus 64 queries
 // from the same generator. Trained at HGrowth = 2 with seed 2 on the
-// near-first start, its rounds fail on the upper side and jump to
-// HBackoff·du.
+// near-first start, two rounds fail on the upper side and resume on
+// their samples: the first window already held 9 of the 10 u ranks and
+// jumps to HBackoff·du, the second steps to HBuffer·du.
 func pinnedRetryData() (data, queries [][]float64) {
 	rows := dataset.TMY3(1064, 2)
 	return rows[:1000], rows[1000:]
 }
 
-// pinnedGeometricData is the first two columns of a seeded shuttle set,
-// plus 64 queries from the same generator. Trained at HGrowth = 2 with
-// seed 3 on the tree start, one round fails on the upper side and
-// retries relaxUpper's geometric step.
-func pinnedGeometricData() (data, queries [][]float64) {
-	rows := shuttle2(1064, 3)
+// pinnedShuttle2Data is the first two columns of a seeded shuttle set,
+// plus 64 queries from the same generator, trained at HGrowth = 2 with
+// the same seed on the tree start. At seed 3 two rounds fail on the
+// lower side and re-score their samples; at seed 8 one round fails on
+// the upper side, takes relaxUpper's geometric step and re-scores the
+// rows at or above the failed hi, and a later one fails on the lower
+// side.
+func pinnedShuttle2Data(seed int64) (data, queries [][]float64) {
+	rows := shuttle2(1064, seed)
 	return rows[:1000], rows[1000:]
 }
 
@@ -131,15 +135,18 @@ func TestPinnedWork(t *testing.T) {
 	goldenData, goldenQueries := goldenDataset()
 	samplingData, samplingQueries := pinnedSamplingData()
 	retryData, retryQueries := pinnedRetryData()
-	geometricData, geometricQueries := pinnedGeometricData()
+	lowerData, lowerQueries := pinnedShuttle2Data(3)
+	upperData, upperQueries := pinnedShuttle2Data(8)
 	golden := goldenConfig()
 	subsampled := golden
 	subsampled.S0 = 100 // the bootstrap round scores a 100-row subsample
 	retry := DefaultConfig()
 	retry.HGrowth = 2
 	retry.Seed = 2
-	geometric := retry
-	geometric.Seed = 3
+	lower := retry
+	lower.Seed = 3
+	upper := retry
+	upper.Seed = 8
 
 	cases := []struct {
 		name          string
@@ -172,8 +179,8 @@ func TestPinnedWork(t *testing.T) {
 			DensityBits: [3]uint64{0xbd0819a9c6086fa3, 0x7a71007784a5c0b5, 0x433366bc6755b5a9},
 		}},
 		{"sampling/d27", samplingData, samplingQueries, golden, pinnedModel{
-			TrainKernels: 423525, BootstrapRounds: 3,
-			Threshold: 0x3b830251af25b920, ThresholdLow: 0x3b7afee1198cc180, ThresholdHigh: 0x3b8977f838a480a0,
+			TrainKernels: 491594, BootstrapRounds: 4,
+			Threshold: 0x3b83053f35c969c0, ThresholdLow: 0x3b7b03518e928800, ThresholdHigh: 0x3b89c1a533bebec0,
 			Score:     Counters{Queries: 64, GridHits: 0, PointKernels: 3616, BoundKernels: 1375, NodesVisited: 965},
 			ScoreBits: 0xf92fddd4a794765d,
 			Density: [3]Counters{
@@ -184,8 +191,8 @@ func TestPinnedWork(t *testing.T) {
 			DensityBits: [3]uint64{0xf67b5d99da534a9, 0x9939cfee3e3bf87a, 0x54c73a67451ffc59},
 		}},
 		{"sampling/tmy3-retry", retryData, retryQueries, retry, pinnedModel{
-			TrainKernels: 491411, BootstrapRounds: 5,
-			Threshold: 0x3cfa82a2ecf89e92, ThresholdLow: 0x3cf4bc41772e6904, ThresholdHigh: 0x3cff76d9eff578fe,
+			TrainKernels: 300536, BootstrapRounds: 5,
+			Threshold: 0x3cfa82a2ecf89e92, ThresholdLow: 0x3cf4ba0f50048a6f, ThresholdHigh: 0x3cff726faf4fd77a,
 			Score:     Counters{Queries: 64, GridHits: 0, PointKernels: 2186, BoundKernels: 856, NodesVisited: 517},
 			ScoreBits: 0x4b0cd50ca9144246,
 			Density: [3]Counters{
@@ -195,9 +202,9 @@ func TestPinnedWork(t *testing.T) {
 			},
 			DensityBits: [3]uint64{0xd3238f95b37f6bbc, 0x95847804f10981b4, 0xd47c01df75c24c6d},
 		}},
-		{"tree/shuttle2-retry", geometricData, geometricQueries, geometric, pinnedModel{
-			TrainKernels: 181814, BootstrapRounds: 5,
-			Threshold: 0x3f13cd905e09c5ab, ThresholdLow: 0x3edeba36ce7a3ab3, ThresholdHigh: 0x3f21315858ac449e,
+		{"tree/shuttle2-retry", lowerData, lowerQueries, lower, pinnedModel{
+			TrainKernels: 196264, BootstrapRounds: 5,
+			Threshold: 0x3f13cd6b98fc9072, ThresholdLow: 0x3edeb5177afce6b3, ThresholdHigh: 0x3f21315858ac449e,
 			Score:     Counters{Queries: 64, GridHits: 38, PointKernels: 149, BoundKernels: 740, NodesVisited: 179},
 			ScoreBits: 0xbdc302f05dff010c,
 			Density: [3]Counters{
@@ -207,12 +214,30 @@ func TestPinnedWork(t *testing.T) {
 			},
 			DensityBits: [3]uint64{0x6e21b93e8831cbcc, 0xae2eee238b0dd789, 0xfbfc2523d8e8c7b9},
 		}},
+		{"tree/shuttle2-upper", upperData, upperQueries, upper, pinnedModel{
+			TrainKernels: 231855, BootstrapRounds: 5,
+			Threshold: 0x3f14075c621499fd, ThresholdLow: 0x3eebcc37fe9054fe, ThresholdHigh: 0x3f2366cf1de06071,
+			Score:     Counters{Queries: 64, GridHits: 39, PointKernels: 311, BoundKernels: 790, NodesVisited: 198},
+			ScoreBits: 0x1a963dc63dc3dd86,
+			Density: [3]Counters{
+				{Queries: 128, GridHits: 39, PointKernels: 20934, BoundKernels: 6642, NodesVisited: 2538},
+				{Queries: 192, GridHits: 39, PointKernels: 48397, BoundKernels: 12778, NodesVisited: 5287},
+				{Queries: 256, GridHits: 39, PointKernels: 112397, BoundKernels: 24170, NodesVisited: 10983},
+			},
+			DensityBits: [3]uint64{0x425eb2ec30ab8f3a, 0x496c94cad3c811fc, 0xcbd0767ca68d37a5},
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := pinModel(t, tc.data, tc.queries, tc.cfg)
-			if got != tc.want {
-				t.Errorf("pinned work changed:\n got %#v\nwant %#v", got, tc.want)
+			// A resumed bootstrap attempt or full-size pass fans out a
+			// sparse row list; the pin must hold at any worker count.
+			for _, workers := range []int{1, 4} {
+				cfg := tc.cfg
+				cfg.Workers = workers
+				got := pinModel(t, tc.data, tc.queries, cfg)
+				if got != tc.want {
+					t.Errorf("Workers %d: pinned work changed:\n got %#v\nwant %#v", workers, got, tc.want)
+				}
 			}
 		})
 	}

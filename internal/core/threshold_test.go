@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"tkdc/internal/dataset"
 	"tkdc/internal/kernel"
 	"tkdc/internal/points"
 	"tkdc/internal/stats"
@@ -184,5 +185,126 @@ func TestScaleHelpers(t *testing.T) {
 	}
 	if scaleTowardZero(0, 4) != 0 || scaleTowardInf(0, 4) != 0 {
 		t.Fatal("zero is a fixed point")
+	}
+}
+
+// TestResumedRoundMatchesFullRescore checks the invariant a resumed
+// bootstrap attempt rests on, on both starts: after an upper failure,
+// re-scoring only the rows at or above the failed hi at the raised
+// window leaves every density bit for bit where a full re-score at that
+// window puts it. The first window's hi lies at half the u-th rank of
+// the sample's exact densities, and the attempts follow relaxUpper until
+// the window holds the u-th statistic.
+func TestResumedRoundMatchesFullRescore(t *testing.T) {
+	cases := []struct {
+		name  string
+		rows  [][]float64
+		start string
+	}{
+		{"shuttle2/tree", shuttle2(1000, 3), BackendTree},
+		{"tmy3/sampling", dataset.TMY3(1000, 2), BackendSampling},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Workers = 4
+			sample, err := drawRound(mustStore(tc.rows), 800, cfg, rand.New(rand.NewSource(1)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sample.start != tc.start {
+				t.Fatalf("start %q, want %q", sample.start, tc.start)
+			}
+			s := sample.scored.Len()
+			l, u, err := stats.QuantileCIIndices(s, cfg.P, cfg.Delta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sorted := make([]float64, s)
+			sample.score(sorted, nil, math.Inf(-1), math.Inf(1)) // exact
+			sort.Float64s(sorted)
+			lo, hi := sorted[l-1]/cfg.HBuffer, sorted[(u+1)/2-1]
+
+			vals, full := make([]float64, s), make([]float64, s)
+			sample.score(vals, nil, lo, hi)
+			resumes := 0
+			for {
+				copy(sorted, vals)
+				sort.Float64s(sorted)
+				du := sorted[u-1]
+				if du <= hi {
+					break
+				}
+				if resumes++; resumes > 25 {
+					t.Fatal("the window never reached the u-th statistic")
+				}
+				rows := rowsAtOrAbove(vals, hi, nil)
+				hi = relaxUpper(hi, du, sort.SearchFloat64s(sorted, hi), u, tc.start == BackendTree, cfg)
+				resumed := sample.score(vals, rows, lo, hi)
+				whole := sample.score(full, nil, lo, hi)
+				for i := range vals {
+					if math.Float64bits(vals[i]) != math.Float64bits(full[i]) {
+						t.Fatalf("resume %d: row %d reads %g resumed, %g re-scored in full", resumes, i, vals[i], full[i])
+					}
+				}
+				if resumed.Kernels() >= whole.Kernels() {
+					t.Errorf("resume %d re-scored %d of %d rows with %d kernels, a full re-score takes %d", resumes, len(rows), s, resumed.Kernels(), whole.Kernels())
+				}
+			}
+			if resumes == 0 {
+				t.Fatal("the first window did not fail on the upper side")
+			}
+		})
+	}
+}
+
+// TestResumedPassMatchesFullRescore is the same check for the full-size
+// pass with the grid on (d = 2), where the grid check reads tu too. At
+// p = 0.1 a pass whose tu lies at half the quantile's rank fails on its
+// upper side, and re-scoring only the rows at or above tu at
+// HBackoff·tu must match a full re-score bit for bit.
+func TestResumedPassMatchesFullRescore(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.P = 0.1
+	cfg.Workers = 4
+	c, err := Train(shuttle2(1000, 3), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.grid == nil {
+		t.Fatal("the grid is off at d = 2")
+	}
+	n := c.N()
+	vals, full, sorted := make([]float64, n), make([]float64, n), make([]float64, n)
+	tl := c.tLow / cfg.HBuffer
+	c.scorePass(sorted, nil, tl, math.Inf(1))
+	sort.Float64s(sorted)
+	tu := sorted[n/20-1]
+	if qs := c.scorePass(vals, nil, tl, tu); !qs.GridHit {
+		t.Fatal("no row was a grid hit at the first window")
+	}
+	resumes := 0
+	for {
+		copy(sorted, vals)
+		sort.Float64s(sorted)
+		if q, _ := stats.SortedQuantile(sorted, cfg.P); q <= tu {
+			break
+		}
+		resumes++
+		rows := rowsAtOrAbove(vals, tu, nil)
+		tu *= cfg.HBackoff
+		resumed := c.scorePass(vals, rows, tl, tu)
+		whole := c.scorePass(full, nil, tl, tu)
+		for i := range vals {
+			if math.Float64bits(vals[i]) != math.Float64bits(full[i]) {
+				t.Fatalf("resume %d: row %d reads %g resumed, %g re-scored in full", resumes, i, vals[i], full[i])
+			}
+		}
+		if resumed.Kernels() >= whole.Kernels() {
+			t.Errorf("resume %d re-scored %d of %d rows with %d kernels, a full re-score takes %d", resumes, len(rows), n, resumed.Kernels(), whole.Kernels())
+		}
+	}
+	if resumes == 0 {
+		t.Fatal("the first window did not fail on the upper side")
 	}
 }
