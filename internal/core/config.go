@@ -82,7 +82,8 @@ type Config struct {
 
 	// Workers sets the goroutine budget for every fan-out in the stack:
 	// the batch APIs on the serving side (ClassifyAll, ClassifyFlat and
-	// ScoreFlat, which answer /classify), and the whole training
+	// ScoreFlat, which answer /classify, whose large CSV bodies also
+	// parse across it), and the whole training
 	// pipeline — k-d tree construction, bootstrap scoring (Algorithm 3),
 	// the hypergrid fill, and the threshold-refinement density pass.
 	// Trained models are bit-identical at any worker count. Values below

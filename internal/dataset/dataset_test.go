@@ -4,8 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"tkdc/internal/stats"
@@ -304,7 +307,7 @@ func TestReadCSVHeaderAndErrors(t *testing.T) {
 // its input length, and line numbers count blank lines.
 func TestParseCSVContract(t *testing.T) {
 	dst := []float64{-1, -2}
-	flat, n, dim, err := ParseCSV([]byte("x,y\n1,2\n\n3,4\n"), dst)
+	flat, n, dim, err := ParseCSV([]byte("x,y\n1,2\n\n3,4\n"), dst, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +326,7 @@ func TestParseCSVContract(t *testing.T) {
 		{"1,2\r\n\r\n3,4,5\r\n", "dataset: line 3 has 3 columns, want 2"},
 		{"x,y\n\n", "dataset: no data rows"},
 	} {
-		flat, n, dim, err := ParseCSV([]byte(tc.body), dst)
+		flat, n, dim, err := ParseCSV([]byte(tc.body), dst, 1)
 		if err == nil || err.Error() != tc.err {
 			t.Errorf("%q: err = %v, want %q", tc.body, err, tc.err)
 		}
@@ -334,12 +337,93 @@ func TestParseCSVContract(t *testing.T) {
 
 	long := bytes.Repeat([]byte{' '}, csvLineLimit)
 	long[0] = '7'
-	if _, n, _, err := ParseCSV(long[:csvLineLimit-1], nil); err != nil || n != 1 {
+	if _, n, _, err := ParseCSV(long[:csvLineLimit-1], nil, 1); err != nil || n != 1 {
 		t.Errorf("line one byte under the limit: n=%d err=%v, want one row", n, err)
 	}
-	if _, _, _, err := ParseCSV(long, nil); !errors.Is(err, bufio.ErrTooLong) {
+	if _, _, _, err := ParseCSV(long, nil, 1); !errors.Is(err, bufio.ErrTooLong) {
 		t.Errorf("line at the limit: err = %v, want bufio.ErrTooLong", err)
 	}
+}
+
+// TestParseCSVBlocks holds the block path to the serial parse at every
+// block count from 2 to 6, whatever GOMAXPROCS is: a body that parses
+// serially gives the same rows in blocks, and a body the serial parse
+// rejects makes parseBlocks give up with dst at its input length, so
+// that ParseCSV reports the serial error. Each fault, and a change of
+// width, is planted at every line of a small body, so every block cut
+// at every count falls right before and right after one: a later block
+// that applied the header rule, or blocks of different widths that
+// were joined, would show.
+func TestParseCSVBlocks(t *testing.T) {
+	const lines = 120
+	rows := make([]string, lines)
+	narrow := make([]string, lines)
+	for i := range rows {
+		rows[i] = fmt.Sprintf("%d,%g,-%d.5\n", i, float64(i)/7, i%13)
+		narrow[i] = fmt.Sprintf("%d,%d\n", i, i%7)
+	}
+	var bodies []string
+	for at := 0; at <= lines; at++ {
+		head, tail := strings.Join(rows[:at], ""), strings.Join(rows[at:], "")
+		for _, plant := range []string{
+			"x,y,z\n", "\n\n \r\n", "1,2,3\r\n", "1,foo,3\n", "1,2\n", "1,2,3,4\n", "1,2,3,\n",
+		} {
+			bodies = append(bodies, head+plant+tail)
+		}
+		bodies = append(bodies, head+strings.Join(narrow[at:], ""))
+	}
+	clean := strings.Join(rows, "")
+	bodies = append(bodies, clean+"1,2,3", clean+"1,2", strings.Repeat("\n", 500), clean+strings.Repeat(" \n", 300))
+	prefix := []float64{-1}
+	for bi, body := range bodies {
+		want, wn, wdim, werr := ParseCSV([]byte(body), slices.Clone(prefix), 1)
+		for g := 2; g <= 6; g++ {
+			flat, n, dim, ok := parseBlocks([]byte(body), slices.Clone(prefix), g)
+			if ok != (werr == nil) {
+				t.Fatalf("body %d, %d blocks: ok=%v, serial error %v", bi, g, ok, werr)
+			}
+			if !ok {
+				if len(flat) != 1 || flat[0] != -1 {
+					t.Fatalf("body %d, %d blocks: gave up with %d values, want the dst prefix", bi, g, len(flat))
+				}
+				continue
+			}
+			if n != wn || dim != wdim || !slices.Equal(flat, want) {
+				t.Fatalf("body %d, %d blocks: n=%d dim=%d, serial n=%d dim=%d, rows equal %v", bi, g, n, dim, wn, wdim, slices.Equal(flat, want))
+			}
+		}
+	}
+}
+
+// TestParseCSVConcurrentBlocks runs block parses from several
+// goroutines at once, so that -race sees the pooled block scratch that
+// concurrent calls share: every call must return the serial parse's
+// rows.
+func TestParseCSVConcurrentBlocks(t *testing.T) {
+	var rows strings.Builder
+	for i := 0; i < 20000; i++ {
+		fmt.Fprintf(&rows, "%d,%g\n", i, float64(i)/3)
+	}
+	body := []byte(rows.String())
+	want, _, _, err := ParseCSV(body, nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				got, _, _, ok := parseBlocks(body, nil, g)
+				if !ok || !slices.Equal(got, want) {
+					t.Errorf("%d blocks: ok=%v, rows equal %v", g, ok, slices.Equal(got, want))
+					return
+				}
+			}
+		}(2 + w)
+	}
+	wg.Wait()
 }
 
 func TestCatalogComplete(t *testing.T) {

@@ -3,6 +3,7 @@ package kdtree
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -229,34 +230,67 @@ func refMaxSqDist(tr *Tree, id int32, x, invH2 []float64) float64 {
 }
 
 // TestFusedBoundsMatchPointerBounds: the fused single-sweep BoundsSqDist
-// (including the d=1 and d=2 unrolled specializations) must be
-// bit-identical to the two-pass reference formulas. Baselines and the
-// density backends share BoundsSqDist, so this pin is what keeps their
-// numbers from moving.
+// (the d=1 and d=2 unrolled arms and the branchless general loop) must
+// be bit-identical to the two-pass reference formulas. Baselines and
+// the density backends share BoundsSqDist, so this pin is what keeps
+// their numbers from moving. Each dimension runs on random points and
+// on coarsely rounded points, whose repeated coordinates make boxes
+// with lo = hi and whose zeros are a mix of +0 and −0. The queries are
+// random points, the training rows themselves (which sit on box faces,
+// as the bulk workloads' queries do), box corners, and rows with
+// coordinates replaced by ±0.
 func TestFusedBoundsMatchPointerBounds(t *testing.T) {
-	for _, d := range []int{1, 2, 3, 5} {
+	negZero := math.Copysign(0, -1)
+	for _, d := range []int{1, 2, 3, 5, 8, 27} {
 		rng := rand.New(rand.NewSource(int64(100 + d)))
-		pts := randomPoints(rng, 400, d)
-		tr, err := Build(pts, Options{LeafSize: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		invH2 := make([]float64, d)
-		for j := range invH2 {
-			invH2[j] = math.Exp(rng.NormFloat64())
-		}
-		for trial := 0; trial < 50; trial++ {
-			q := make([]float64, d)
-			for j := range q {
-				q[j] = rng.NormFloat64() * 25
+		rounded := randomPoints(rng, 400, d)
+		for i, v := range rounded.Data {
+			rounded.Data[i] = math.Round(v / 8)
+			if rounded.Data[i] == 0 && i%2 == 1 {
+				rounded.Data[i] = negZero
 			}
-			for id := int32(0); int(id) < tr.NodeCount(); id++ {
-				dmin, dmax := tr.BoundsSqDist(id, q, invH2)
-				if want := refMinSqDist(tr, id, q, invH2); dmin != want {
-					t.Fatalf("d=%d node %d: fused dmin %v != %v", d, id, dmin, want)
+		}
+		for _, pts := range []*points.Store{randomPoints(rng, 400, d), rounded} {
+			tr, err := Build(pts, Options{LeafSize: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			invH2 := make([]float64, d)
+			for j := range invH2 {
+				invH2[j] = math.Exp(rng.NormFloat64())
+			}
+			var queries [][]float64
+			for trial := 0; trial < 50; trial++ {
+				q := make([]float64, d)
+				for j := range q {
+					q[j] = rng.NormFloat64() * 25
 				}
-				if want := refMaxSqDist(tr, id, q, invH2); dmax != want {
-					t.Fatalf("d=%d node %d: fused dmax %v != %v", d, id, dmax, want)
+				queries = append(queries, q)
+			}
+			for i := 0; i < pts.Len(); i += 8 {
+				row := slices.Clone(pts.Row(i))
+				queries = append(queries, row)
+				signed := slices.Clone(row)
+				for j := range signed {
+					if rng.Intn(2) == 0 {
+						signed[j] = math.Copysign(0, float64(rng.Intn(2)*2-1))
+					}
+				}
+				queries = append(queries, signed)
+			}
+			for id := int32(0); int(id) < tr.NodeCount(); id += 7 {
+				lo, hi := tr.Box(id)
+				queries = append(queries, slices.Clone(lo), slices.Clone(hi))
+			}
+			for qi, q := range queries {
+				for id := int32(0); int(id) < tr.NodeCount(); id++ {
+					dmin, dmax := tr.BoundsSqDist(id, q, invH2)
+					if want := refMinSqDist(tr, id, q, invH2); math.Float64bits(dmin) != math.Float64bits(want) {
+						t.Fatalf("d=%d query %d node %d: fused dmin %v != %v", d, qi, id, dmin, want)
+					}
+					if want := refMaxSqDist(tr, id, q, invH2); math.Float64bits(dmax) != math.Float64bits(want) {
+						t.Fatalf("d=%d query %d node %d: fused dmax %v != %v", d, qi, id, dmax, want)
+					}
 				}
 			}
 		}

@@ -201,20 +201,27 @@ func (t *Tree) BoundsSqDist(id int32, x, invH2 []float64) (dmin, dmax float64) {
 	hi := t.Boxes[off+d : off+2*d : off+2*d]
 	x = x[:d]
 	invH2 = invH2[:d]
+	// The general loop takes no data-dependent branch. With a = lo − x
+	// and b = x − hi, at most one of a and b is positive, so
+	// max(a, 0) + max(b, 0) is boundsDim's clamp and max(−a, −b) its
+	// farther-face distance: −(lo − x) is exactly x − lo, and squaring
+	// drops a zero's sign, so the sums equal boundsDim's bit for bit.
+	// Go compiles float max to a jump-free MINSD sequence on amd64.
 	for j, xj := range x {
-		n, f := boundsDim(xj, lo[j], hi[j], invH2[j])
-		dmin += n
-		dmax += f
+		a, b := lo[j]-xj, xj-hi[j]
+		n := max(a, 0) + max(b, 0)
+		f := max(-a, -b)
+		dmin += n * n * invH2[j]
+		dmax += f * f * invH2[j]
 	}
 	return dmin, dmax
 }
 
-// boundsDim is the per-dimension term of BoundsSqDist: the scaled
-// squared distances from coordinate x to the nearer and farther ends of
-// [lo, hi]. The near clamp keeps the positional case analysis — a
-// branchless max-of-differences variant measured ~10% slower at d=8
-// (it trades the predictable inside/outside branches for two extra
-// subtractions on every dimension).
+// boundsDim is the per-dimension term of BoundsSqDist's unrolled d = 1
+// and d = 2 arms: the scaled squared distances from coordinate x to the
+// nearer and farther ends of [lo, hi]. These arms keep the positional
+// case analysis, which read faster there than the general loop's
+// branchless form (see DESIGN §5).
 func boundsDim(x, lo, hi, inv float64) (near, far float64) {
 	var n float64
 	switch {

@@ -86,12 +86,11 @@ func checkMatchesScore(t *testing.T, clf *core.Classifier, rows [][]float64, den
 			}
 			continue
 		}
-		wantUpper := want.Upper
-		if math.IsInf(wantUpper, 1) {
-			wantUpper = 0 // omitted from the response
-		}
 		got := resp.Results[i]
-		if got.Label != want.Label.String() || got.Lower != want.Lower || got.Upper != wantUpper || got.Estimate != want.Estimate() {
+		// The upper key is absent exactly when the bound is +Inf.
+		upperOK := got.Upper == nil && math.IsInf(want.Upper, 1) ||
+			got.Upper != nil && *got.Upper == want.Upper
+		if got.Label != want.Label.String() || got.Lower != want.Lower || !upperOK || got.Estimate != want.Estimate() {
 			t.Fatalf("row %d: density result %+v, want %+v", i, got, want)
 		}
 	}
@@ -290,5 +289,46 @@ func TestClassifyGenerationCoherenceUnderRetrain(t *testing.T) {
 	case msg := <-errs:
 		t.Fatal(msg)
 	default:
+	}
+}
+
+// TestDensityUpperKey pins the "upper" key of a ?density=1 answer
+// against Score: it is absent exactly when Score's upper bound is +Inf
+// (a grid hit), and a certified bound of exactly 0 (a row far from
+// every training point) is written as 0, not dropped. The response
+// decodes into maps, so an absent key cannot read as 0.
+func TestDensityUpperKey(t *testing.T) {
+	clf := trainClf(t, 37, 2)
+	far := []float64{1e6, 1e6}
+	var hit []float64
+	for _, x := range probeRows(64, 38) {
+		if res, err := clf.Score(x); err == nil && math.IsInf(res.Upper, 1) {
+			hit = x
+			break
+		}
+	}
+	if hit == nil {
+		t.Fatal("no probe row hits the grid")
+	}
+	if res, err := clf.Score(far); err != nil || res.Upper != 0 {
+		t.Fatalf("far row: Score upper %v (err %v), want a certified 0", res.Upper, err)
+	}
+	ts := httptest.NewServer(New(clf, Options{Registry: telemetry.NewRegistry()}))
+	defer ts.Close()
+
+	var resp struct {
+		Results []map[string]any `json:"results"`
+	}
+	if err := postRows(ts.URL+"/classify?density=1", [][]float64{far, hit}, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Results) != 2 {
+		t.Fatalf("%d results, want 2", len(resp.Results))
+	}
+	if upper, ok := resp.Results[0]["upper"]; !ok || upper != 0.0 {
+		t.Fatalf("far row: %v, want \"upper\":0", resp.Results[0])
+	}
+	if upper, ok := resp.Results[1]["upper"]; ok {
+		t.Fatalf("grid hit: \"upper\":%v, want the key omitted", upper)
 	}
 }

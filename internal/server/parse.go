@@ -1,8 +1,8 @@
 // Request parsing: /classify and /ingest decode a CSV or JSON row body
 // straight into a pooled flat row-major buffer. CSV bodies use
 // dataset.ParseCSV, the grammar the CLI's -train and -query files use,
-// which allocates nothing on clean input. JSON bodies go through
-// encoding/json.
+// across the live model's worker budget; a small clean body allocates
+// nothing. JSON bodies go through encoding/json.
 package server
 
 import (
@@ -63,9 +63,10 @@ type classifyRequest struct {
 // to dst (typically a pooled buffer) and returning the grown buffer
 // plus the row count and width. The body is JSON when the content type
 // says so or it starts with '{' or '[' — a {"points": [[...]]} object
-// or a bare [[...]] array — and CSV otherwise. On error dst comes back
-// at its input length.
-func parseRowsFlat(contentType string, body []byte, dst []float64) (flat []float64, n, dim int, err error) {
+// or a bare [[...]] array — and CSV otherwise. A large CSV body parses
+// in blocks across up to workers goroutines (dataset.ParseCSV). On
+// error dst comes back at its input length.
+func parseRowsFlat(contentType string, body []byte, dst []float64, workers int) (flat []float64, n, dim int, err error) {
 	trimmed := bytes.TrimSpace(body)
 	if len(trimmed) == 0 {
 		return dst, 0, 0, errors.New("empty request body")
@@ -73,7 +74,7 @@ func parseRowsFlat(contentType string, body []byte, dst []float64) (flat []float
 	if strings.Contains(contentType, "json") || trimmed[0] == '{' || trimmed[0] == '[' {
 		return parseJSONRows(trimmed, dst)
 	}
-	flat, n, dim, err = dataset.ParseCSV(body, dst)
+	flat, n, dim, err = dataset.ParseCSV(body, dst, workers)
 	if err != nil {
 		return flat, 0, 0, fmt.Errorf("parse CSV body: %w", err)
 	}

@@ -8,9 +8,13 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
+
+	"tkdc/internal/dataset"
 )
 
 // parsePoints is the reference parser: the rows-of-slices parser the
@@ -142,6 +146,106 @@ var parseCases = []struct {
 	{"empty body json", "application/json", ""},
 }
 
+// parseWorkers is the worker budget the parse tests pass: with
+// GOMAXPROCS of 2 or more, a body past the block minimum takes
+// dataset.ParseCSV's block path.
+const parseWorkers = 8
+
+// bigBodyBytes is dataset.ParseCSV's block minimum for two goroutines:
+// 64 KiB for each goroutine past the first.
+const bigBodyBytes = 64 << 10
+
+// repeatBody repeats body, newline-terminated, until it is at least
+// bigBodyBytes long, so that a CSV body parses in blocks. Each
+// repetition's rows and faults recur, and so reach later blocks.
+func repeatBody(body []byte) []byte {
+	if len(body) == 0 {
+		return nil
+	}
+	unit := body
+	if unit[len(unit)-1] != '\n' {
+		unit = append(slices.Clip(unit), '\n')
+	}
+	return bytes.Repeat(unit, bigBodyBytes/len(unit)+1)
+}
+
+// cleanRows is n newline-terminated rows of dim columns, first at
+// line one.
+func cleanRows(n, dim int, seed int64) string {
+	rng := rand.New(rand.NewSource(seed))
+	var b strings.Builder
+	for i := 0; i < n; i++ {
+		for j := 0; j < dim; j++ {
+			if j > 0 {
+				b.WriteByte(',')
+			}
+			b.WriteString(strconv.FormatFloat(rng.NormFloat64(), 'g', -1, 64))
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// fixedLine pads a row to a 55-byte line plus its '\n'.
+func fixedLine(row string) string { return fmt.Sprintf("%-55s\n", row) }
+
+// fixedRows is n rows of dim columns in fixed-width lines; at dim 4
+// each row fills its line exactly.
+func fixedRows(n, dim int, seed int64) string {
+	rng := rand.New(rand.NewSource(seed))
+	var b strings.Builder
+	for i := 0; i < n; i++ {
+		cols := make([]string, dim)
+		for j := range cols {
+			cols[j] = fmt.Sprintf("%+.6e", rng.NormFloat64())
+		}
+		b.WriteString(fixedLine(strings.Join(cols, ",")))
+	}
+	return b.String()
+}
+
+// blockStartLine is the 0-based index of the line that opens the second
+// of two blocks, and the third of four, in a body of 10 000 56-byte
+// lines: the cut falls after the line holding byte L/2.
+const blockStartLine = 5001
+
+// bigCSVCases are bodies past the block minimum with a fault or a
+// tricky shape planted past the first block: after about three
+// quarters of the body, as its last line, or as the first line of a
+// later block.
+func bigCSVCases() []struct{ name, body string } {
+	head, tail := cleanRows(9000, 4, 1), cleanRows(3000, 4, 2)
+	plants := []struct{ name, line string }{
+		{"clean", ""},
+		{"header", "x,y,z,w\n"},
+		{"blank-only block", strings.Repeat(" \r\n\n", 40000)},
+		{"crlf rows", strings.ReplaceAll(cleanRows(500, 4, 3), "\n", "\r\n")},
+		{"bad row", "1,foo,3,4\n"},
+		{"ragged row", "1,2,3\n"},
+		{"wide row", "1,2,3,4,5\n"},
+		{"trailing comma", "1,2,3,4,\n"},
+	}
+	var cases []struct{ name, body string }
+	for _, p := range plants {
+		cases = append(cases,
+			struct{ name, body string }{"big " + p.name + " inside", head + p.line + tail},
+			struct{ name, body string }{"big " + p.name + " last", head + tail + strings.TrimSuffix(p.line, "\n")})
+	}
+	before, after := fixedRows(blockStartLine, 4, 5), fixedRows(10000-blockStartLine-1, 4, 6)
+	for _, p := range []struct{ name, line string }{
+		{"header", "x,y,z,w"},
+		{"bad row", "1,foo,3,4"},
+		{"ragged row", "1,2,3"},
+		{"blank line", ""},
+	} {
+		cases = append(cases, struct{ name, body string }{"big " + p.name + " at a block start", before + fixedLine(p.line) + after})
+	}
+	return append(cases,
+		struct{ name, body string }{"big width changes at a block start", before + fixedRows(10000-blockStartLine, 3, 6)},
+		struct{ name, body string }{"big width differs by block", head + cleanRows(9000, 3, 4)},
+		struct{ name, body string }{"big only blank lines", strings.Repeat("\n", bigBodyBytes)})
+}
+
 // checkParseRowsFlat holds parseRowsFlat to the reference parsePoints:
 // both must accept or reject the body, return the same rows (NaN equal
 // to NaN) and give the same error text. Three differences are intended.
@@ -153,7 +257,7 @@ func checkParseRowsFlat(t *testing.T, contentType string, body []byte) {
 	t.Helper()
 	want, wantErr := parsePoints(contentType, body)
 	const prefix = -7.0
-	flat, n, dim, err := parseRowsFlat(contentType, body, []float64{prefix})
+	flat, n, dim, err := parseRowsFlat(contentType, body, []float64{prefix}, parseWorkers)
 	if len(flat) == 0 || flat[0] != prefix {
 		t.Fatalf("dst prefix lost: flat = %v", flat)
 	}
@@ -210,56 +314,82 @@ func intendedRejection(rows [][]float64, body []byte, err error) bool {
 }
 
 // TestParseRowsFlatEquivalence runs the shared comparison over the
-// table of bodies.
+// table of bodies, over each body repeated past the block minimum, and
+// over the large bodies with a fault planted past the first block.
+// With GOMAXPROCS of 2 or more, the large bodies take the block path.
 func TestParseRowsFlatEquivalence(t *testing.T) {
 	for _, tc := range parseCases {
 		t.Run(tc.name, func(t *testing.T) {
 			checkParseRowsFlat(t, tc.contentType, []byte(tc.body))
+			checkParseRowsFlat(t, tc.contentType, repeatBody([]byte(tc.body)))
 		})
 	}
+	for _, tc := range bigCSVCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			checkParseRowsFlat(t, "text/csv", []byte(tc.body))
+		})
+	}
+	t.Run("big line too long", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("builds a 16 MiB line")
+		}
+		long := bytes.Repeat([]byte{'1'}, 1<<24)
+		checkParseRowsFlat(t, "text/csv", []byte(cleanRows(9000, 4, 1)+string(long)+"\n1,2,3,4\n"))
+	})
 }
 
-// FuzzParseRowsFlat runs the same comparison on generated bodies; the
-// table's bodies are its seeds, so they also run under plain go test.
+// FuzzParseRowsFlat runs the same comparison on generated bodies; a
+// body that parses as CSV also runs repeated past the block minimum.
+// The table's bodies are its seeds, so they also run under plain go
+// test.
 func FuzzParseRowsFlat(f *testing.F) {
 	for _, tc := range parseCases {
 		f.Add(tc.contentType, []byte(tc.body))
 	}
 	f.Fuzz(func(t *testing.T, contentType string, body []byte) {
 		checkParseRowsFlat(t, contentType, body)
+		if trimmed := bytes.TrimSpace(body); len(trimmed) > 0 && !strings.Contains(contentType, "json") && trimmed[0] != '{' && trimmed[0] != '[' {
+			checkParseRowsFlat(t, contentType, repeatBody(body))
+		}
 	})
 }
 
 // TestParseRowsFlatReusesDst pins the pooling contract on a warmed
-// buffer: a CSV body parses in place into dst without allocating,
+// buffer: a small CSV body parses in place into dst without allocating,
 // whatever its line ends, blank lines or Unicode spaces. Skipping a
-// header allocates only the strconv.NumError that rejects its field.
+// header allocates only the strconv.NumError that rejects its field. A
+// body past the block minimum parses into dst too, and its blocks'
+// scratch comes from a pool: a few allocations per goroutine (the block
+// list, the wait group, one closure each), never one per row.
 func TestParseRowsFlatReusesDst(t *testing.T) {
+	big := cleanRows(4096, 8, 6)
 	for _, tc := range []struct {
 		name, body string
+		n, dim     int
 		maxAllocs  float64
 	}{
-		{"plain", "1,2\n3,4\n", 0},
-		{"crlf", "1,2\r\n3,4\r\n", 0},
-		{"blank lines", "\n1,2\n\n3,4\n\n", 0},
-		{"non-ascii space", "\u00a01,2\n3,\u20034\n", 0},
-		{"header", "x,y\n1,2\n3,4\n", 2},
+		{"plain", "1,2\n3,4\n", 2, 2, 0},
+		{"crlf", "1,2\r\n3,4\r\n", 2, 2, 0},
+		{"blank lines", "\n1,2\n\n3,4\n\n", 2, 2, 0},
+		{"non-ascii space", "\u00a01,2\n3,\u20034\n", 2, 2, 0},
+		{"header", "x,y\n1,2\n3,4\n", 2, 2, 2},
+		{"blocks", big, 4096, 8, 2 + 2*parseWorkers},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			body := []byte(tc.body)
-			dst := make([]float64, 0, 64)
-			flat, n, dim, err := parseRowsFlat("text/csv", body, dst)
+			dst := make([]float64, 0, max(64, tc.n*tc.dim))
+			flat, n, dim, err := parseRowsFlat("text/csv", body, dst, parseWorkers)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n != 2 || dim != 2 {
-				t.Fatalf("n=%d dim=%d, want 2,2", n, dim)
+			if n != tc.n || dim != tc.dim {
+				t.Fatalf("n=%d dim=%d, want %d,%d", n, dim, tc.n, tc.dim)
 			}
 			if &flat[0] != &dst[:1][0] {
 				t.Fatal("flat does not alias dst: the parse allocated a new buffer")
 			}
 			allocs := testing.AllocsPerRun(100, func() {
-				_, _, _, _ = parseRowsFlat("text/csv", body, dst)
+				_, _, _, _ = parseRowsFlat("text/csv", body, dst, parseWorkers)
 			})
 			if allocs > tc.maxAllocs {
 				t.Fatalf("%v allocations per parse, want at most %v", allocs, tc.maxAllocs)
@@ -284,9 +414,27 @@ func benchBody(rows int) (csv, jsonBody string) {
 	return c.String(), j.String()
 }
 
-// BenchmarkParse times parseRowsFlat on 256-row bodies into a warmed
-// dst. Run with -benchmem: the CSV leg allocates nothing, while the
-// JSON leg pays encoding/json's per-row and per-coordinate allocations.
+// bulkBody is a CSV body of n rows of a dataset generator's data,
+// written in the shortest round-trip form a bulk client posts.
+func bulkBody(b *testing.B, name string, n, dim int) string {
+	rows, err := dataset.Generate(name, n, dim, 9)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := dataset.WriteCSV(&buf, rows); err != nil {
+		b.Fatal(err)
+	}
+	return buf.String()
+}
+
+// BenchmarkParse times parseRowsFlat into a warmed dst across
+// GOMAXPROCS workers: 256-row 2-d bodies in either format, and the
+// bulk-sized CSV bodies of a 1 024×27 hep and a 4 096×8 tmy3 request
+// (about 0.5 MB each). Run with -benchmem and -cpu 1,2: a small CSV
+// body and any body at -cpu 1 parse serially without allocating, while
+// a bulk body at -cpu 2 parses in blocks on both cores. The JSON leg
+// pays encoding/json's per-row and per-coordinate allocations.
 func BenchmarkParse(b *testing.B) {
 	csvBody, jsonBody := benchBody(256)
 	legs := []struct {
@@ -294,14 +442,18 @@ func BenchmarkParse(b *testing.B) {
 	}{
 		{"csv", "text/csv", csvBody},
 		{"json", "application/json", jsonBody},
+		{"csv-hep-1024x27", "text/csv", bulkBody(b, "hep", 1024, 27)},
+		{"csv-tmy3-4096x8", "text/csv", bulkBody(b, "tmy3", 4096, 8)},
 	}
 	for _, leg := range legs {
 		body := []byte(leg.body)
 		b.Run(leg.name, func(b *testing.B) {
 			b.ReportAllocs()
-			dst := make([]float64, 0, 1024)
+			b.SetBytes(int64(len(body)))
+			dst := make([]float64, 0, 1<<15)
+			workers := runtime.GOMAXPROCS(0)
 			for i := 0; i < b.N; i++ {
-				if _, _, _, err := parseRowsFlat(leg.contentType, body, dst); err != nil {
+				if _, _, _, err := parseRowsFlat(leg.contentType, body, dst, workers); err != nil {
 					b.Fatal(err)
 				}
 			}

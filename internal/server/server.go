@@ -240,11 +240,13 @@ func (s *Server) handleSnapshotMeta(w http.ResponseWriter, r *http.Request) {
 }
 
 // classifyResult is one per-point response entry in density mode.
+// Upper is nil, and its key omitted, only when the bound is +Inf (a
+// grid hit); a certified upper bound of 0 is written as 0.
 type classifyResult struct {
-	Label    string  `json:"label"`
-	Lower    float64 `json:"lower"`
-	Upper    float64 `json:"upper,omitempty"` // omitted when +Inf (grid hit)
-	Estimate float64 `json:"estimate"`
+	Label    string   `json:"label"`
+	Lower    float64  `json:"lower"`
+	Upper    *float64 `json:"upper,omitempty"`
+	Estimate float64  `json:"estimate"`
 }
 
 // handleClassify answers POST /classify inline: parse the body into a
@@ -274,7 +276,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		for i, res := range scored {
 			cr := classifyResult{Label: res.Label.String(), Lower: res.Lower, Estimate: res.Estimate()}
 			if !math.IsInf(res.Upper, 1) {
-				cr.Upper = res.Upper
+				cr.Upper = &scored[i].Upper
 			}
 			results[i] = cr
 		}
@@ -297,8 +299,10 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 
 // readRowsFlat reads and parses a CSV/JSON row body into a pooled flat
 // row-major buffer, writing the error response itself (nil, false means
-// the response is written). On success the caller owns the buffer and
-// must release it with putFlatBuf once it is done with the rows.
+// the response is written). A large CSV body parses across the live
+// model's worker budget, so -workers 1 parses serially. On success the
+// caller owns the buffer and must release it with putFlatBuf once it is
+// done with the rows.
 func (s *Server) readRowsFlat(w http.ResponseWriter, r *http.Request) (flat []float64, n, dim int, ok bool) {
 	body := getBodyBuf()
 	defer putBodyBuf(body)
@@ -310,7 +314,8 @@ func (s *Server) readRowsFlat(w http.ResponseWriter, r *http.Request) (flat []fl
 		writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("body exceeds %d bytes", s.max))
 		return nil, 0, 0, false
 	}
-	flat, n, dim, err := parseRowsFlat(r.Header.Get("Content-Type"), body.Bytes(), getFlatBuf())
+	workers := s.model.Current().Config().Workers
+	flat, n, dim, err := parseRowsFlat(r.Header.Get("Content-Type"), body.Bytes(), getFlatBuf(), workers)
 	if err != nil {
 		putFlatBuf(flat)
 		writeError(w, http.StatusBadRequest, err.Error())
