@@ -32,10 +32,8 @@
 // background (-retrain-every rows, -max-model-age, -drift-tolerance),
 // hot-swapping the model without interrupting queries; -window trades
 // the uniform reservoir for a sliding window over the newest -sample
-// rows, -ingest-shards lock-stripes ingest over independent reservoirs
-// (merged deterministically at retrain; 0 = one per core) so ingest
-// throughput scales past one core, and -save doubles as the path for
-// atomic model snapshots after each swap.
+// rows, and -save doubles as the path for atomic model snapshots after
+// each swap.
 //
 // With -follow URL the process is a stateless serving replica: it
 // bootstraps its model from the leader's GET /snapshot, polls every
@@ -96,7 +94,6 @@ func main() {
 		driftTol     = flag.Float64("drift-tolerance", 0, "with -stream: retrain when a threshold probe drifts past this relative fraction (0 disables)")
 		window       = flag.Bool("window", false, "with -stream: keep a sliding window of the newest -sample rows instead of a uniform reservoir")
 		sampleCap    = flag.Int("sample", 100_000, "with -stream: bounded in-memory sample capacity in rows")
-		ingestShards = flag.Int("ingest-shards", 1, "with -stream: lock-stripe ingest over this many independent reservoirs, merged deterministically at retrain (1 = single lock, bit-identical to prior releases; 0 = one per core; memory scales as shards x -sample)")
 
 		follow     = flag.String("follow", "", "replicate a leader: poll URL/snapshot and hot-swap generations (requires -serve; excludes -train/-load/-stream)")
 		pollEvery  = flag.Duration("poll-every", 2*time.Second, "with -follow: steady-state snapshot poll interval (jittered; backs off exponentially on failures)")
@@ -104,10 +101,6 @@ func main() {
 	)
 	flag.Parse()
 	if err := validateFlags(*trainPath, *loadPath, *follow, *serve, *streamMode); err != nil {
-		fmt.Fprintln(os.Stderr, "tkdc:", err)
-		os.Exit(2)
-	}
-	if err := validateShards(*ingestShards); err != nil {
 		fmt.Fprintln(os.Stderr, "tkdc:", err)
 		os.Exit(2)
 	}
@@ -205,7 +198,6 @@ func main() {
 				Capacity:       *sampleCap,
 				Window:         *window,
 				Seed:           *seed,
-				Shards:         resolveShards(*ingestShards),
 				RetrainEvery:   *retrainEvery,
 				MaxModelAge:    *maxModelAge,
 				DriftTolerance: *driftTol,
@@ -414,30 +406,6 @@ func validateFlags(train, load, follow, serve string, streamMode bool) error {
 		return errors.New("-stream requires -serve (ingest arrives over POST /ingest)")
 	}
 	return nil
-}
-
-// validateShards bounds -ingest-shards: 0 (auto) and 1..64 are valid;
-// each shard holds a full -sample buffer, so counts past 64 buy no
-// parallelism and multiply memory.
-func validateShards(shards int) error {
-	if shards < 0 {
-		return fmt.Errorf("-ingest-shards must be >= 0 (got %d; 0 means one per core)", shards)
-	}
-	if shards > 64 {
-		return fmt.Errorf("-ingest-shards %d is past the sanity cap of 64 (each shard holds a full -sample buffer; more shards than cores buys nothing)", shards)
-	}
-	return nil
-}
-
-// resolveShards maps the -ingest-shards flag to a stream.Config.Shards
-// value: 0 (auto) becomes one shard per core, explicit counts pass
-// through. The mapping lives here — not in stream.Config, whose zero
-// value stays at one shard — so only operators who opt in get sharding.
-func resolveShards(shards int) int {
-	if shards == 0 {
-		return tkdc.DefaultIngestShards()
-	}
-	return shards
 }
 
 // writeResults classifies queries and writes one line per row to w:

@@ -146,30 +146,6 @@ func TestValidateFlags(t *testing.T) {
 	}
 }
 
-// TestValidateShards pins the -ingest-shards guardrails and the 0=auto
-// resolution.
-func TestValidateShards(t *testing.T) {
-	for _, k := range []int{0, 1, 4, 64} {
-		if err := validateShards(k); err != nil {
-			t.Errorf("validateShards(%d) = %v, want nil", k, err)
-		}
-	}
-	if validateShards(-1) == nil {
-		t.Error("negative shard count accepted")
-	}
-	if err := validateShards(65); err == nil {
-		t.Error("shard count past the sanity cap accepted")
-	} else if !strings.Contains(err.Error(), "64") {
-		t.Errorf("cap error %q does not name the cap", err)
-	}
-	if got := resolveShards(0); got != tkdc.DefaultIngestShards() {
-		t.Errorf("resolveShards(0) = %d, want DefaultIngestShards()=%d", got, tkdc.DefaultIngestShards())
-	}
-	if got := resolveShards(3); got != 3 {
-		t.Errorf("resolveShards(3) = %d, want 3", got)
-	}
-}
-
 // TestWriteResultsMatchesScore pins batch mode's output: the labels and
 // -density lines that come from the parallel batch APIs equal per-row
 // Score output at one worker and at two, and a malformed row fails the

@@ -171,8 +171,6 @@ func TestMetricsExpositionGolden(t *testing.T) {
 		"tkdc_stream_sample_capacity gauge",
 		"tkdc_stream_pending_rows gauge",
 		"tkdc_stream_sample_fill gauge",
-		"tkdc_ingest_shards gauge",
-		"tkdc_stream_shard_fill gauge",
 		"tkdc_stream_drift_probes_total counter",
 		"tkdc_stream_drift_score gauge",
 		"tkdc_stream_last_retrain_seconds gauge",

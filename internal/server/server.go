@@ -412,7 +412,6 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 		resp["ingested_total"] = st.Ingested
 		resp["sample_size"] = st.SampleSize
 		resp["sample_capacity"] = st.Capacity
-		resp["ingest_shards"] = st.Shards
 		resp["window"] = st.Window
 		resp["retrains"] = st.Retrains
 		resp["pending"] = st.Pending
@@ -499,13 +498,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		writeGauge("tkdc_stream_pending_rows", st.Pending)
 		if st.Capacity > 0 {
 			writeGauge("tkdc_stream_sample_fill", float64(st.SampleSize)/float64(st.Capacity))
-		}
-		writeGauge("tkdc_ingest_shards", st.Shards)
-		if len(st.ShardFill) > 0 {
-			fmt.Fprintf(&b, "# TYPE tkdc_stream_shard_fill gauge\n")
-			for i, fill := range st.ShardFill {
-				fmt.Fprintf(&b, "tkdc_stream_shard_fill{shard=\"%d\"} %v\n", i, fill)
-			}
 		}
 		fmt.Fprintf(&b, "# TYPE tkdc_stream_drift_probes_total counter\ntkdc_stream_drift_probes_total %d\n", st.DriftProbes)
 		writeGauge("tkdc_stream_drift_score", st.DriftScore)

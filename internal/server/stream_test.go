@@ -211,12 +211,6 @@ func TestStreamMetrics(t *testing.T) {
 		t.Fatal("exposition missing tkdc_model_age_seconds")
 	}
 	metricValue(t, exp, "tkdc_stream_sample_capacity")
-	if got := metricValue(t, exp, "tkdc_ingest_shards"); got != 1 {
-		t.Fatalf("ingest_shards = %d, want 1 (unsharded default)", got)
-	}
-	if !strings.Contains(exp, `tkdc_stream_shard_fill{shard="0"} `) {
-		t.Fatal("exposition missing per-shard fill gauge")
-	}
 
 	if _, out := postJSON(t, ts.URL+"/ingest", `{"points":[[0.2,0.1]]}`); out["accepted"].(float64) != 1 {
 		t.Fatalf("ingest failed: %v", out)

@@ -249,3 +249,44 @@ func TestFlightRecorderHammer(t *testing.T) {
 		t.Fatalf("generation = %d, want 7 after 6 retrains", model.Generation())
 	}
 }
+
+// TestStatsHammer reads Stats while writers ingest 1-row batches into a
+// sample still in its fill phase: rows held and rows seen are read in
+// one critical section, so no Stats call may report a SampleSize above
+// its Ingested.
+func TestStatsHammer(t *testing.T) {
+	svc, err := NewService(trainSmall(t, gauss2D(400, 1, 1)), Config{Capacity: 1 << 16, Train: testConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, rows = 4, 4000
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for _, row := range gauss2D(rows, int64(w), 1) {
+				if _, err := svc.Ingest([][]float64{row}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for calls := 0; ; calls++ {
+		st := svc.Stats()
+		if int64(st.SampleSize) > st.Ingested {
+			t.Fatalf("Stats call %d: SampleSize %d exceeds Ingested %d", calls, st.SampleSize, st.Ingested)
+		}
+		select {
+		case <-done:
+			if st := svc.Stats(); st.Ingested != writers*rows || st.SampleSize != writers*rows {
+				t.Fatalf("final Stats: Ingested %d, SampleSize %d, want %d each", st.Ingested, st.SampleSize, writers*rows)
+			}
+			return
+		default:
+		}
+	}
+}

@@ -23,10 +23,7 @@ func indexRows(from, n int) [][]float64 {
 	return rows
 }
 
-// feedBatches pushes rows through Add in fixed-size batches, returning
-// how many rows went in. Sequential feeding fixes the batch→shard
-// assignment (the ticket counter is deterministic), which is the
-// precondition for the determinism properties below.
+// feedBatches pushes rows through Add in fixed-size batches.
 func feedBatches(t *testing.T, add func([][]float64) (int, error), rows [][]float64, batch int) {
 	t.Helper()
 	for off := 0; off < len(rows); off += batch {
@@ -78,41 +75,28 @@ func digest(s *points.Store, seen int64) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// TestIngestorDigests pins the sample's bits to those of the code
-// before the single-shard ingestor and the shard wrapper became one
-// type: the digests were recorded at that code (ad1e49b). A 256-row
+// TestIngestorDigests pins the sample's bits to those recorded at the
+// code before the single-lock ingestor and the shard wrapper became one
+// type (ad1e49b), which the one-lock ingestor must keep: the
+// determinism bridge and every retrain input rest on them. A 256-row
 // ingestor is fed 100 rows (fill phase) or 3000 rows (after eviction)
-// in 37-row batches. At K = 1 Snapshot and both Samples must match in
-// both modes — the determinism bridge and every retrain input rest on
-// it. At K > 1 Snapshot must match; K > 1 Sample is pinned only where
-// it did not move (the fill phase, and window mode's Sample(50, 99)),
-// because Sample now weights reservoir shards by rows seen and returns
-// at most Len() rows. Window mode's K > 1 Sample(50, 99) after eviction
-// was re-recorded when Sample began drawing from the rows Snapshot
-// keeps rather than every held row.
+// in 37-row batches, and Snapshot and both Samples must match in both
+// modes. The subtest names keep the K=1 of the striped ingestor's
+// single-shard cases they were recorded as.
 func TestIngestorDigests(t *testing.T) {
 	cases := []struct {
-		shards              int
 		window              bool
 		rows                int
-		snapshot, s50, s300 string // "" where the digest moved on purpose
+		snapshot, s50, s300 string
 	}{
-		{1, false, 100, "54daffbd961a16d9", "6e49475e0c184989", "a97563b3cf6a28d5"},
-		{1, false, 3000, "cf2f1b9d6d8efdbb", "54de053e80cf3281", "019ca28310c5cef6"},
-		{1, true, 100, "54daffbd961a16d9", "6e49475e0c184989", "a97563b3cf6a28d5"},
-		{1, true, 3000, "27619403be8d160f", "730e46bb258b9874", "ef02bbb371ae6c76"},
-		{2, false, 100, "ca17166f60208f11", "87202bcf1d45b51d", "b4209a4cbc33571d"},
-		{2, false, 3000, "d07ec33beb497acf", "", ""},
-		{2, true, 100, "ca17166f60208f11", "87202bcf1d45b51d", "b4209a4cbc33571d"},
-		{2, true, 3000, "820bd5f9cafeba73", "15eb4c5808cb872d", ""},
-		{3, false, 100, "54daffbd961a16d9", "18bded97e79cf1c1", "a97563b3cf6a28d5"},
-		{3, false, 3000, "b6d6e14a5dfaf557", "", ""},
-		{3, true, 100, "54daffbd961a16d9", "18bded97e79cf1c1", "a97563b3cf6a28d5"},
-		{3, true, 3000, "fe4769f2a0623466", "01b267b4332bfa30", ""},
+		{false, 100, "54daffbd961a16d9", "6e49475e0c184989", "a97563b3cf6a28d5"},
+		{false, 3000, "cf2f1b9d6d8efdbb", "54de053e80cf3281", "019ca28310c5cef6"},
+		{true, 100, "54daffbd961a16d9", "6e49475e0c184989", "a97563b3cf6a28d5"},
+		{true, 3000, "27619403be8d160f", "730e46bb258b9874", "ef02bbb371ae6c76"},
 	}
 	for _, c := range cases {
-		t.Run(fmt.Sprintf("K=%d/window=%v/rows=%d", c.shards, c.window, c.rows), func(t *testing.T) {
-			ing, err := NewShardedIngestor(256, 0, 11, c.window, c.shards)
+		t.Run(fmt.Sprintf("K=1/window=%v/rows=%d", c.window, c.rows), func(t *testing.T) {
+			ing, err := NewIngestor(256, 0, 11, c.window)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,7 +104,7 @@ func TestIngestorDigests(t *testing.T) {
 			snap, seen := ing.Snapshot()
 			got := []string{digest(snap, seen), digest(ing.Sample(50, 99), 0), digest(ing.Sample(300, 7), 0)}
 			for i, want := range []string{c.snapshot, c.s50, c.s300} {
-				if want != "" && got[i] != want {
+				if got[i] != want {
 					t.Errorf("%s digest = %s, want %s", []string{"Snapshot", "Sample(50, 99)", "Sample(300, 7)"}[i], got[i], want)
 				}
 			}
@@ -128,82 +112,16 @@ func TestIngestorDigests(t *testing.T) {
 	}
 }
 
-// TestSampleWeightsShardsBySeen pins the drift probe's input at K > 1
-// on a skewed feed: 1000-row and 10-row batches alternate, so shard 1
-// sees 200 of 20 200 rows (~1%) but holds as many rows as shard 0. A
-// Sample weighted by occupancy takes ~45% of its rows from shard 1;
-// weighted by rows seen, as Snapshot is, it takes ~1%. Sample also
-// returns at most Len() rows, not up to K × capacity.
-func TestSampleWeightsShardsBySeen(t *testing.T) {
-	const cap, pairs, big, small = 256, 20, 1000, 10
-	s, err := NewShardedIngestor(cap, 1, 1, false, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for p := 0; p < pairs; p++ {
-		// Row i carries its index; the 10-row batches land on shard 1.
-		if _, err := s.Add(indexRows(p*(big+small), big)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Add(indexRows(p*(big+small)+big, small)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fromShard1 := func(v float64) bool { return int(v)%(big+small) >= big }
-
-	// Twenty probes of 200 rows: 4000 draws, ~39.6 expected from shard
-	// 1 (sd ~6.3); the bounds sit five standard deviations out.
-	drawn := 0
-	for seed := int64(1); seed <= 20; seed++ {
-		sample := s.Sample(200, seed)
-		for i := 0; i < sample.Len(); i++ {
-			if fromShard1(sample.Row(i)[0]) {
-				drawn++
-			}
-		}
-	}
-	if drawn < 8 || drawn > 71 {
-		t.Fatalf("Sample drew %d of 4000 rows from shard 1, want ~40: it saw %d of %d rows", drawn, pairs*small, pairs*(big+small))
-	}
-	if got, want := s.Sample(400, 3).Len(), s.Len(); got > want {
-		t.Fatalf("Sample(400) returned %d rows, more than Len() = %d", got, want)
-	}
-}
-
-// TestShardedSnapshotWithUnfedShards checks an ingestor built without a
-// width whose batches have not yet reached every shard: the shards
-// that never saw a batch have no buffer, and Snapshot and Sample must
-// skip them rather than read through it.
-func TestShardedSnapshotWithUnfedShards(t *testing.T) {
-	for _, window := range []bool{false, true} {
-		s, err := NewShardedIngestor(100, 0, 1, window, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Add([][]float64{{1, 2}, {3, 4}}); err != nil {
-			t.Fatal(err)
-		}
-		snap, seen := s.Snapshot()
-		if seen != 2 || snap.Len() != 2 || snap.Row(1)[1] != 4 {
-			t.Fatalf("window=%v: snapshot len=%d seen=%d, want both rows", window, snap.Len(), seen)
-		}
-		if got := s.Sample(1, 1).Len(); got != 1 {
-			t.Fatalf("window=%v: Sample(1) returned %d rows", window, got)
-		}
-	}
-}
-
-// TestShardedMergeDeterministic pins the reproducibility contract for
-// K > 1: for a fixed batch→shard assignment (any sequential feed), two
-// ingestors built alike hold byte-identical merged samples, and
-// re-snapshotting an idle ingestor is a no-op on the result — the merge
-// RNG is per-call, never shared state.
+// TestShardedMergeDeterministic pins the reproducibility contract: two
+// ingestors built alike and fed the same batches hold byte-identical
+// samples, and re-snapshotting an idle ingestor is a no-op on the
+// result — Sample's generator is per call, never shared state.
 func TestShardedMergeDeterministic(t *testing.T) {
 	for _, window := range []bool{false, true} {
 		t.Run(fmt.Sprintf("window=%v", window), func(t *testing.T) {
-			const cap, seed, shards = 300, 21, 4
+			const cap, seed = 300, 21
 			build := func() *Ingestor {
-				s, err := NewShardedIngestor(cap, 1, seed, window, shards)
+				s, err := NewIngestor(cap, 1, seed, window)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -217,26 +135,26 @@ func TestShardedMergeDeterministic(t *testing.T) {
 			as, an := a.Snapshot()
 			bs, bn := b.Snapshot()
 			if an != bn || !storesEqual(as, bs) {
-				t.Fatal("identically fed K-shard ingestors diverge at Snapshot")
+				t.Fatal("identically fed ingestors diverge at Snapshot")
 			}
 			if as.Len() != cap {
-				t.Fatalf("merged snapshot holds %d rows, want capacity %d", as.Len(), cap)
+				t.Fatalf("snapshot holds %d rows, want capacity %d", as.Len(), cap)
 			}
 			again, _ := a.Snapshot()
 			if !storesEqual(as, again) {
-				t.Fatal("back-to-back snapshots of an idle ingestor differ: the merge perturbs shard state")
+				t.Fatal("back-to-back snapshots of an idle ingestor differ")
 			}
 			if !storesEqual(a.Sample(100, 7), b.Sample(100, 7)) {
-				t.Fatal("identically fed K-shard ingestors diverge at Sample")
+				t.Fatal("identically fed ingestors diverge at Sample")
 			}
 		})
 	}
 }
 
-// TestShardedMergeDistinct checks the merged reservoir draws without
-// replacement: every row of the union stream appears at most once.
+// TestShardedMergeDistinct checks the reservoir samples without
+// replacement: every row of the stream appears at most once.
 func TestShardedMergeDistinct(t *testing.T) {
-	s, err := NewShardedIngestor(400, 1, 3, false, 4)
+	s, err := NewIngestor(400, 1, 3, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,73 +171,55 @@ func TestShardedMergeDistinct(t *testing.T) {
 }
 
 // TestShardedMergeUniform is the statistical acceptance test: the
-// merged reservoir over a K-shard ingest of N distinct rows should be
-// uniform over the stream. Chi-square over 10 equal origin bins, and —
-// because shard boundaries are the failure mode sharding could
-// introduce — over per-shard origin counts too. The draw is
-// deterministic (fixed seeds), so this never flakes; thresholds are the
-// p=0.001 critical values with generous headroom checked at seed time.
+// reservoir over an ingest of N distinct rows should be uniform over
+// the stream. Chi-square over 10 equal origin bins; the draw is
+// deterministic (fixed seeds), so this never flakes; the threshold is
+// the p=0.001 critical value with generous headroom checked at seed
+// time.
 func TestShardedMergeUniform(t *testing.T) {
 	const (
-		cap    = 400
-		total  = 8000
-		shards = 4
-		bins   = 10
+		cap   = 400
+		total = 8000
+		bins  = 10
 	)
-	chi2 := func(counts []int, expected float64) float64 {
-		var x float64
-		for _, c := range counts {
-			d := float64(c) - expected
-			x += d * d / expected
-		}
-		return x
-	}
-
 	// Aggregate over several independent ingestors so one unlucky draw
 	// cannot dominate; the sum of chi-squares is chi-square with summed
 	// degrees of freedom.
 	const runs = 5
-	var binStat, shardStat float64
+	var binStat float64
 	for r := 0; r < runs; r++ {
-		s, err := NewShardedIngestor(cap, 1, int64(100+r), false, shards)
+		s, err := NewIngestor(cap, 1, int64(100+r), false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// 1-row batches: the ticket assigns row i to shard i%shards, so a
-		// row's shard is its index mod shards.
 		feedBatches(t, s.Add, indexRows(0, total), 1)
 		snap, seen := s.Snapshot()
 		if seen != total || snap.Len() != cap {
 			t.Fatalf("run %d: seen=%d len=%d, want %d/%d", r, seen, snap.Len(), total, cap)
 		}
 		binCounts := make([]int, bins)
-		shardCounts := make([]int, shards)
 		for i := 0; i < cap; i++ {
-			idx := int(snap.Row(i)[0])
-			binCounts[idx/(total/bins)]++
-			shardCounts[idx%shards]++
+			binCounts[int(snap.Row(i)[0])/(total/bins)]++
 		}
-		binStat += chi2(binCounts, float64(cap)/bins)
-		shardStat += chi2(shardCounts, float64(cap)/shards)
+		const expected = float64(cap) / bins
+		for _, c := range binCounts {
+			d := float64(c) - expected
+			binStat += d * d / expected
+		}
 	}
-	// p=0.001 critical values: chi2(df=45) ≈ 80.1, chi2(df=15) ≈ 37.7.
+	// p=0.001 critical value: chi2(df=45) ≈ 80.1.
 	if binStat > 80.1 {
-		t.Fatalf("origin-bin chi-square %.1f exceeds the df=45 p=0.001 critical value: merged sample is not uniform over the stream", binStat)
-	}
-	if shardStat > 37.7 {
-		t.Fatalf("shard-origin chi-square %.1f exceeds the df=15 p=0.001 critical value: merge is biased across shards", shardStat)
+		t.Fatalf("origin-bin chi-square %.1f exceeds the df=45 p=0.001 critical value: sample is not uniform over the stream", binStat)
 	}
 }
 
-// TestShardedFillPhase checks the no-eviction regime: while the union
-// stream fits in capacity, the merged snapshot is exactly the ingested
-// rows — nothing sampled away, nothing duplicated. This is what keeps
-// the determinism bridge exact for K=1 and extends the "reservoir
-// covers the stream" guarantee to K>1 (as a set; arrival order is
-// per-shard).
+// TestShardedFillPhase checks the no-eviction regime: while the stream
+// fits in capacity, the snapshot is exactly the ingested rows in
+// arrival order — nothing sampled away, nothing duplicated. This is
+// what keeps the determinism bridge exact.
 func TestShardedFillPhase(t *testing.T) {
 	const cap, n = 500, 300
-	s, err := NewShardedIngestor(cap, 1, 5, false, 3)
+	s, err := NewIngestor(cap, 1, 5, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,25 +228,20 @@ func TestShardedFillPhase(t *testing.T) {
 	if seen != n || snap.Len() != n {
 		t.Fatalf("seen=%d len=%d, want %d rows", seen, snap.Len(), n)
 	}
-	got := make(map[float64]bool, n)
 	for i := 0; i < n; i++ {
-		got[snap.Row(i)[0]] = true
-	}
-	for i := 0; i < n; i++ {
-		if !got[float64(i)] {
-			t.Fatalf("fill-phase snapshot lost row %d", i)
+		if v := snap.Row(i)[0]; v != float64(i) {
+			t.Fatalf("fill-phase snapshot row %d = %v, want %d", i, v, i)
 		}
 	}
 }
 
-// TestShardedWindowMerge checks window-mode semantics at K>1: the merge
-// keeps the newest rows of each shard in per-shard arrival order, with
-// slots allocated proportionally to occupancy. With balanced 1-row
-// round-robin traffic that is exactly the newest capacity rows of the
-// union stream (as a set).
+// TestShardedWindowMerge checks window mode after the ring wraps:
+// Snapshot joins the ring's two runs into the newest capacity rows,
+// oldest to newest, and the drift probe reads the rows a retrain sees —
+// every Sample row is a Snapshot row.
 func TestShardedWindowMerge(t *testing.T) {
-	const cap, n, shards = 100, 300, 2
-	s, err := NewShardedIngestor(cap, 1, 9, true, shards)
+	const cap, n = 100, 1037
+	s, err := NewIngestor(cap, 1, 9, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,53 +250,24 @@ func TestShardedWindowMerge(t *testing.T) {
 	if seen != n || snap.Len() != cap {
 		t.Fatalf("seen=%d len=%d, want seen=%d len=%d", seen, snap.Len(), n, cap)
 	}
-	// Row i went to shard i%2; each shard holds its newest 100 of 150 and
-	// contributes its newest 50. So the merged window must be exactly the
-	// global newest 100 rows {200..299}, each shard's run ascending.
-	got := make(map[float64]bool, cap)
 	for i := 0; i < cap; i++ {
-		got[snap.Row(i)[0]] = true
-	}
-	for v := n - cap; v < n; v++ {
-		if !got[float64(v)] {
-			t.Fatalf("window merge dropped recent row %d", v)
+		if v, want := snap.Row(i)[0], float64(n-cap+i); v != want {
+			t.Fatalf("window row %d = %v, want %v", i, v, want)
 		}
 	}
-	for i := 1; i < cap/shards; i++ {
-		if snap.Row(i)[0] <= snap.Row(i - 1)[0] {
-			t.Fatalf("shard run not in arrival order at merged row %d", i)
-		}
-	}
-
-	// The drift probe must read the rows a retrain sees: after eviction,
-	// every Sample row is a Snapshot row, though each shard holds more
-	// rows than the merged window keeps.
-	for _, k := range []int{2, 3} {
-		s, err := NewShardedIngestor(cap, 1, 9, true, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		feedBatches(t, s.Add, indexRows(0, 1000), 1)
-		snap, _ := s.Snapshot()
-		inSnap := make(map[float64]bool, snap.Len())
-		for i := 0; i < snap.Len(); i++ {
-			inSnap[snap.Row(i)[0]] = true
-		}
-		sample := s.Sample(100, 3)
-		for i := 0; i < sample.Len(); i++ {
-			if v := sample.Row(i)[0]; !inSnap[v] {
-				t.Fatalf("K=%d: Sample row %v is not in Snapshot", k, v)
-			}
+	sample := s.Sample(30, 3)
+	for i := 0; i < sample.Len(); i++ {
+		if v := sample.Row(i)[0]; v < float64(n-cap) {
+			t.Fatalf("Sample row %v is older than Snapshot's oldest row %d", v, n-cap)
 		}
 	}
 }
 
-// TestShardedDimAgreement checks the cross-shard width race: once any
-// batch fixes the dimensionality, a batch of a different width is
-// rejected even though it would land on a different — still empty —
-// shard.
+// TestShardedDimAgreement checks the width contract of an ingestor
+// built without one: the first batch fixes the dimensionality, and a
+// batch of a different width is rejected through Add and AddFlat.
 func TestShardedDimAgreement(t *testing.T) {
-	s, err := NewShardedIngestor(100, 0, 1, false, 4)
+	s, err := NewIngestor(100, 0, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,34 +287,20 @@ func TestShardedDimAgreement(t *testing.T) {
 
 // TestShardedConfigValidation pins the constructor's edges.
 func TestShardedConfigValidation(t *testing.T) {
-	if _, err := NewShardedIngestor(100, 2, 1, false, -1); err == nil {
-		t.Fatal("negative shard count accepted")
+	if _, err := NewIngestor(0, 2, 1, false); err == nil {
+		t.Fatal("capacity 0 accepted")
 	}
-	if _, err := NewShardedIngestor(100, 2, 1, false, maxShards+1); err == nil {
-		t.Fatal("absurd shard count accepted")
-	}
-	s, err := NewShardedIngestor(100, 2, 1, false, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := s.Shards(), DefaultShards(); got != want {
-		t.Fatalf("shards=0 resolved to %d, want DefaultShards()=%d", got, want)
-	}
-	if d := DefaultShards(); d < 1 || d > maxShards {
-		t.Fatalf("DefaultShards() = %d, outside [1, %d]", d, maxShards)
-	}
-	if fills := s.ShardFills(); len(fills) != s.Shards() {
-		t.Fatalf("ShardFills() has %d entries, want %d", len(fills), s.Shards())
+	if _, err := NewIngestor(100, -1, 1, false); err == nil {
+		t.Fatal("negative dimension accepted")
 	}
 }
 
-// TestShardedHammer drives concurrent Adds, Snapshots, and Samples at
-// K=4 under -race: no row count is ever lost (the per-shard seen totals
-// must sum to everything ingested) and every merged view stays
+// TestShardedHammer drives concurrent Adds, Snapshots, and Samples
+// under -race: no row count is ever lost and every view stays
 // well-formed while ingest churns.
 func TestShardedHammer(t *testing.T) {
-	const cap, shards, writers, batches, batchRows = 512, 4, 8, 50, 20
-	s, err := NewShardedIngestor(cap, 2, 13, false, shards)
+	const cap, writers, batches, batchRows = 512, 8, 50, 20
+	s, err := NewIngestor(cap, 2, 13, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +323,7 @@ func TestShardedHammer(t *testing.T) {
 		}(w)
 	}
 	wg.Add(1)
-	go func() { // concurrent merged readers
+	go func() { // concurrent readers
 		defer wg.Done()
 		for i := 0; i < 40; i++ {
 			if snap, seen := s.Snapshot(); snap != nil {
@@ -529,4 +381,153 @@ func TestSampleSparseMatchesDense(t *testing.T) {
 			t.Fatalf("draw %d: sparse sample emitted row %v, dense oracle says %v", j, have, want)
 		}
 	}
+}
+
+// FuzzIngestBatch is the ingest-validation target. Two ingestors built
+// alike take the same batches decoded from the fuzz bytes, A through
+// Add and B through AddFlat wherever a batch is non-empty rows of one
+// width. Every batch must be accepted whole (Seen grows by its rows,
+// Len is min(capacity, Seen), every held coordinate is finite) or
+// rejected whole (Seen, Len and Dim unchanged), without a panic; Add
+// and AddFlat must agree on acceptance and error text, and so the two
+// samples stay bit-identical.
+//
+// Byte 0 sets the capacity (1 + b&15), window mode (b&16) and the
+// construction width ((b>>5)%3, 0 inferring it). Each batch then reads
+// a header h: the call (h&3: 0 Add on both, 2 AddFlat on both with the
+// dim argument read as the next int8 % 5, otherwise Add against
+// AddFlat), the width ((h>>2)&3, so 0 is a zero width), the row count
+// ((h>>4)&7) and, with h&0x80, a ragged batch whose rows read their own
+// widths. A coordinate byte is NaN (0), +Inf (1), −Inf (2) or int8/4.
+func FuzzIngestBatch(f *testing.F) {
+	// TestIngestRejectsBatchWhole: a 2-wide batch with a NaN coordinate
+	// into a 2-wide ingestor, then a 3-wide row.
+	f.Add([]byte{0x49, 0x29, 4, 8, 12, 0, 0x1d, 4, 8, 12})
+	// TestShardedDimAgreement: a 2-wide batch fixes the width of an
+	// ingestor built without one, then a 3-wide Add and a 3-wide AddFlat.
+	f.Add([]byte{0x0f, 0x18, 4, 8, 0x1c, 4, 8, 12, 0x1e, 3, 4, 8, 12})
+	// Add against AddFlat on a 2-wide ingestor: a 3-wide batch, an ±Inf
+	// batch, then a good one.
+	f.Add([]byte{0x49, 0x1d, 4, 8, 12, 0x29, 1, 4, 2, 4, 0x29, 4, 8, 12, 16})
+	// A ragged batch, a zero-width batch, an empty batch, AddFlat with a
+	// zero, a negative and a non-dividing dim argument, then a good one.
+	f.Add([]byte{0x0f, 0xa8, 2, 4, 8, 1, 4, 0x10, 0x09, 0x26, 0, 4, 8, 0x26, 0xfd, 4, 8, 0x26, 3, 4, 8, 0x26, 2, 4, 8})
+	// A 2-row window ring that wraps, then a width change.
+	f.Add([]byte{0x11, 0x75, 4, 8, 12, 16, 20, 24, 28, 0x19, 4, 8, 0x15, 4})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() byte {
+			if len(data) == 0 {
+				return 4
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		coord := func() float64 {
+			switch b := next(); b {
+			case 0:
+				return math.NaN()
+			case 1:
+				return math.Inf(1)
+			case 2:
+				return math.Inf(-1)
+			default:
+				return float64(int8(b)) / 4
+			}
+		}
+		b0 := next()
+		build := func() *Ingestor {
+			ing, err := NewIngestor(1+int(b0&15), int(b0>>5)%3, 7, b0&16 != 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ing
+		}
+		a, b := build(), build()
+
+		// apply runs one call on ing that offers rows rows of width
+		// width and checks it was applied or rejected whole.
+		apply := func(ing *Ingestor, rows, width int, add func() (int, error)) (int, error) {
+			seen, held := ing.Counts()
+			dim := ing.Dim()
+			n, err := add()
+			seen2, held2 := ing.Counts()
+			switch {
+			case err != nil && (n != 0 || seen2 != seen || held2 != held || ing.Dim() != dim):
+				t.Fatalf("rejected batch (%v) changed the sample: n=%d seen %d→%d held %d→%d dim %d→%d", err, n, seen, seen2, held, held2, dim, ing.Dim())
+			case err == nil && (n != rows || seen2 != seen+int64(n) || held2 != min(ing.Capacity(), int(seen2))):
+				t.Fatalf("accepted %d of %d rows: seen %d→%d held %d→%d", n, rows, seen, seen2, held, held2)
+			case err == nil && n > 0 && ing.Dim() != width, err == nil && n == 0 && ing.Dim() != dim:
+				t.Fatalf("accepted %d rows of width %d: dim %d→%d", n, width, dim, ing.Dim())
+			}
+			return n, err
+		}
+
+		// Past 32 batches an input only revisits states a shorter one
+		// reaches (the capacity is at most 16 rows), and a long tail would
+		// slow every execution.
+		for batch := 0; batch < 32 && len(data) > 0; batch++ {
+			h := next()
+			width, nrows := int(h>>2)&3, int(h>>4)&7
+			if h&3 == 2 {
+				dim := int(int8(next())) % 5
+				flat := make([]float64, nrows*width)
+				for i := range flat {
+					flat[i] = coord()
+				}
+				rows := 0
+				if dim > 0 {
+					rows = len(flat) / dim
+				}
+				apply(a, rows, dim, func() (int, error) { return a.AddFlat(flat, dim) })
+				apply(b, rows, dim, func() (int, error) { return b.AddFlat(flat, dim) })
+			} else {
+				rows := make([][]float64, nrows)
+				var flat []float64
+				equal := nrows > 0 && width > 0
+				for i := range rows {
+					w := width
+					if h&0x80 != 0 {
+						w = int(next()) & 3
+						equal = equal && w == width
+					}
+					rows[i] = make([]float64, w)
+					for j := range rows[i] {
+						rows[i][j] = coord()
+					}
+					flat = append(flat, rows[i]...)
+				}
+				if nrows > 0 {
+					width = len(rows[0])
+				}
+				na, errA := apply(a, nrows, width, func() (int, error) { return a.Add(rows) })
+				addB := func() (int, error) { return b.Add(rows) }
+				if h&3 != 0 && equal {
+					addB = func() (int, error) { return b.AddFlat(flat, width) }
+				}
+				nb, errB := apply(b, nrows, width, addB)
+				if na != nb || fmt.Sprint(errA) != fmt.Sprint(errB) {
+					t.Fatalf("Add = (%d, %v), the other call = (%d, %v)", na, errA, nb, errB)
+				}
+			}
+
+			snapA, seenA := a.Snapshot()
+			snapB, seenB := b.Snapshot()
+			if seenA != seenB || a.Dim() != b.Dim() || !storesEqual(snapA, snapB) {
+				t.Fatalf("samples diverge: seen %d and %d, dim %d and %d", seenA, seenB, a.Dim(), b.Dim())
+			}
+			if held := a.Len(); (snapA == nil) != (held == 0) || (snapA != nil && snapA.Len() != held) {
+				t.Fatalf("Snapshot does not hold Len() = %d rows", held)
+			}
+			if snapA != nil {
+				if err := snapA.CheckFinite(); err != nil {
+					t.Fatalf("sample holds a non-finite coordinate: %v", err)
+				}
+			}
+			if got, want := a.Sample(3, 5), min(3, a.Len()); (got == nil) != (want == 0) || (got != nil && got.Len() != want) {
+				t.Fatalf("Sample(3) returned %v rows, want %d", got, want)
+			}
+		}
+	})
 }

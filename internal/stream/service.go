@@ -22,12 +22,9 @@ type Config struct {
 	// Seed drives reservoir eviction and the drift probe; ingestion and
 	// retraining are deterministic for a fixed seed and batch sequence.
 	Seed int64
-	// Shards lock-stripes the ingest path over this many independent
-	// reservoirs, drawn from deterministically at snapshot time (see
-	// Ingestor). 0 and 1 both mean one shard, whose samples are
-	// bit-identical to earlier releases and to batch training via the
-	// determinism bridge. Samples are reproducible for a fixed shard
-	// count and batch→shard assignment, but differ across shard counts.
+	// Shards is ignored.
+	//
+	// Deprecated: the sample has one lock, so there is no shard count.
 	Shards int
 
 	// RetrainEvery retrains after this many newly ingested rows
@@ -93,10 +90,10 @@ type Stats struct {
 	Window     bool
 	Pending    int64
 
-	// Shards is the ingest shard count (1 = unsharded); ShardFill holds
-	// each shard's occupancy as a fraction of capacity.
-	Shards    int
-	ShardFill []float64
+	// Shards is always 1.
+	//
+	// Deprecated: the sample has one lock, so there is no shard count.
+	Shards int
 
 	// Retrains counts completed retrains (publishes); LastError is the
 	// most recent background retrain or snapshot failure, "" when clean.
@@ -164,13 +161,6 @@ func NewService(initial *core.Classifier, cfg Config) (*Service, error) {
 	if cfg.RetrainEvery < 0 || cfg.Capacity < 0 {
 		return nil, fmt.Errorf("stream: negative Capacity or RetrainEvery")
 	}
-	if cfg.Shards == 0 {
-		// Default to one shard, not GOMAXPROCS: one shard's samples are
-		// bit-identical to earlier releases, so existing deployments and
-		// the determinism bridge are unaffected unless sharding is asked
-		// for explicitly.
-		cfg.Shards = 1
-	}
 	trainCfg := cfg.Train
 	if trainCfg.P == 0 {
 		// An unset Train config (P is required, so 0 means "not
@@ -185,7 +175,7 @@ func NewService(initial *core.Classifier, cfg Config) (*Service, error) {
 		rec = telemetry.Nop{}
 	}
 
-	ing, err := NewShardedIngestor(cfg.Capacity, initial.Dim(), cfg.Seed, cfg.Window, cfg.Shards)
+	ing, err := NewIngestor(cfg.Capacity, initial.Dim(), cfg.Seed, cfg.Window)
 	if err != nil {
 		return nil, err
 	}
@@ -212,9 +202,6 @@ func NewService(initial *core.Classifier, cfg Config) (*Service, error) {
 // Model returns the zero-downtime query handle. It remains valid for the
 // life of the service (and after Close).
 func (s *Service) Model() *Model { return s.model }
-
-// Ingestor exposes the bounded sample, mainly for tests and stats.
-func (s *Service) Ingestor() *Ingestor { return s.ing }
 
 // Ingest validates and ingests a batch of rows, returning how many were
 // accepted. The batch is rejected whole on the first malformed row.
@@ -387,18 +374,16 @@ func (s *Service) Stats() Stats {
 		ModelAge:   time.Since(born),
 		ModelN:     clf.N(),
 		Threshold:  clf.Threshold(),
-		Ingested:   s.ing.Seen(),
-		SampleSize: s.ing.Len(),
 		Capacity:   s.ing.Capacity(),
 		Window:     s.ing.WindowMode(),
-		Shards:     s.ing.Shards(),
-		ShardFill:  s.ing.ShardFills(),
+		Shards:     1,
 		Retrains:   s.retrains.Load(),
 
 		DriftScore:          math.Float64frombits(s.driftScore.Load()),
 		DriftProbes:         s.driftProbes.Load(),
 		LastRetrainDuration: time.Duration(s.lastRetrainNS.Load()),
 	}
+	st.Ingested, st.SampleSize = s.ing.Counts()
 	st.Pending = st.Ingested - s.lastTrained.Load()
 	if st.Pending < 0 {
 		st.Pending = 0

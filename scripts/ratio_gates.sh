@@ -3,8 +3,7 @@
 #
 #   scripts/ratio_gates.sh
 #
-# Each gate names a package, a benchmark, a pair count, an optional -cpu
-# list and a bound. The benchmark times its two sides in one process:
+# Each gate names a package, a benchmark, a pair count and a bound. The benchmark times its two sides in one process:
 # each iteration runs a fixed chunk of base calls and one of test calls,
 # alternating which runs first, so both sides of a pair share the
 # machine's speed of that moment. It reports the median pair's test/base
@@ -17,10 +16,6 @@
 #                       recorder (the production hot path when
 #                       -trace-slow is not set) against no recorder, on
 #                       one classifier whose recorder SetRecorder swaps.
-#   sharded-ingest-k1   64-row batch ingest through Ingestor.Add at K=1
-#                       against one bare shard (validate, lock, ingest
-#                       loop); Add adds the row-width check and the
-#                       ticket-counter shard pick. It runs at -cpu 1.
 #
 # The exit status is 1 when a benchmark run fails, reports no ratio, or
 # reports a ratio above its bound.
@@ -37,8 +32,6 @@ for name, g in json.load(open(sys.argv[1])).items():
     pattern = "/".join(f"^{part}$" for part in g["benchmark"].split("/"))
     cmd = ["go", "test", "-run", "^$", "-bench", pattern,
            "-benchtime", f"{g['pairs']}x", "-count", "1"]
-    if "cpu" in g:
-        cmd += ["-cpu", str(g["cpu"])]
     cmd.append(g["package"])
     print("$", " ".join(cmd), flush=True)
     run = subprocess.run(cmd, capture_output=True, text=True)

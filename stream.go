@@ -11,14 +11,10 @@ import (
 // without ever blocking readers. Each swap bumps a generation number.
 type Model = stream.Model
 
-// Ingestor maintains a bounded-memory sample of a point stream — a
-// deterministic seeded reservoir, or a sliding window of the newest rows
-// — lock-striped over K shards (K = 1 from NewIngestor). Snapshot draws
-// one uniform sample across the shards.
+// Ingestor maintains a bounded-memory sample of a point stream under
+// one lock — a deterministic seeded reservoir, or a sliding window of
+// the newest rows.
 type Ingestor = stream.Ingestor
-
-// ShardedIngestor is Ingestor, the type NewShardedIngestor returns.
-type ShardedIngestor = stream.ShardedIngestor
 
 // StreamService owns the streaming model lifecycle: ingest batches into
 // the bounded sample, background retrains on count/age/drift triggers,
@@ -34,24 +30,12 @@ type StreamStats = stream.Stats
 // NewModel wraps a trained classifier in a generation-1 Model handle.
 func NewModel(clf *Classifier) *Model { return stream.NewModel(clf) }
 
-// NewIngestor builds a one-shard bounded sample for dim-dimensional
-// rows. With window set it keeps the newest capacity rows; otherwise a
-// seeded uniform reservoir over everything ever ingested.
+// NewIngestor builds a bounded sample for dim-dimensional rows. With
+// window set it keeps the newest capacity rows; otherwise a seeded
+// uniform reservoir over everything ever ingested.
 func NewIngestor(capacity, dim int, seed int64, window bool) (*Ingestor, error) {
 	return stream.NewIngestor(capacity, dim, seed, window)
 }
-
-// NewShardedIngestor builds a lock-striped sample: shards independent
-// reservoirs (seed ⊕ shard id each) that Snapshot draws from
-// deterministically. shards == 0 picks DefaultIngestShards(); shards == 1
-// is NewIngestor.
-func NewShardedIngestor(capacity, dim int, seed int64, window bool, shards int) (*ShardedIngestor, error) {
-	return stream.NewShardedIngestor(capacity, dim, seed, window, shards)
-}
-
-// DefaultIngestShards is the shard count NewShardedIngestor uses when
-// shards == 0: GOMAXPROCS clamped to a sane range.
-func DefaultIngestShards() int { return stream.DefaultShards() }
 
 // NewStreamService wraps an initial trained classifier in a streaming
 // lifecycle. Call Start to begin background retraining and Close on
