@@ -199,8 +199,9 @@ func BenchmarkScoreParallel(b *testing.B) {
 }
 
 // BenchmarkScoreTelemetry measures the recorder's hot-path cost: "off"
-// is the default no-op recorder (one atomic bool load per query, the
-// configuration BenchmarkScore runs under), "on" a live registry taking
+// is the default no-op recorder (one interface call per query to
+// Nop.Enabled, which returns a constant false; the configuration
+// BenchmarkScore runs under), "on" a live registry taking
 // two time reads plus histogram updates per query, "flight-disabled" a
 // registry with a flight recorder attached but tracing switched off
 // (one extra atomic pointer load + bool check — must stay within noise

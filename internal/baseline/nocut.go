@@ -12,13 +12,14 @@ import (
 // fu − fl ≤ ε·fl, with no knowledge of any classification threshold. This
 // reproduces the paper's "nocut" baseline, which in turn emulates
 // scikit-learn's k-d tree KDE (Section 4.1). It is tKDC's own Algorithm 2
-// traversal, core's tree backend, with only the relative rule armed: tKDC
-// with the threshold rule and the grid disabled, as Table 2 defines it.
+// traversal, started at the tree's root, with only the relative rule
+// armed: tKDC with the threshold rule and the grid disabled, as Table 2
+// defines it.
 type NoCut struct {
-	be    core.DensityBackend
-	n     int
-	eps   float64
-	stats core.QueryStats
+	estimate func(x []float64, rel float64, stats *core.QueryStats) (fl, fu, est float64)
+	n        int
+	eps      float64
+	stats    core.QueryStats
 }
 
 // NewNoCut builds the tolerance-only estimator. eps is the relative error
@@ -30,8 +31,7 @@ func NewNoCut(data *points.Store, kern *kernel.Gaussian, eps float64) (*NoCut, e
 	}
 	// Training picks the near-first start from d = 3 up; nocut is the
 	// tree traversal at every d.
-	be := core.NewBackend(tree, kern, core.DefaultConfig(), core.BackendTree)
-	return &NoCut{be: be, n: tree.Size, eps: eps}, nil
+	return &NoCut{estimate: core.NewRootEstimator(tree, kern), n: tree.Size, eps: eps}, nil
 }
 
 // Name returns "nocut".
@@ -46,12 +46,12 @@ func (nc *NoCut) Kernels() int64 { return nc.stats.Kernels() }
 // Density estimates f(x) to relative precision eps, returning the bound
 // midpoint.
 func (nc *NoCut) Density(x []float64) float64 {
-	_, _, est := nc.be.EstimateDensity(x, nc.eps, &nc.stats)
+	_, _, est := nc.estimate(x, nc.eps, &nc.stats)
 	return est
 }
 
 // Bounds returns certified density bounds with fu − fl ≤ ε·fl.
 func (nc *NoCut) Bounds(x []float64) (fl, fu float64) {
-	fl, fu, _ = nc.be.EstimateDensity(x, nc.eps, &nc.stats)
+	fl, fu, _ = nc.estimate(x, nc.eps, &nc.stats)
 	return fl, fu
 }

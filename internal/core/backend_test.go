@@ -50,8 +50,8 @@ func TestBackendAccessor(t *testing.T) {
 			t.Errorf("%s: backend = %q, want %q", tc.name, c.Backend(), tc.want)
 		}
 		e := c.getEstimator()
-		if got := e.Name(); got != tc.want {
-			t.Errorf("%s: serving backend = %q, want %q", tc.name, got, tc.want)
+		if e.nearFirst != (tc.want == BackendSampling) {
+			t.Errorf("%s: serving engine starts near-first = %v, want the %q start", tc.name, e.nearFirst, tc.want)
 		}
 		c.putEstimator(e)
 		var buf bytes.Buffer

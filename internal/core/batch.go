@@ -26,8 +26,8 @@ func (c *Classifier) ValidateFlat(flat []float64, n int) error {
 // chunked across Config.Workers goroutines. Each row goes through
 // exactly the decision procedure Score applies, so results are
 // bit-identical to per-row Score calls at every worker count and batch
-// size — under both density backends (each answer depends only on the
-// query point, never on the goroutine or the rows before it).
+// size — from either start (each answer depends only on the query
+// point, never on the goroutine or the rows before it).
 func (c *Classifier) ClassifyFlat(flat []float64, n int) ([]Label, error) {
 	if err := c.ValidateFlat(flat, n); err != nil {
 		return nil, err

@@ -45,7 +45,7 @@ func newBoundBenchState(b *testing.B, d int) *boundBenchState {
 	if err != nil {
 		b.Fatal(err)
 	}
-	est := newDensityEstimator(tree, kern, false, false)
+	est := newDensityEstimator(tree, kern, DefaultConfig(), BackendTree)
 
 	// Estimate the p=0.01 threshold from a small exact-density sample —
 	// enough precision to put the traversal in its production regime.
@@ -89,9 +89,9 @@ func BenchmarkBoundDensity(b *testing.B) {
 }
 
 // BenchmarkBackendHeadToHead runs the tree start and the near-first
-// start (backend "sampling") over the same fixtures, thresholds, and
-// stopping rules, through the same DensityBackend interface the
-// classifier serves with, from d = 1 up. Where the near phase's
+// start (tag "sampling") over the same fixtures, thresholds, and
+// stopping rules, each through the engine the classifier serves with,
+// from d = 1 up. Where the near phase's
 // budgeted descent undercuts the tree's traversal from the root, the
 // crossover AutoTreeMaxDim follows, is recorded in BENCH_core.json.
 func BenchmarkBackendHeadToHead(b *testing.B) {
@@ -104,7 +104,7 @@ func BenchmarkBackendHeadToHead(b *testing.B) {
 				if st == nil || st.dim != d {
 					st = newBoundBenchState(b, d)
 				}
-				be := NewBackend(st.tree, st.kern, DefaultConfig(), backend)
+				be := newDensityEstimator(st.tree, st.kern, DefaultConfig(), backend)
 				n := st.pts.Len()
 				tolCut := 0.01 * st.t
 				var qs QueryStats

@@ -43,11 +43,11 @@ func (l Label) String() string {
 type Result struct {
 	Label Label
 	// Lower and Upper are certified bounds on the kernel density at the
-	// query point, on either backend. When the grid cache answered, Lower
+	// query point, from either start. When the grid cache answered, Lower
 	// is the grid bound and Upper is +Inf.
 	Lower, Upper float64
-	// Density is the backend's point estimate of the density — the value
-	// the label was decided on. The tree backend reports the bound
+	// Density is the engine's point estimate of the density — the value
+	// the label was decided on. The tree start reports the bound
 	// midpoint (fl+fu)/2; grid hits report the grid's lower bound. The
 	// near-first start (BackendSampling) reports the bound on the decided
 	// side: Lower for HIGH, Upper for LOW, and the midpoint when only the
@@ -178,7 +178,7 @@ type Classifier struct {
 	cfg     Config
 	dim     int
 	data    *points.Store
-	backend string // resolved backend tag (BackendTree or BackendSampling)
+	backend string // the start that serves (BackendTree or BackendSampling)
 
 	kern        *kernel.Gaussian
 	tree        *kdtree.Tree
@@ -297,10 +297,11 @@ func TrainStore(data *points.Store, cfg Config) (*Classifier, error) {
 	vals := make([]float64, n)
 	sorted := make([]float64, n)
 	var rows []int // the rows the next pass scores; nil means all
+	full := c.fullPass()
 	const maxAttempts = 4
 	for attempt := 0; ; attempt++ {
 		passStart := time.Now()
-		passStats := c.scorePass(vals, rows, tl, tu)
+		passStats := full.score(vals, rows, tl, tu)
 		trainKernels += passStats.Kernels()
 		copy(sorted, vals)
 		sort.Float64s(sorted)
@@ -407,7 +408,7 @@ func assemble(data *points.Store, cfg Config, backend string) (*Classifier, erro
 		rec:         rec,
 	}
 	c.estPool.New = func() any {
-		return &pooledBackend{DensityBackend: NewBackend(c.tree, c.kern, cfg, backend)}
+		return newDensityEstimator(c.tree, c.kern, cfg, backend)
 	}
 	if !cfg.DisableGrid && c.dim <= cfg.MaxGridDim {
 		g, err := grid.NewWorkers(data, kern.Bandwidths(), cfg.Workers)
@@ -487,67 +488,6 @@ func forEachChunk(workers, n int, body func(next func() (lo, hi int), qs *QueryS
 	return total
 }
 
-// rowScorer scores row i of a pass, counting its work into qs.
-type rowScorer func(i int, qs *QueryStats) float64
-
-// scoreRows is the score loop of the bootstrap rounds and the full-size
-// pass: it writes each listed row's score into vals[i], for every index
-// of vals when rows is nil. The rows fan out with forEachChunk; each
-// goroutine scores through the scorer newScorer returns and calls the
-// paired release when done. A row's score depends only on the row and
-// each row writes its own slot, so vals is the same at any worker count
-// and with any row list.
-func scoreRows(workers int, vals []float64, rows []int, newScorer func() (rowScorer, func())) QueryStats {
-	n := len(vals)
-	if rows != nil {
-		n = len(rows)
-	}
-	return forEachChunk(workers, n, func(next func() (int, int), qs *QueryStats) {
-		score, release := newScorer()
-		defer release()
-		for lo, hi := next(); lo < hi; lo, hi = next() {
-			for k := lo; k < hi; k++ {
-				i := k
-				if rows != nil {
-					i = rows[k]
-				}
-				vals[i] = score(i, qs)
-			}
-		}
-	})
-}
-
-// scorePass writes the corrected density of each listed training row
-// (every row when rows is nil) into vals, scored against the window
-// (tl, tu) as the full-size pass scores it.
-func (c *Classifier) scorePass(vals []float64, rows []int, tl, tu float64) QueryStats {
-	return scoreRows(c.cfg.Workers, vals, rows, func() (rowScorer, func()) {
-		est := c.getEstimator()
-		return func(i int, qs *QueryStats) float64 {
-			return c.trainingDensityOne(est.DensityBackend, c.data.Row(i), tl, tu, qs)
-		}, func() { c.putEstimator(est) }
-	})
-}
-
-// trainingDensityOne scores one training point for the threshold pass.
-// Grid-pruned points record their (certified) lower bound, which keeps
-// their rank above any threshold inside the bootstrap bounds. The grid
-// bound is corrected for the point's self-contribution before comparing,
-// because the bootstrap bounds live in corrected-density space.
-func (c *Classifier) trainingDensityOne(est DensityBackend, x []float64, tl, tu float64, qs *QueryStats) float64 {
-	if c.grid != nil && !math.IsInf(tu, 1) {
-		if lb := c.grid.LowerBoundDensity(x, c.gridKDiag) - c.selfContrib; lb > tu {
-			qs.GridHit = true
-			return lb
-		}
-	}
-	// tl and tu bound the corrected quantile; pruning operates on plain
-	// densities, so shift by the self-contribution.
-	tolCut := c.cfg.Epsilon * math.Max(tl, 0)
-	_, _, f := est.BoundDensity(x, tl+c.selfContrib, tu+c.selfContrib, tolCut, qs)
-	return f - c.selfContrib
-}
-
 // Classify labels one query point against the trained threshold.
 func (c *Classifier) Classify(x []float64) (Label, error) {
 	r, err := c.Score(x)
@@ -594,10 +534,8 @@ func (c *Classifier) scoreChecked(x []float64) Result {
 	}
 
 	est := c.getEstimator()
-	est.qs.Trace = tr
-	fl, fu, f := est.BoundDensity(x, c.threshold, c.threshold, c.cfg.Epsilon*c.threshold, &est.qs)
-	backendName := est.Name()
-	qs := est.qs
+	qs := QueryStats{Trace: tr}
+	fl, fu, f := est.BoundDensity(x, c.threshold, c.threshold, c.cfg.Epsilon*c.threshold, &qs)
 	c.putEstimator(est)
 	qs.Trace = nil
 	c.counters.add(qs)
@@ -608,7 +546,7 @@ func (c *Classifier) scoreChecked(x []float64) Result {
 	}
 	r := Result{Label: label, Lower: fl, Upper: fu, Density: f, Stats: qs}
 	if traced {
-		c.finishQuery(start, tr, r, backendName, gridChecked)
+		c.finishQuery(start, tr, r, c.backend, gridChecked)
 	}
 	return r
 }
@@ -705,16 +643,14 @@ func (c *Classifier) DensityBounds(x []float64, rel float64) (fl, fu float64, er
 		start, tr = c.startQuery(traceDensity, x)
 	}
 	est := c.getEstimator()
-	est.qs.Trace = tr
+	qs := QueryStats{Trace: tr}
 	var f float64
-	fl, fu, f = est.EstimateDensity(x, rel, &est.qs)
-	backendName := est.Name()
-	qs := est.qs
+	fl, fu, f = est.EstimateDensity(x, rel, &qs)
 	c.putEstimator(est)
 	qs.Trace = nil
 	c.counters.add(qs)
 	if traced {
-		c.finishQuery(start, tr, Result{Lower: fl, Upper: fu, Density: f, Stats: qs}, backendName, false)
+		c.finishQuery(start, tr, Result{Lower: fl, Upper: fu, Density: f, Stats: qs}, c.backend, false)
 	}
 	return fl, fu, nil
 }
@@ -820,26 +756,22 @@ func (c *Classifier) checkQuery(x []float64) error {
 	return nil
 }
 
-// pooledBackend is what estPool holds: a density backend together with
-// the QueryStats that one query at a time fills through it. The stats
-// reach the backend by pointer through an interface call, so a local
-// would be moved to the heap on every query; kept beside the pooled
-// backend they cost nothing.
-type pooledBackend struct {
-	DensityBackend
-	qs QueryStats
+// getEstimator takes an engine from the pool; putEstimator returns it.
+func (c *Classifier) getEstimator() *densityEstimator {
+	return c.estPool.Get().(*densityEstimator)
 }
 
-func (c *Classifier) getEstimator() *pooledBackend {
-	return c.estPool.Get().(*pooledBackend)
-}
-
-// maxPooledHeapItems caps the refine-heap capacity a tree backend may
-// carry back into the pool (see densityEstimator.Recycle).
+// maxPooledHeapItems caps the refine-heap capacity an engine may carry
+// back into the pool. One pathological query (a dense region with
+// pruning disabled, say) can grow the heap to O(nodes); without the cap
+// that backing array would be pinned by the pool for the classifier's
+// lifetime and multiplied across every pooled engine. The near phase's
+// own heap is bounded by its node budget.
 const maxPooledHeapItems = 4096
 
-func (c *Classifier) putEstimator(e *pooledBackend) {
-	e.Recycle()
-	e.qs = QueryStats{}
+func (c *Classifier) putEstimator(e *densityEstimator) {
+	if cap(e.heap.items) > maxPooledHeapItems {
+		e.heap.items = nil
+	}
 	c.estPool.Put(e)
 }

@@ -24,7 +24,7 @@ type QueryStats struct {
 	// before any tree traversal.
 	GridHit bool
 	// Trace, when non-nil, collects the query's typed stage records. The
-	// backends only touch it behind nil checks, so the untraced path
+	// engine only touches it behind nil checks, so the untraced path
 	// carries a nil pointer and nothing else.
 	Trace *telemetry.QueryTrace
 }
@@ -145,10 +145,13 @@ func (r rules) verdict(fl, fu float64) verdict {
 	return undecided
 }
 
-// densityEstimator bounds kernel densities over one index. It is the
-// reusable engine behind both the classifier and the threshold bootstrap.
-// Not safe for concurrent use: callers create one per goroutine (the
-// underlying tree and kernel are shared and immutable).
+// densityEstimator is the density engine: Algorithm 2's refinement
+// loop (run) over one index, started at the tree's root or, on the
+// near-first start (BackendSampling), at the frontier its near phase
+// leaves (nearfirst.go). Serving, Algorithm 3's passes, the drift probe
+// and the nocut baseline all bound densities through it. Not safe for
+// concurrent use: callers create one per goroutine (the underlying tree
+// and kernel are shared and immutable).
 type densityEstimator struct {
 	tree  *kdtree.Tree
 	kern  *kernel.Gaussian
@@ -158,17 +161,57 @@ type densityEstimator struct {
 
 	disableThreshold bool
 	disableTolerance bool
+
+	// nearFirst selects the near-first start; nearSq, budget and near
+	// are its near phase's radius, node budget and scratch heap.
+	nearFirst bool
+	nearSq    float64 // scaled squared radius of the exact near field
+	budget    int     // nearNodes; tests lower it to leave a wider frontier
+	near      nearHeap
 }
 
-func newDensityEstimator(tree *kdtree.Tree, kern *kernel.Gaussian, disableThreshold, disableTolerance bool) *densityEstimator {
-	return &densityEstimator{
+// newDensityEstimator builds the engine over a built index, starting
+// where start (BackendTree or BackendSampling) says. cfg supplies the
+// pruning-rule switches and must be valid (normalized and validated, as
+// DefaultConfig is).
+func newDensityEstimator(tree *kdtree.Tree, kern *kernel.Gaussian, cfg Config, start string) *densityEstimator {
+	e := &densityEstimator{
 		tree:             tree,
 		kern:             kern,
 		invH2:            kern.InvBandwidthsSq(),
 		n:                float64(tree.Size),
-		disableThreshold: disableThreshold,
-		disableTolerance: disableTolerance,
+		disableThreshold: cfg.DisableThresholdRule,
+		disableTolerance: cfg.DisableToleranceRule,
 	}
+	if start == BackendSampling {
+		e.nearFirst = true
+		e.nearSq = nearRadiusSq(kern, nearCut)
+		e.budget = nearNodes
+	}
+	return e
+}
+
+// BoundDensity refines bounds for x until the threshold rule
+// (fl > tu or fu < tl) or the tolerance rule (fu − fl < tolCut) stops
+// it, returning certified bounds fl ≤ f(x) ≤ fu and the point estimate
+// est the caller compares with the threshold (see refine).
+func (e *densityEstimator) BoundDensity(x []float64, tl, tu, tolCut float64, stats *QueryStats) (fl, fu, est float64) {
+	stage := "tree/refine"
+	if e.nearFirst {
+		stage = "far/refine"
+	}
+	return e.refine(x, e.boundRules(tl, tu, tolCut), stage, stats)
+}
+
+// EstimateDensity tightens bounds for x to relative precision rel
+// (fu − fl ≤ rel·fl) regardless of any threshold; rel ≤ 0 refines until
+// the heap is empty, which is exact.
+func (e *densityEstimator) EstimateDensity(x []float64, rel float64, stats *QueryStats) (fl, fu, est float64) {
+	stage := "tree/estimate"
+	if e.nearFirst {
+		stage = "far/estimate"
+	}
+	return e.refine(x, estimateRules(rel), stage, stats)
 }
 
 // boundRules are BoundDensity's stopping rules, less those the
@@ -228,16 +271,36 @@ func (m stageMark) stage(name string, stats *QueryStats) telemetry.TraceStage {
 	}
 }
 
-// refine is the tree start of Algorithm 2: the heap begins at the root
-// and the loop refines from there.
-func (e *densityEstimator) refine(x []float64, r rules, stage string, stats *QueryStats) (fl, fu float64) {
-	mark := markStage(stats)
-	e.heap.items = e.heap.items[:0]
-	wlo, whi := e.weights(0, x)
-	stats.BoundKernels += 2
-	e.heap.push(heapItem{id: 0, wlo: wlo, whi: whi})
-	fl, fu, _ = e.run(x, 0, r, stage, mark, stats)
-	return fl, fu
+// refine runs Algorithm 2's loop under rules r from the engine's start
+// and files its trace stage under stage. The tree start pushes the root
+// and reports the bound midpoint as the point estimate. The near-first
+// start runs the near phase first and refines the frontier it left; a
+// decided answer there reports the bound on its decided side: fl when
+// it lies above tu, fu when it lies below tl. An answer the tolerance
+// or relative rule stopped, or one resolved exactly, reports the
+// midpoint. A midpoint inside a wide interval would overstate how far
+// the density lies from the threshold: at d = 27 the near phase often
+// stops with fu orders of magnitude above fl, and Algorithm 3 builds
+// its window from these estimates.
+func (e *densityEstimator) refine(x []float64, r rules, stage string, stats *QueryStats) (fl, fu, est float64) {
+	if !e.nearFirst {
+		mark := markStage(stats)
+		e.heap.items = e.heap.items[:0]
+		wlo, whi := e.weights(0, x)
+		stats.BoundKernels += 2
+		e.heap.push(heapItem{id: 0, wlo: wlo, whi: whi})
+		fl, fu, _ = e.run(x, 0, r, stage, mark, stats)
+		return fl, fu, 0.5 * (fl + fu)
+	}
+	sumNear := e.nearPhase(x, r.tu, stats)
+	fl, fu, v := e.run(x, sumNear/e.n, r, stage, markStage(stats), stats)
+	switch v {
+	case decidedHigh:
+		return fl, fu, fl
+	case decidedLow:
+		return fl, fu, fu
+	}
+	return fl, fu, 0.5 * (fl + fu)
 }
 
 // run is Algorithm 2's best-first refinement, the one loop behind every

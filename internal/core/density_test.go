@@ -30,7 +30,7 @@ func buildEstimator(t testing.TB, rng *rand.Rand, n, d int) (*densityEstimator, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newDensityEstimator(tree, kern, false, false), pts, kern
+	return newDensityEstimator(tree, kern, DefaultConfig(), BackendTree), pts, kern
 }
 
 // Property: BoundDensity's certified bounds always bracket the exact
@@ -68,7 +68,9 @@ func TestBoundDensityExactWhenRulesDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := newDensityEstimator(tree, kern, true, true)
+	cfg := DefaultConfig()
+	cfg.DisableThresholdRule, cfg.DisableToleranceRule = true, true
+	est := newDensityEstimator(tree, kern, cfg, BackendTree)
 	for trial := 0; trial < 50; trial++ {
 		q := []float64{rng.NormFloat64() * 3, rng.NormFloat64() * 3}
 		var qs QueryStats
@@ -94,8 +96,10 @@ func TestThresholdRuleSavesWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pruned := newDensityEstimator(tree, kern, false, false)
-	unpruned := newDensityEstimator(tree, kern, true, false)
+	pruned := newDensityEstimator(tree, kern, DefaultConfig(), BackendTree)
+	noThreshold := DefaultConfig()
+	noThreshold.DisableThresholdRule = true
+	unpruned := newDensityEstimator(tree, kern, noThreshold, BackendTree)
 
 	// A deep-center point is far above any small threshold.
 	q := []float64{0, 0}
@@ -177,19 +181,18 @@ func TestQueryStatsAggregation(t *testing.T) {
 func TestRunBoundsMatchHeapAtHighPeak(t *testing.T) {
 	tree, kern := buildNearFirstIndex(t, 32, 8000, 32)
 	queries := normalQueries(rand.New(rand.NewSource(33)), 64, 32, 1.25)
-	tr := newDensityEstimator(tree, kern, false, false)
-	nf := newNearFirst(tree, kern, DefaultConfig())
+	tr := newDensityEstimator(tree, kern, DefaultConfig(), BackendTree)
+	nf := newDensityEstimator(tree, kern, DefaultConfig(), BackendSampling)
 	peak := 0.0
 	for i, q := range queries {
 		f := exactDensity(tree.Pts, kern, q)
 		peak = math.Max(peak, kern.AtZero()/f)
 		for _, be := range []struct {
 			name string
-			b    DensityBackend
 			e    *densityEstimator
-		}{{"tree", tr, tr}, {"near-first", nf, &nf.est}} {
+		}{{"tree", tr}, {"near-first", nf}} {
 			var qs QueryStats
-			fl, fu, _ := be.b.BoundDensity(q, 2*f, 2*f, 0.01*f, &qs)
+			fl, fu, _ := be.e.BoundDensity(q, 2*f, 2*f, 0.01*f, &qs)
 			lo, hi := be.e.heap.pending()
 			if math.Abs((fu-fl)-(hi-lo)) > 1e-6*f {
 				t.Fatalf("%s query %d: width %g, heap width %g, f = %g", be.name, i, fu-fl, hi-lo, f)

@@ -83,10 +83,10 @@ func TestNearFirstNearRadius(t *testing.T) {
 func TestNearFirstDeterministicPerQuery(t *testing.T) {
 	tree, kern := buildNearFirstIndex(t, 11, 5000, 12)
 	cfg := DefaultConfig()
-	a := newNearFirst(tree, kern, cfg)
-	b := newNearFirst(tree, kern, cfg)
+	a := newDensityEstimator(tree, kern, cfg, BackendSampling)
+	b := newDensityEstimator(tree, kern, cfg, BackendSampling)
 	cfg.Seed = 8
-	c := newNearFirst(tree, kern, cfg)
+	c := newDensityEstimator(tree, kern, cfg, BackendSampling)
 	queries := normalQueries(rand.New(rand.NewSource(3)), 32, 12, 1)
 	// A threshold inside the densities' range leaves work for the loop.
 	th := exactDensity(tree.Pts, kern, queries[0])
@@ -120,7 +120,7 @@ func TestNearFirstDeterministicPerQuery(t *testing.T) {
 // stops it early, and that the point estimate stays inside the bounds.
 func TestNearFirstBoundsBracketExact(t *testing.T) {
 	tree, kern := buildNearFirstIndex(t, 5, 4000, 10)
-	s := newNearFirst(tree, kern, DefaultConfig())
+	s := newDensityEstimator(tree, kern, DefaultConfig(), BackendSampling)
 	queries := normalQueries(rand.New(rand.NewSource(9)), 300, 10, 1)
 	exacts := make([]float64, len(queries))
 	for i, q := range queries {
@@ -154,7 +154,7 @@ func TestNearFirstBoundsBracketExact(t *testing.T) {
 // with fl, fu and the estimate equal.
 func TestNearFirstSmallDatasetExact(t *testing.T) {
 	tree, kern := buildNearFirstIndex(t, 6, 100, 6)
-	s := newNearFirst(tree, kern, DefaultConfig())
+	s := newDensityEstimator(tree, kern, DefaultConfig(), BackendSampling)
 	q := make([]float64, 6)
 	var w QueryStats
 	fl, fu, est := s.BoundDensity(q, 0, math.Inf(1), 0, &w)
@@ -169,7 +169,7 @@ func TestNearFirstSmallDatasetExact(t *testing.T) {
 // returns the exact density.
 func TestNearFirstEstimateDensityHonorsPrecision(t *testing.T) {
 	tree, kern := buildNearFirstIndex(t, 8, 3000, 8)
-	s := newNearFirst(tree, kern, DefaultConfig())
+	s := newDensityEstimator(tree, kern, DefaultConfig(), BackendSampling)
 	var w QueryStats
 	for i, q := range normalQueries(rand.New(rand.NewSource(4)), 20, 8, 1) {
 		rel := 0.01
@@ -199,7 +199,7 @@ func TestNearFirstEstimateDensityHonorsPrecision(t *testing.T) {
 // and a far outlier is certified zero by support pruning alone.
 func TestNearFirstThresholdRuleStopsEarly(t *testing.T) {
 	tree, kern := buildNearFirstIndex(t, 12, 20000, 10)
-	s := newNearFirst(tree, kern, DefaultConfig())
+	s := newDensityEstimator(tree, kern, DefaultConfig(), BackendSampling)
 
 	// A central query has near-field mass, so fl > tu fires the
 	// threshold rule in the near phase.
@@ -238,7 +238,7 @@ func TestNearFirstThresholdRuleStopsEarly(t *testing.T) {
 func TestNearFirstWorkCounts(t *testing.T) {
 	tree, kern := buildNearFirstIndex(t, 13, 5000, 10)
 	// A small node budget guarantees a frontier even on a tree this size.
-	s := newNearFirst(tree, kern, DefaultConfig())
+	s := newDensityEstimator(tree, kern, DefaultConfig(), BackendSampling)
 	s.budget = 16
 	var near, all QueryStats
 	q := make([]float64, 10)
@@ -264,7 +264,7 @@ func TestNearFirstWorkCounts(t *testing.T) {
 func TestNearFirstNearPhasePartition(t *testing.T) {
 	for _, tc := range []struct{ n, d int }{{2000, 4}, {2000, 16}} {
 		tree, kern := buildNearFirstIndex(t, 14, tc.n, tc.d)
-		s := newNearFirst(tree, kern, DefaultConfig())
+		s := newDensityEstimator(tree, kern, DefaultConfig(), BackendSampling)
 		invH2 := kern.InvBandwidthsSq()
 		n := float64(tree.Size)
 		for i, q := range normalQueries(rand.New(rand.NewSource(15)), 10, tc.d, 1) {
@@ -273,7 +273,7 @@ func TestNearFirstNearPhasePartition(t *testing.T) {
 
 			owner := make([]int, tree.Size)
 			frontierTrue := 0.0
-			for _, it := range s.est.heap.items {
+			for _, it := range s.heap.items {
 				m := &tree.Meta[it.id]
 				mass := 0.0
 				for row := int(m.Lo); row < int(m.Hi); row++ {
@@ -308,7 +308,7 @@ func TestNearFirstTrace(t *testing.T) {
 	q := make([]float64, 10)
 	th := 0.5 * exactDensity(tree.Pts, kern, q)
 
-	s := newNearFirst(tree, kern, DefaultConfig())
+	s := newDensityEstimator(tree, kern, DefaultConfig(), BackendSampling)
 	s.budget = 16
 	tr := &telemetry.QueryTrace{}
 	w := QueryStats{Trace: tr}
@@ -332,7 +332,7 @@ func TestNearFirstTrace(t *testing.T) {
 		t.Fatalf("final stage bounds [%g, %g] band %g, returned [%g, %g]", last.Lower, last.Upper, last.Band, fl, fu)
 	}
 
-	s2 := newNearFirst(tree, kern, DefaultConfig())
+	s2 := newDensityEstimator(tree, kern, DefaultConfig(), BackendSampling)
 	s2.budget = 16
 	var w2 QueryStats
 	fl2, fu2, est2 := s2.BoundDensity(q, th, th, 0.001*th, &w2)
@@ -356,7 +356,7 @@ func TestNearFirstTrace(t *testing.T) {
 func TestNearFirstAnswersCertified(t *testing.T) {
 	for _, d := range []int{2, 8, 27} {
 		tree, kern := buildNearFirstIndex(t, 5, 4000, d)
-		s := newNearFirst(tree, kern, DefaultConfig())
+		s := newDensityEstimator(tree, kern, DefaultConfig(), BackendSampling)
 		rng := rand.New(rand.NewSource(9))
 		queries := normalQueries(rng, 200, d, 1.5)
 		for i := 0; i < len(queries); i += 2 {

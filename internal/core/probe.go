@@ -10,7 +10,7 @@ import (
 )
 
 // probeRelPrecision is the relative density precision the probe asks of
-// its backend: tight enough (1%) that drift comparisons — which look for
+// its engine: tight enough (1%) that drift comparisons — which look for
 // tens-of-percent threshold movement — are unaffected by estimation
 // error.
 const probeRelPrecision = 0.01
@@ -56,35 +56,27 @@ func ProbeThreshold(data *points.Store, cfg Config, refRows, probes int, seed in
 		probes = n - refRows
 	}
 
-	// One partial Fisher–Yates draw of refRows+probes distinct rows; the
-	// first refRows become the mini-KDE, the rest the held-out probes.
-	rng := rand.New(rand.NewSource(seed))
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	total := refRows + probes
+	// One draw of refRows+probes distinct rows; the first refRows become
+	// the mini-KDE, the rest the held-out probes.
 	ref := points.New(refRows, data.Dim)
 	held := points.New(probes, data.Dim)
-	for i := 0; i < total; i++ {
-		j := i + rng.Intn(n-i)
-		idx[i], idx[j] = idx[j], idx[i]
+	points.SampleSlots(rand.New(rand.NewSource(seed)), n, refRows+probes, func(i, slot int) {
 		if i < refRows {
-			copy(ref.Row(i), data.Row(idx[i]))
+			copy(ref.Row(i), data.Row(slot))
 		} else {
-			copy(held.Row(i-refRows), data.Row(idx[i]))
+			copy(held.Row(i-refRows), data.Row(slot))
 		}
-	}
+	})
 
 	kern, tree, err := buildKDE(ref, cfg)
 	if err != nil {
 		return 0, err
 	}
-	be := NewBackend(tree, kern, cfg, resolveBackend(data.Dim))
+	est := newDensityEstimator(tree, kern, cfg, resolveBackend(data.Dim))
 	var qs QueryStats
 	densities := make([]float64, probes)
 	for i := range densities {
-		_, _, densities[i] = be.EstimateDensity(held.Row(i), probeRelPrecision, &qs)
+		_, _, densities[i] = est.EstimateDensity(held.Row(i), probeRelPrecision, &qs)
 	}
 	sort.Float64s(densities)
 	return stats.SortedQuantile(densities, cfg.P)

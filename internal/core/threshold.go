@@ -7,6 +7,7 @@ import (
 	"sort"
 	"time"
 
+	"tkdc/internal/grid"
 	"tkdc/internal/kdtree"
 	"tkdc/internal/kernel"
 	"tkdc/internal/points"
@@ -51,11 +52,11 @@ type thresholdBound struct {
 // start. A retry after a lower failure, which moves tolCut, and the
 // fallback to (0, +Inf) re-score every row.
 //
-// Each attempt's score loop fans its rows out with scoreRows, one
-// private density backend per goroutine. Sampling (the only RNG
-// consumer) stays sequential, every row's density depends only on the
-// row, and each row writes its own density slot, so the bounds are
-// bit-identical to a single-threaded run.
+// Each attempt's score loop (quantilePass.score) fans its rows out, one
+// private engine per goroutine. Sampling (the only RNG consumer) stays
+// sequential, every row's density depends only on the row, and each row
+// writes its own density slot, so the bounds are bit-identical to a
+// single-threaded run.
 func boundThreshold(data *points.Store, cfg Config, rng *rand.Rand) (thresholdBound, error) {
 	n := data.Len()
 	res := thresholdBound{lo: 0, hi: math.Inf(1)}
@@ -142,27 +143,34 @@ func boundThreshold(data *points.Store, cfg Config, rng *rand.Rand) (thresholdBo
 	return res, nil
 }
 
-// roundSample is what a bootstrap round draws once and keeps across its
-// retries: the mini-KDE over its r sampled rows, and the min(S0, r) of
-// those rows it scores.
-type roundSample struct {
+// quantilePass is what one of Algorithm 3's passes scores against a
+// window on the corrected p-quantile: a KDE, the rows it scores, and
+// the grid that may decide a row before the engine does. A bootstrap
+// round draws its mini-KDE over r sampled rows and the min(S0, r) of
+// them it scores once, and keeps both across its retries (drawRound);
+// it has no grid. The full-size pass scores every training row against
+// the serving KDE and its grid (fullPass).
+type quantilePass struct {
 	cfg    Config
 	start  string
 	kern   *kernel.Gaussian
 	tree   *kdtree.Tree
 	scored *points.Store
-	self   float64 // the self-contribution K(0)/r
+	self   float64 // the self-contribution K(0)/n of the KDE's n rows
+
+	grid      *grid.Grid // nil: no grid check
+	gridKDiag float64
 }
 
 // drawRound draws a round's r rows from data, fits their mini-KDE, and
 // draws the rows the round scores from them.
-func drawRound(data *points.Store, r int, cfg Config, rng *rand.Rand) (roundSample, error) {
+func drawRound(data *points.Store, r int, cfg Config, rng *rand.Rand) (quantilePass, error) {
 	xr := sampleRows(data, r, rng)
 	kern, tree, err := buildKDE(xr, cfg)
 	if err != nil {
-		return roundSample{}, err
+		return quantilePass{}, err
 	}
-	return roundSample{
+	return quantilePass{
 		cfg:    cfg,
 		start:  resolveBackend(data.Dim),
 		kern:   kern,
@@ -172,22 +180,63 @@ func drawRound(data *points.Store, r int, cfg Config, rng *rand.Rand) (roundSamp
 	}, nil
 }
 
+// fullPass is TrainStore's full-size pass over c: every training row,
+// scored against the serving KDE from the start that serves, with the
+// grid check first.
+func (c *Classifier) fullPass() quantilePass {
+	return quantilePass{
+		cfg:       c.cfg,
+		start:     c.backend,
+		kern:      c.kern,
+		tree:      c.tree,
+		scored:    c.data,
+		self:      c.selfContrib,
+		grid:      c.grid,
+		gridKDiag: c.gridKDiag,
+	}
+}
+
 // score writes the corrected density of each listed scored row (every
 // row when rows is nil) into vals, bounded against the window (lo, hi).
 // The window lives in corrected-density space (Equation 1) while
 // BoundDensity prunes on plain densities: it is shifted by the
-// self-contribution, so the pruning thresholds and the round's validity
+// self-contribution, so the pruning thresholds and the pass's validity
 // checks refer to exactly the same quantity. The tolerance target stays
-// ε·lo in corrected space.
-func (s roundSample) score(vals []float64, rows []int, lo, hi float64) QueryStats {
-	tl, tu := lo+s.self, hi+s.self
-	tolCut := s.cfg.Epsilon * math.Max(lo, 0)
-	return scoreRows(s.cfg.Workers, vals, rows, func() (rowScorer, func()) {
-		est := NewBackend(s.tree, s.kern, s.cfg, s.start)
-		return func(i int, qs *QueryStats) float64 {
-			_, _, f := est.BoundDensity(s.scored.Row(i), tl, tu, tolCut, qs)
-			return f - s.self
-		}, func() {}
+// ε·lo in corrected space. A row whose corrected grid bound exceeds a
+// finite hi records that certified lower bound, which keeps its rank
+// above any threshold inside the window.
+//
+// The rows fan out with forEachChunk, one engine per goroutine. A row's
+// score depends only on the row and each row writes its own slot, so
+// vals is the same at any worker count and with any row list.
+func (p quantilePass) score(vals []float64, rows []int, lo, hi float64) QueryStats {
+	tl, tu := lo+p.self, hi+p.self
+	tolCut := p.cfg.Epsilon * math.Max(lo, 0)
+	gridCheck := p.grid != nil && !math.IsInf(hi, 1)
+	n := len(vals)
+	if rows != nil {
+		n = len(rows)
+	}
+	return forEachChunk(p.cfg.Workers, n, func(next func() (int, int), qs *QueryStats) {
+		est := newDensityEstimator(p.tree, p.kern, p.cfg, p.start)
+		for from, to := next(); from < to; from, to = next() {
+			for k := from; k < to; k++ {
+				i := k
+				if rows != nil {
+					i = rows[k]
+				}
+				x := p.scored.Row(i)
+				if gridCheck {
+					if lb := p.grid.LowerBoundDensity(x, p.gridKDiag) - p.self; lb > hi {
+						qs.GridHit = true
+						vals[i] = lb
+						continue
+					}
+				}
+				_, _, f := est.BoundDensity(x, tl, tu, tolCut, qs)
+				vals[i] = f - p.self
+			}
+		}
 	})
 }
 
@@ -255,26 +304,16 @@ func scaleTowardZero(x, factor float64) float64 {
 	return x * factor
 }
 
-// sampleRows draws k rows without replacement into a fresh store using a
-// partial Fisher–Yates shuffle over an index array. When k covers the
-// whole store it returns s itself and draws nothing, so callers must
-// only read the result. The RNG consumption order matches the historical
-// slice-of-rows implementation, keeping trained models bit-identical
-// across the storage refactor.
+// sampleRows draws k rows without replacement into a fresh store
+// (points.SampleSlots). When k covers the whole store it returns s
+// itself and draws nothing, so callers must only read the result.
 func sampleRows(s *points.Store, k int, rng *rand.Rand) *points.Store {
-	n := s.Len()
-	if k >= n {
+	if k >= s.Len() {
 		return s
 	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
 	out := points.New(k, s.Dim)
-	for i := 0; i < k; i++ {
-		j := i + rng.Intn(n-i)
-		idx[i], idx[j] = idx[j], idx[i]
-		copy(out.Row(i), s.Row(idx[i]))
-	}
+	points.SampleSlots(rng, s.Len(), k, func(i, slot int) {
+		copy(out.Row(i), s.Row(slot))
+	})
 	return out
 }

@@ -277,10 +277,10 @@ func TestResumedPassMatchesFullRescore(t *testing.T) {
 	n := c.N()
 	vals, full, sorted := make([]float64, n), make([]float64, n), make([]float64, n)
 	tl := c.tLow / cfg.HBuffer
-	c.scorePass(sorted, nil, tl, math.Inf(1))
+	c.fullPass().score(sorted, nil, tl, math.Inf(1))
 	sort.Float64s(sorted)
 	tu := sorted[n/20-1]
-	if qs := c.scorePass(vals, nil, tl, tu); !qs.GridHit {
+	if qs := c.fullPass().score(vals, nil, tl, tu); !qs.GridHit {
 		t.Fatal("no row was a grid hit at the first window")
 	}
 	resumes := 0
@@ -293,8 +293,8 @@ func TestResumedPassMatchesFullRescore(t *testing.T) {
 		resumes++
 		rows := rowsAtOrAbove(vals, tu, nil)
 		tu *= cfg.HBackoff
-		resumed := c.scorePass(vals, rows, tl, tu)
-		whole := c.scorePass(full, nil, tl, tu)
+		resumed := c.fullPass().score(vals, rows, tl, tu)
+		whole := c.fullPass().score(full, nil, tl, tu)
 		for i := range vals {
 			if math.Float64bits(vals[i]) != math.Float64bits(full[i]) {
 				t.Fatalf("resume %d: row %d reads %g resumed, %g re-scored in full", resumes, i, vals[i], full[i])

@@ -278,12 +278,12 @@ func TestFusedBoundsMatchPointerBounds(t *testing.T) {
 				}
 				queries = append(queries, signed)
 			}
-			for id := int32(0); int(id) < tr.NodeCount(); id += 7 {
+			for id := int32(0); int(id) < tr.Stats().Nodes; id += 7 {
 				lo, hi := tr.Box(id)
 				queries = append(queries, slices.Clone(lo), slices.Clone(hi))
 			}
 			for qi, q := range queries {
-				for id := int32(0); int(id) < tr.NodeCount(); id++ {
+				for id := int32(0); int(id) < tr.Stats().Nodes; id++ {
 					dmin, dmax := tr.BoundsSqDist(id, q, invH2)
 					if want := refMinSqDist(tr, id, q, invH2); math.Float64bits(dmin) != math.Float64bits(want) {
 						t.Fatalf("d=%d query %d node %d: fused dmin %v != %v", d, qi, id, dmin, want)

@@ -609,9 +609,3 @@ func sqDist(a, b, invH2 []float64) float64 {
 func (t *Tree) Depth(id int32) int {
 	return sort.Search(len(t.levels), func(i int) bool { return t.levels[i] > id })
 }
-
-// Height returns the height of the tree (a single leaf has height 1).
-func (t *Tree) Height() int { return t.stats.MaxDepth }
-
-// NodeCount returns the total number of nodes.
-func (t *Tree) NodeCount() int { return len(t.Meta) }

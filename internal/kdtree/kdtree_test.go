@@ -63,8 +63,8 @@ func TestSingleLeafTree(t *testing.T) {
 	if !tr.IsLeaf(0) || tr.Count(0) != 2 {
 		t.Fatal("two points with LeafSize 10 should be a single leaf")
 	}
-	if tr.Height() != 1 || tr.NodeCount() != 1 {
-		t.Fatalf("Height=%d NodeCount=%d, want 1/1", tr.Height(), tr.NodeCount())
+	if st := tr.Stats(); st.MaxDepth != 1 || st.Nodes != 1 {
+		t.Fatalf("MaxDepth=%d Nodes=%d, want 1/1", st.MaxDepth, st.Nodes)
 	}
 }
 
@@ -314,7 +314,7 @@ func TestMedianSplitBalanced(t *testing.T) {
 	}
 	// A balanced tree over 4096 points with leaf size 1 has height ≈ 13;
 	// allow slack for duplicate handling.
-	if h := tr.Height(); h > 20 {
+	if h := tr.Stats().MaxDepth; h > 20 {
 		t.Fatalf("median tree height = %d, want ≈13", h)
 	}
 	checkInvariants(t, tr)
@@ -512,8 +512,8 @@ func TestDepthMatchesTraversal(t *testing.T) {
 		if maxDepth != tr.Stats().MaxDepth {
 			t.Fatalf("n=%d: walked max depth %d, Stats().MaxDepth %d", n, maxDepth, tr.Stats().MaxDepth)
 		}
-		if visited != tr.NodeCount() {
-			t.Fatalf("n=%d: walk visited %d nodes, arena holds %d", n, visited, tr.NodeCount())
+		if visited != tr.Stats().Nodes {
+			t.Fatalf("n=%d: walk visited %d nodes, Stats().Nodes %d", n, visited, tr.Stats().Nodes)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package points
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -143,5 +144,40 @@ func TestNilAndEmptyLen(t *testing.T) {
 	}
 	if (&Store{}).Len() != 0 {
 		t.Fatal("zero store Len should be 0")
+	}
+}
+
+// TestSampleSparseMatchesDense pins SampleSlots' RNG compatibility: for
+// the same seed, the sparse path (k < n/4) and the dense path at k == n
+// must emit exactly the slots the classic index-array Fisher–Yates
+// shuffle emits. The bootstrap's samples, the drift probe and the
+// ingest sample's Sample all draw through it, so its fixed-seed output
+// is part of the determinism surface. The dense shuffle is
+// reimplemented here as the oracle.
+func TestSampleSparseMatchesDense(t *testing.T) {
+	const n, seed = 5000, 17
+	for _, k := range []int{100, n} { // 100*4 < n takes the sparse path
+		got := make([]int, 0, k)
+		SampleSlots(rand.New(rand.NewSource(seed)), n, k, func(i, slot int) {
+			if i != len(got) {
+				t.Fatalf("k=%d: visit %d reported draw index %d", k, len(got), i)
+			}
+			got = append(got, slot)
+		})
+		if len(got) != k {
+			t.Fatalf("k=%d: visited %d slots", k, len(got))
+		}
+		rng := rand.New(rand.NewSource(seed))
+		idx := make([]int, n)
+		for j := range idx {
+			idx[j] = j
+		}
+		for j := 0; j < k; j++ {
+			l := j + rng.Intn(n-j)
+			idx[j], idx[l] = idx[l], idx[j]
+			if got[j] != idx[j] {
+				t.Fatalf("k=%d draw %d: SampleSlots emitted slot %d, the dense oracle %d", k, j, got[j], idx[j])
+			}
+		}
 	}
 }

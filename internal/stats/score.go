@@ -48,12 +48,3 @@ func (c *Confusion) F1() float64 {
 	}
 	return 2 * p * r / (p + r)
 }
-
-// Accuracy returns the fraction of correct predictions, or 0 with no data.
-func (c *Confusion) Accuracy() float64 {
-	total := c.TP + c.FP + c.TN + c.FN
-	if total == 0 {
-		return 0
-	}
-	return float64(c.TP+c.TN) / float64(total)
-}

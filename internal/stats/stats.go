@@ -1,7 +1,8 @@
 // Package stats provides the statistical primitives tKDC is built on:
-// order statistics and quantiles, binomial/normal confidence intervals for
-// sample quantiles (Section 3.5 of the paper), the inverse normal CDF,
-// running moments, and classification scoring.
+// sample means and variances, order statistics and quantiles of sorted
+// samples, binomial/normal confidence intervals for sample quantiles
+// (Section 3.5 of the paper), the inverse normal CDF, column standard
+// deviations for Scott's rule, and classification scoring.
 //
 // Everything in this package operates on plain float64 slices and is free
 // of external dependencies.
@@ -10,7 +11,6 @@ package stats
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // ErrEmpty is returned by functions that require at least one observation.
@@ -49,74 +49,10 @@ func StdDev(xs []float64) float64 {
 	return math.Sqrt(Variance(xs))
 }
 
-// Moments accumulates a running mean and variance using Welford's
-// algorithm. The zero value is ready to use.
-type Moments struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add incorporates one observation.
-func (m *Moments) Add(x float64) {
-	m.n++
-	delta := x - m.mean
-	m.mean += delta / float64(m.n)
-	m.m2 += delta * (x - m.mean)
-}
-
-// Count returns the number of observations added so far.
-func (m *Moments) Count() int { return m.n }
-
-// Mean returns the running mean.
-func (m *Moments) Mean() float64 { return m.mean }
-
-// Variance returns the running population variance (divide by n).
-func (m *Moments) Variance() float64 {
-	if m.n == 0 {
-		return 0
-	}
-	return m.m2 / float64(m.n)
-}
-
-// StdDev returns the running population standard deviation.
-func (m *Moments) StdDev() float64 { return math.Sqrt(m.Variance()) }
-
-// ColumnStdDevs returns the per-column population standard deviations of a
-// row-major dataset. All rows must have the same length d; the result has
-// length d. An empty dataset yields an empty result.
-func ColumnStdDevs(rows [][]float64) []float64 {
-	if len(rows) == 0 {
-		return nil
-	}
-	d := len(rows[0])
-	means := make([]float64, d)
-	for _, row := range rows {
-		for i, v := range row {
-			means[i] += v
-		}
-	}
-	inv := 1 / float64(len(rows))
-	for i := range means {
-		means[i] *= inv
-	}
-	vars := make([]float64, d)
-	for _, row := range rows {
-		for i, v := range row {
-			dv := v - means[i]
-			vars[i] += dv * dv
-		}
-	}
-	out := make([]float64, d)
-	for i := range vars {
-		out[i] = math.Sqrt(vars[i] * inv)
-	}
-	return out
-}
-
-// ColumnStdDevsFlat is ColumnStdDevs over flat row-major storage: data
-// holds rows of width dim back to back. The accumulation order matches
-// ColumnStdDevs row for row, so results are bit-identical.
+// ColumnStdDevsFlat returns the per-column population standard
+// deviations of flat row-major storage: data holds rows of width dim
+// back to back, and the result has length dim. An empty dataset yields
+// nil.
 func ColumnStdDevsFlat(data []float64, dim int) []float64 {
 	if len(data) == 0 || dim <= 0 {
 		return nil
@@ -146,18 +82,6 @@ func ColumnStdDevsFlat(data []float64, dim int) []float64 {
 	return out
 }
 
-// OrderStatistic returns the k-th smallest element (1-based) of xs without
-// modifying xs. It copies and sorts; callers on hot paths should pre-sort
-// and use SortedOrderStatistic.
-func OrderStatistic(xs []float64, k int) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	return SortedOrderStatistic(cp, k)
-}
-
 // SortedOrderStatistic returns the k-th smallest element (1-based) of an
 // already-sorted slice. k is clamped into [1, len(xs)].
 func SortedOrderStatistic(sorted []float64, k int) (float64, error) {
@@ -173,19 +97,9 @@ func SortedOrderStatistic(sorted []float64, k int) (float64, error) {
 	return sorted[k-1], nil
 }
 
-// Quantile returns the p-quantile of xs using the paper's convention: the
-// (n·p)-th smallest element (Section 2.3, Equation 1). p is clamped into
-// [0, 1]. The slice is not modified.
-func Quantile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	return SortedQuantile(cp, p)
-}
-
-// SortedQuantile is Quantile for an already-sorted slice.
+// SortedQuantile returns the p-quantile of an already-sorted slice
+// using the paper's convention: the (n·p)-th smallest element (Section
+// 2.3, Equation 1). p is clamped into [0, 1].
 func SortedQuantile(sorted []float64, p float64) (float64, error) {
 	if len(sorted) == 0 {
 		return 0, ErrEmpty

@@ -251,7 +251,7 @@ func (ing *Ingestor) Snapshot() (*points.Store, int64) {
 // seeded with seed, so the draw is reproducible and leaves the
 // reservoir untouched. It returns at most Len() rows: every held row,
 // in slot order, when k ≥ Len(), and otherwise k distinct slots drawn
-// by sparse Fisher–Yates. Returns nil while empty.
+// by points.SampleSlots. Returns nil while empty.
 func (ing *Ingestor) Sample(k int, seed int64) *points.Store {
 	ing.mu.Lock()
 	defer ing.mu.Unlock()
@@ -264,49 +264,10 @@ func (ing *Ingestor) Sample(k int, seed int64) *points.Store {
 		copy(out.Data, ing.buf.Data)
 		return out
 	}
-	row := 0
-	sampleSlots(rand.New(rand.NewSource(seed)), ing.n, k, func(slot int) {
-		copy(out.Row(row), ing.buf.Row(slot))
-		row++
+	points.SampleSlots(rand.New(rand.NewSource(seed)), ing.n, k, func(i, slot int) {
+		copy(out.Row(i), ing.buf.Row(slot))
 	})
 	return out
-}
-
-// sampleSlots visits k distinct uniformly drawn slots of [0, n), k ≤ n,
-// in draw order. It runs the first k steps of a Fisher–Yates shuffle,
-// tracking only displaced slots: a dense map of the whole index space
-// is never built, so the allocation cost is O(k) however large n is.
-// For draws dense enough that the map would cost more than the
-// permutation it avoids, it falls back to the classic array shuffle.
-// Both paths consume rng identically (one Intn per draw) and emit the
-// same slots for the same seed.
-func sampleSlots(rng *rand.Rand, n, k int, visit func(slot int)) {
-	if k*4 >= n {
-		idx := make([]int, n)
-		for j := range idx {
-			idx[j] = j
-		}
-		for j := 0; j < k; j++ {
-			l := j + rng.Intn(n-j)
-			idx[j], idx[l] = idx[l], idx[j]
-			visit(idx[j])
-		}
-		return
-	}
-	displaced := make(map[int]int, 2*k)
-	slotAt := func(pos int) int {
-		if v, ok := displaced[pos]; ok {
-			return v
-		}
-		return pos
-	}
-	for j := 0; j < k; j++ {
-		l := j + rng.Intn(n-j)
-		sj, sl := slotAt(j), slotAt(l)
-		displaced[l] = sj
-		delete(displaced, j) // position j is never probed again
-		visit(sl)
-	}
 }
 
 // Counts returns the rows ever ingested and the rows the sample holds

@@ -352,37 +352,6 @@ func TestShardedHammer(t *testing.T) {
 	}
 }
 
-// TestSampleSparseMatchesDense pins the RNG compatibility of the sparse
-// Fisher–Yates: for the same seed, Sample must emit exactly the rows the
-// dense index-permutation shuffle used to emit — the drift probe's
-// fixed-seed behaviour is part of the determinism surface. The dense
-// reference is reimplemented here as the oracle.
-func TestSampleSparseMatchesDense(t *testing.T) {
-	const n, k, seed = 5000, 100, 17 // k*4 < n forces the sparse path
-	ing, err := NewIngestor(n, 1, 1, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feedBatchesB := indexRows(0, n)
-	if _, err := ing.Add(feedBatchesB); err != nil {
-		t.Fatal(err)
-	}
-	got := ing.Sample(k, seed)
-
-	rng := rand.New(rand.NewSource(seed))
-	idx := make([]int, n)
-	for j := range idx {
-		idx[j] = j
-	}
-	for j := 0; j < k; j++ {
-		l := j + rng.Intn(n-j)
-		idx[j], idx[l] = idx[l], idx[j]
-		if want, have := float64(idx[j]), got.Row(j)[0]; want != have {
-			t.Fatalf("draw %d: sparse sample emitted row %v, dense oracle says %v", j, have, want)
-		}
-	}
-}
-
 // FuzzIngestBatch is the ingest-validation target. Two ingestors built
 // alike take the same batches decoded from the fuzz bytes, A through
 // Add and B through AddFlat wherever a batch is non-empty rows of one

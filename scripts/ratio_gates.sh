@@ -12,10 +12,14 @@
 # they exist to catch a path that should cost nothing growing real
 # work, such as an allocation or a lock.
 #
-#   telemetry-overhead  Score with a registry and a switched-off flight
-#                       recorder (the production hot path when
-#                       -trace-slow is not set) against no recorder, on
-#                       one classifier whose recorder SetRecorder swaps.
+#   telemetry-overhead  Score with a registry that has a flight recorder
+#                       attached but switched off, against no recorder,
+#                       on one classifier whose recorder SetRecorder
+#                       swaps. cmd/tkdc attaches a flight recorder only
+#                       when -trace-slow is set, so this leg is not the
+#                       path a plain -stats or -serve run takes (a
+#                       registry with no recorder attached); it checks
+#                       that an attached, disabled recorder stays cheap.
 #
 # The exit status is 1 when a benchmark run fails, reports no ratio, or
 # reports a ratio above its bound.
